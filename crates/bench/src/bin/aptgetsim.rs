@@ -85,8 +85,11 @@
 //!                                        # repoint current.hints to the
 //!                                        #   previous hot-swap generation
 //!                                        #   (audited on the op-log)
-//! aptgetsim campaign [--jobs N] ...      # full comparison matrix in
-//!                                        #   parallel (alias of `apteval`)
+//! aptgetsim campaign [--jobs N] [--scale S] [--workloads A,B] [--stats] ...
+//!                                        # full comparison matrix in
+//!                                        #   parallel with on-disk profile
+//!                                        #   caching; the table is
+//!                                        #   byte-identical at any --jobs
 //! ```
 //!
 //! `hints` also accepts `--db PATH` to derive the hint file from a
@@ -418,8 +421,8 @@ fn scrape_metrics(addr: &str) -> Result<String, String> {
 }
 
 fn main() -> ExitCode {
-    // The campaign command has its own flag set (shared with `apteval`);
-    // hand it the raw arguments before the single-workload parser runs.
+    // The campaign command has its own flag set (`CampaignArgs`); hand it
+    // the raw arguments before the single-workload parser runs.
     let mut raw = std::env::args().skip(1);
     if raw.next().as_deref() == Some("campaign") {
         let args = match CampaignArgs::parse(raw) {

@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use apt_cpu::{LbrEntry, PebsRecord, PerfStats, ProfileData, SimConfig};
 use apt_lir::Pc;
 use apt_mem::{Level, MemCounters};
+use apt_store::{WordReader, WordWriter};
 
 /// Magic + format version; bump when the layout changes.
 const MAGIC: &[u8; 8] = b"APTPROF2";
@@ -56,16 +57,6 @@ impl CacheStats {
 pub struct ProfileCache {
     dir: PathBuf,
     pub stats: CacheStats,
-}
-
-/// FNV-1a over a byte stream.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl ProfileCache {
@@ -105,7 +96,7 @@ impl ProfileCache {
             std::str::from_utf8(MAGIC).unwrap(),
             scale.to_bits(),
         );
-        fnv1a(canon.bytes())
+        apt_metrics::fnv1a(canon.as_bytes())
     }
 
     fn path_of(&self, key: u64) -> PathBuf {
@@ -125,17 +116,12 @@ impl ProfileCache {
 
     /// Persists a freshly collected profile. Write failures are logged and
     /// swallowed: the cache is an accelerator, never a correctness
-    /// dependency. The write goes through a per-process temp file + rename
-    /// so concurrent campaigns never observe a torn entry.
+    /// dependency. The write is an [`apt_store::replace`], so concurrent
+    /// campaigns never observe a torn entry.
     pub fn store(&self, key: u64, profile: &ProfileData, stats: &PerfStats) {
         apt_selfprof::prof_scope!("bench/cache/store");
         let path = self.path_of(key);
-        let bytes = encode(profile, stats);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        let write = fs::create_dir_all(&self.dir)
-            .and_then(|()| fs::write(&tmp, &bytes))
-            .and_then(|()| fs::rename(&tmp, &path));
-        match write {
+        match apt_store::replace(&path, &encode(profile, stats)) {
             Ok(()) => {
                 self.stats.stores.fetch_add(1, Ordering::Relaxed);
             }
@@ -145,10 +131,6 @@ impl ProfileCache {
             ),
         }
     }
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 fn level_code(l: Level) -> u64 {
@@ -170,7 +152,7 @@ fn level_of(code: u64) -> Option<Level> {
     })
 }
 
-fn counters_fields(c: &MemCounters) -> [u64; 18] {
+fn counters_fields(c: &MemCounters) -> [u64; 19] {
     [
         c.loads,
         c.stores,
@@ -190,141 +172,84 @@ fn counters_fields(c: &MemCounters) -> [u64; 18] {
         c.pf_used,
         c.stall_l2,
         c.stall_llc,
+        c.stall_dram,
     ]
 }
 
 fn encode(profile: &ProfileData, stats: &PerfStats) -> Vec<u8> {
-    let mut out = Vec::with_capacity(
-        64 + profile
-            .lbr_samples
-            .iter()
-            .map(|s| 8 + s.len() * 24)
-            .sum::<usize>()
-            + profile.pebs.len() * 24,
-    );
-    out.extend_from_slice(MAGIC);
-
-    // PerfStats.
-    for v in [
+    let mut w = WordWriter::new(MAGIC);
+    w.extend([
         stats.instructions,
         stats.cycles,
         stats.branches,
         stats.taken_branches,
-    ] {
-        put_u64(&mut out, v);
-    }
-    for v in counters_fields(&stats.mem) {
-        put_u64(&mut out, v);
-    }
-    put_u64(&mut out, stats.mem.stall_dram);
-
-    // LBR samples.
-    put_u64(&mut out, profile.lbr_samples.len() as u64);
+    ]);
+    w.extend(counters_fields(&stats.mem));
+    w.put(profile.lbr_samples.len() as u64);
     for sample in &profile.lbr_samples {
-        put_u64(&mut out, sample.len() as u64);
+        w.put(sample.len() as u64);
         for e in sample {
-            put_u64(&mut out, e.from.0);
-            put_u64(&mut out, e.to.0);
-            put_u64(&mut out, e.cycle);
+            w.extend([e.from.0, e.to.0, e.cycle]);
         }
     }
-
-    // PEBS records.
-    put_u64(&mut out, profile.pebs.len() as u64);
+    w.put(profile.pebs.len() as u64);
     for r in &profile.pebs {
-        put_u64(&mut out, r.pc.0);
-        put_u64(&mut out, level_code(r.served));
-        put_u64(&mut out, r.cycle);
+        w.extend([r.pc.0, level_code(r.served), r.cycle]);
     }
-    out
+    w.finish()
 }
 
 fn decode(bytes: &[u8]) -> Option<(ProfileData, PerfStats)> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize| -> Option<u64> {
-        let end = pos.checked_add(8)?;
-        let v = u64::from_le_bytes(bytes.get(*pos..end)?.try_into().ok()?);
-        *pos = end;
-        Some(v)
+    let mut r = WordReader::open(bytes, MAGIC)?;
+    let [instructions, cycles, branches, taken_branches] = r.words()?;
+    let f: [u64; 19] = r.words()?;
+    let mem = MemCounters {
+        loads: f[0],
+        stores: f[1],
+        l1_hits: f[2],
+        l2_hits: f[3],
+        llc_hits: f[4],
+        demand_fills: f[5],
+        fb_hits_swpf: f[6],
+        fb_hits_other: f[7],
+        sw_pf_issued: f[8],
+        sw_pf_redundant: f[9],
+        sw_pf_dropped_full: f[10],
+        sw_pf_offcore: f[11],
+        sw_pf_oncore: f[12],
+        hw_pf_offcore: f[13],
+        pf_evicted_unused: f[14],
+        pf_used: f[15],
+        stall_l2: f[16],
+        stall_llc: f[17],
+        stall_dram: f[18],
     };
-
-    if bytes.get(..8)? != MAGIC {
-        return None;
-    }
-    pos += 8;
-
-    let mut stats = PerfStats {
-        instructions: take(&mut pos)?,
-        cycles: take(&mut pos)?,
-        branches: take(&mut pos)?,
-        taken_branches: take(&mut pos)?,
-        ..Default::default()
+    let lbr_samples = r.list(|r| {
+        r.list(|r| {
+            let [from, to, cycle] = r.words()?;
+            Some(LbrEntry {
+                from: Pc(from),
+                to: Pc(to),
+                cycle,
+            })
+        })
+    })?;
+    let pebs = r.list(|r| {
+        let [pc, served, cycle] = r.words()?;
+        Some(PebsRecord {
+            pc: Pc(pc),
+            served: level_of(served)?,
+            cycle,
+        })
+    })?;
+    let stats = PerfStats {
+        instructions,
+        cycles,
+        branches,
+        taken_branches,
+        mem,
     };
-    let mut fields = [0u64; 18];
-    for f in &mut fields {
-        *f = take(&mut pos)?;
-    }
-    stats.mem = MemCounters {
-        loads: fields[0],
-        stores: fields[1],
-        l1_hits: fields[2],
-        l2_hits: fields[3],
-        llc_hits: fields[4],
-        demand_fills: fields[5],
-        fb_hits_swpf: fields[6],
-        fb_hits_other: fields[7],
-        sw_pf_issued: fields[8],
-        sw_pf_redundant: fields[9],
-        sw_pf_dropped_full: fields[10],
-        sw_pf_offcore: fields[11],
-        sw_pf_oncore: fields[12],
-        hw_pf_offcore: fields[13],
-        pf_evicted_unused: fields[14],
-        pf_used: fields[15],
-        stall_l2: fields[16],
-        stall_llc: fields[17],
-        stall_dram: take(&mut pos)?,
-    };
-
-    let n_samples = take(&mut pos)?;
-    // Sanity bound: a corrupt length must not trigger a giant allocation.
-    if n_samples > bytes.len() as u64 {
-        return None;
-    }
-    let mut lbr_samples = Vec::with_capacity(n_samples as usize);
-    for _ in 0..n_samples {
-        let n = take(&mut pos)?;
-        if n > bytes.len() as u64 {
-            return None;
-        }
-        let mut sample = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            sample.push(LbrEntry {
-                from: Pc(take(&mut pos)?),
-                to: Pc(take(&mut pos)?),
-                cycle: take(&mut pos)?,
-            });
-        }
-        lbr_samples.push(sample);
-    }
-
-    let n_pebs = take(&mut pos)?;
-    if n_pebs > bytes.len() as u64 {
-        return None;
-    }
-    let mut pebs = Vec::with_capacity(n_pebs as usize);
-    for _ in 0..n_pebs {
-        pebs.push(PebsRecord {
-            pc: Pc(take(&mut pos)?),
-            served: level_of(take(&mut pos)?)?,
-            cycle: take(&mut pos)?,
-        });
-    }
-
-    if pos != bytes.len() {
-        return None; // Trailing garbage: treat as corrupt.
-    }
-    Some((ProfileData { lbr_samples, pebs }, stats))
+    r.finish((ProfileData { lbr_samples, pebs }, stats))
 }
 
 #[cfg(test)]

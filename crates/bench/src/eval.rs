@@ -798,8 +798,7 @@ pub fn workload_phases(baseline: &Timeline, aptget: &Timeline) -> Vec<PhaseBench
         .collect()
 }
 
-/// Parsed command-line options shared by `apteval` and
-/// `aptgetsim campaign`.
+/// Parsed command-line options of `aptgetsim campaign`.
 pub struct CampaignArgs {
     pub scale: f64,
     pub seed: u64,
@@ -1040,8 +1039,7 @@ impl CampaignArgs {
 }
 
 /// Runs a campaign from parsed CLI arguments, prints the report and
-/// writes the requested artifacts. The shared entry point behind both
-/// `apteval` and `aptgetsim campaign`.
+/// writes the requested artifacts: the body of `aptgetsim campaign`.
 pub fn campaign_cli(args: &CampaignArgs) -> Result<CampaignReport, String> {
     let cfg = args.config();
     // Start self-profiling before the first cell so worker threads bind

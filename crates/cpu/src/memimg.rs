@@ -188,12 +188,7 @@ impl MemImage {
     /// fingerprint for differential testing: two executions that leave
     /// memory in the same state produce the same digest.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in &self.bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        apt_metrics::fnv1a(&self.bytes)
     }
 }
 

@@ -1,14 +1,12 @@
 //! The versioned on-disk profile database (`APTDB1` / `APTDB2`).
 //!
 //! One file holds the whole cross-run history as a sequence of labelled
-//! epochs, each an [`AggregateProfile`]. The format follows the profile
-//! cache's conventions (`APTPROF2` in `apt-bench`): an 8-byte magic, then
-//! little-endian `u64` framing throughout, so every count round-trips
-//! exactly. Corrupt or truncated files decode to `None` and are treated
-//! as an empty database, never an error — the database accelerates and
-//! informs, it is not a correctness dependency. Writes go through a
-//! per-process temp file + rename, so concurrent ingests never tear an
-//! epoch.
+//! epochs, each an [`AggregateProfile`]. It is an `apt-store` word-framed
+//! file written by whole-file replace (DESIGN.md §3), so every count
+//! round-trips exactly and concurrent ingests never tear an epoch.
+//! Corrupt or truncated files decode to `None` and are treated as an
+//! empty database, never an error — the database accelerates and
+//! informs, it is not a correctness dependency.
 //!
 //! **Versioning.** Feedback-free databases (no generation tags, no
 //! prefetch-outcome records — everything written before the efficacy
@@ -23,6 +21,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use apt_profile::LatencySketch;
+use apt_store::{WordReader, WordWriter};
 use apt_trace::PcOutcomes;
 
 use crate::aggregate::{AggregateProfile, GenTag, TripAgg};
@@ -124,51 +123,6 @@ impl ProfileDb {
             .unwrap_or_default()
     }
 
-    /// Opens a database for read-write use: removes orphaned temp files a
-    /// crashed writer left behind, then loads. Because [`ProfileDb::save`]
-    /// goes through temp-file + rename, a crash mid-write can only orphan
-    /// a `<stem>.tmp.<pid>` sibling — the database file itself is either
-    /// the old bytes or the new bytes, never torn. Only call this from a
-    /// path that owns writes to `path` (a concurrent *live* writer's temp
-    /// file would be swept too, failing that writer's rename).
-    pub fn open(path: impl AsRef<Path>) -> ProfileDb {
-        ProfileDb::cleanup_orphans(&path);
-        ProfileDb::load_or_empty(path)
-    }
-
-    /// Removes `<stem>.tmp.<pid>` siblings of `path` (the temp names
-    /// [`ProfileDb::save`] writes through) and returns how many were
-    /// removed.
-    pub fn cleanup_orphans(path: impl AsRef<Path>) -> usize {
-        let path = path.as_ref();
-        let Some(stem) = path.file_stem() else {
-            return 0;
-        };
-        let dir = match path.parent() {
-            Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
-            _ => PathBuf::from("."),
-        };
-        let prefix = format!("{}.tmp.", stem.to_string_lossy());
-        let Ok(entries) = fs::read_dir(&dir) else {
-            return 0;
-        };
-        let mut removed = 0;
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            let Some(pid) = name.strip_prefix(&prefix) else {
-                continue;
-            };
-            if !pid.is_empty()
-                && pid.bytes().all(|b| b.is_ascii_digit())
-                && fs::remove_file(entry.path()).is_ok()
-            {
-                removed += 1;
-            }
-        }
-        removed
-    }
-
     /// Exports database-shape gauges (epoch count, merged sample volume)
     /// into `registry`.
     pub fn export_metrics(&self, registry: &apt_metrics::Registry, labels: &[(&str, &str)]) {
@@ -206,198 +160,106 @@ impl ProfileDb {
             .set(merged.iter_lat.len() as f64);
     }
 
-    /// Persists the database atomically (temp file + rename).
+    /// Persists the database with [`apt_store::replace`].
     pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        let bytes = encode(self);
-        if let Some(dir) = path.parent() {
-            fs::create_dir_all(dir)?;
-        }
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, path)
+        apt_store::replace(path.as_ref(), &encode(self))
     }
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Serialises the database: `APTDB1` while no epoch carries outcome
 /// feedback, `APTDB2` (with per-epoch feedback sections) otherwise.
 pub fn encode(db: &ProfileDb) -> Vec<u8> {
     let v2 = db.epochs.iter().any(|e| e.agg.has_feedback());
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(if v2 { MAGIC_V2 } else { MAGIC });
-    put_u64(&mut out, db.epochs.len() as u64);
+    let mut w = WordWriter::new(if v2 { MAGIC_V2 } else { MAGIC });
+    w.put(db.epochs.len() as u64);
     for e in &db.epochs {
-        put_u64(&mut out, e.label.len() as u64);
-        out.extend_from_slice(e.label.as_bytes());
+        w.put_str(&e.label);
         let a = &e.agg;
-        for v in [
+        w.extend([
             a.instructions,
             a.cycles,
             a.branches,
             a.taken_branches,
             a.lbr_snapshots,
             a.pebs_samples,
-        ] {
-            put_u64(&mut out, v);
-        }
-        put_u64(&mut out, a.pc_misses.len() as u64);
+        ]);
+        w.put(a.pc_misses.len() as u64);
         for (pc, counts) in &a.pc_misses {
-            put_u64(&mut out, *pc);
-            for c in counts {
-                put_u64(&mut out, *c);
-            }
+            w.put(*pc);
+            w.extend(*counts);
         }
-        put_u64(&mut out, a.iter_lat.len() as u64);
+        w.put(a.iter_lat.len() as u64);
         for (pc, sketch) in &a.iter_lat {
-            put_u64(&mut out, *pc);
-            put_u64(&mut out, sketch.distinct() as u64);
+            w.extend([*pc, sketch.distinct() as u64]);
             for (v, c) in sketch.entries() {
-                put_u64(&mut out, v);
-                put_u64(&mut out, c);
+                w.extend([v, c]);
             }
         }
-        put_u64(&mut out, a.trips.len() as u64);
+        w.put(a.trips.len() as u64);
         for (pc, t) in &a.trips {
-            put_u64(&mut out, *pc);
-            put_u64(&mut out, t.total);
-            put_u64(&mut out, t.total_sq);
-            put_u64(&mut out, t.runs);
-            put_u64(&mut out, t.saturated_runs);
+            w.extend([*pc, t.total, t.total_sq, t.runs, t.saturated_runs]);
         }
         if v2 {
-            put_u64(&mut out, gen_to_u64(a.gen));
-            put_u64(&mut out, a.pf_outcomes.len() as u64);
+            w.extend([gen_to_u64(a.gen), a.pf_outcomes.len() as u64]);
             for (pc, o) in &a.pf_outcomes {
-                put_u64(&mut out, *pc);
-                for v in [
-                    o.issued,
-                    o.timely,
-                    o.late,
-                    o.early,
-                    o.useless,
-                    o.redundant,
-                    o.dropped,
-                    o.timely_slack_cycles,
-                    o.late_head_start_cycles,
-                ] {
-                    put_u64(&mut out, v);
-                }
+                w.put(*pc);
+                w.extend(o.words());
             }
         }
     }
-    out
+    w.finish()
 }
 
-/// Decodes a database; `None` on any corruption (wrong magic, truncated
-/// framing, oversized lengths, trailing garbage).
+/// Decodes a database; `None` on any damage the strict
+/// [`WordReader`] rejects.
 pub fn decode(bytes: &[u8]) -> Option<ProfileDb> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize| -> Option<u64> {
-        let end = pos.checked_add(8)?;
-        let v = u64::from_le_bytes(bytes.get(*pos..end)?.try_into().ok()?);
-        *pos = end;
-        Some(v)
+    let (mut r, v2) = match WordReader::open(bytes, MAGIC) {
+        Some(r) => (r, false),
+        None => (WordReader::open(bytes, MAGIC_V2)?, true),
     };
-    // Sanity bound shared by every length field: a corrupt count must
-    // not trigger a giant allocation.
-    let bounded = |n: u64| -> Option<usize> {
-        if n > bytes.len() as u64 {
-            None
-        } else {
-            Some(n as usize)
-        }
-    };
-
-    let v2 = match bytes.get(..8)? {
-        m if m == MAGIC => false,
-        m if m == MAGIC_V2 => true,
-        _ => return None,
-    };
-    pos += 8;
-
-    let n_epochs = bounded(take(&mut pos)?)?;
-    let mut db = ProfileDb::new();
-    for _ in 0..n_epochs {
-        let label_len = bounded(take(&mut pos)?)?;
-        let end = pos.checked_add(label_len)?;
-        let label = std::str::from_utf8(bytes.get(pos..end)?).ok()?.to_string();
-        pos = end;
-
-        let mut agg = AggregateProfile {
-            instructions: take(&mut pos)?,
-            cycles: take(&mut pos)?,
-            branches: take(&mut pos)?,
-            taken_branches: take(&mut pos)?,
-            lbr_snapshots: take(&mut pos)?,
-            pebs_samples: take(&mut pos)?,
-            ..AggregateProfile::default()
-        };
-        let n_misses = bounded(take(&mut pos)?)?;
-        for _ in 0..n_misses {
-            let pc = take(&mut pos)?;
-            let mut counts = [0u64; 4];
-            for c in &mut counts {
-                *c = take(&mut pos)?;
-            }
-            agg.pc_misses.insert(pc, counts);
-        }
-        let n_lat = bounded(take(&mut pos)?)?;
-        for _ in 0..n_lat {
-            let pc = take(&mut pos)?;
-            let distinct = bounded(take(&mut pos)?)?;
+    let epochs = r.list(|r| {
+        let label = r.str()?.to_string();
+        let [instructions, cycles, branches, taken_branches, lbr_snapshots, pebs_samples] =
+            r.words()?;
+        let pc_misses = r.map(|r| Some((r.word()?, r.words()?)))?;
+        let iter_lat = r.map(|r| {
+            let pc = r.word()?;
             let mut sketch = LatencySketch::new();
-            for _ in 0..distinct {
-                let v = take(&mut pos)?;
-                let c = take(&mut pos)?;
+            for _ in 0..r.count()? {
+                let [v, c] = r.words()?;
                 sketch.record_n(v, c);
             }
-            agg.iter_lat.insert(pc, sketch);
-        }
-        let n_trips = bounded(take(&mut pos)?)?;
-        for _ in 0..n_trips {
-            let pc = take(&mut pos)?;
-            agg.trips.insert(
-                pc,
-                TripAgg {
-                    total: take(&mut pos)?,
-                    total_sq: take(&mut pos)?,
-                    runs: take(&mut pos)?,
-                    saturated_runs: take(&mut pos)?,
-                },
-            );
-        }
+            Some((pc, sketch))
+        })?;
+        let trips = r.map(|r| {
+            let [pc, total, total_sq, runs, saturated_runs] = r.words()?;
+            let trip = TripAgg {
+                total,
+                total_sq,
+                runs,
+                saturated_runs,
+            };
+            Some((pc, trip))
+        })?;
+        let mut agg = AggregateProfile {
+            instructions,
+            cycles,
+            branches,
+            taken_branches,
+            lbr_snapshots,
+            pebs_samples,
+            pc_misses,
+            iter_lat,
+            trips,
+            ..AggregateProfile::default()
+        };
         if v2 {
-            agg.gen = gen_from_u64(take(&mut pos)?);
-            let n_outcomes = bounded(take(&mut pos)?)?;
-            for _ in 0..n_outcomes {
-                let pc = take(&mut pos)?;
-                agg.pf_outcomes.insert(
-                    pc,
-                    PcOutcomes {
-                        issued: take(&mut pos)?,
-                        timely: take(&mut pos)?,
-                        late: take(&mut pos)?,
-                        early: take(&mut pos)?,
-                        useless: take(&mut pos)?,
-                        redundant: take(&mut pos)?,
-                        dropped: take(&mut pos)?,
-                        timely_slack_cycles: take(&mut pos)?,
-                        late_head_start_cycles: take(&mut pos)?,
-                    },
-                );
-            }
+            agg.gen = gen_from_u64(r.word()?);
+            agg.pf_outcomes = r.map(|r| Some((r.word()?, PcOutcomes::from_words(r.words()?))))?;
         }
-        db.epochs.push(Epoch { label, agg });
-    }
-
-    if pos != bytes.len() {
-        return None; // Trailing garbage: treat as corrupt.
-    }
-    Some(db)
+        Some(Epoch { label, agg })
+    })?;
+    r.finish(ProfileDb { epochs })
 }
 
 #[cfg(test)]
@@ -533,35 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn open_sweeps_orphaned_temp_files_and_keeps_the_shard() {
-        let dir = std::env::temp_dir().join(format!("apt-db-orphans-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("profiles.aptdb");
-        let db = sample_db();
-        db.save(&path).expect("saves");
-
-        // A writer that died between `fs::write` and `fs::rename` leaves
-        // a partial temp file; a sibling database must survive it.
-        let orphan = dir.join("profiles.tmp.99991");
-        fs::write(&orphan, &encode(&db)[..20]).unwrap();
-        // Unrelated files — including other databases and non-numeric
-        // suffixes — are never touched.
-        let other_db = dir.join("other.aptdb");
-        fs::write(&other_db, b"keep").unwrap();
-        let odd = dir.join("profiles.tmp.notapid");
-        fs::write(&odd, b"keep").unwrap();
-
-        assert_eq!(ProfileDb::open(&path), db);
-        assert!(!orphan.exists(), "orphan temp file must be removed");
-        assert!(other_db.exists());
-        assert!(odd.exists());
-        // A second open is a no-op.
-        assert_eq!(ProfileDb::cleanup_orphans(&path), 0);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn torn_write_never_corrupts_an_existing_shard() {
         let dir = std::env::temp_dir().join(format!("apt-db-torn-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -572,14 +405,16 @@ mod tests {
 
         // Simulate a crash at every byte of a later write: the temp file
         // holds an arbitrary prefix of the new bytes, the rename never
-        // happened. Opening must always yield the committed database.
+        // happened. Loading must always yield the committed database,
+        // and the owner's start-up sweep removes the orphan.
         let mut bigger = committed.clone();
         bigger.push_epoch("run-c", bigger.epochs[0].agg.clone());
         let new_bytes = encode(&bigger);
         for cut in [0, 1, 8, new_bytes.len() / 2, new_bytes.len() - 1] {
-            let tmp = dir.join("shard.tmp.4242");
+            let tmp = dir.join("shard.aptdb.tmp.4242");
             fs::write(&tmp, &new_bytes[..cut]).unwrap();
-            assert_eq!(ProfileDb::open(&path), committed, "cut at {cut}");
+            assert_eq!(ProfileDb::load_or_empty(&path), committed, "cut at {cut}");
+            assert_eq!(apt_store::sweep_orphans(&dir).unwrap(), 1);
             assert!(!tmp.exists());
         }
         let _ = fs::remove_dir_all(&dir);

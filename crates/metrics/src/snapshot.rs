@@ -204,7 +204,7 @@ impl WorkloadBench {
 pub struct BenchSnapshot {
     /// Bumped if the JSON layout changes incompatibly.
     pub schema: u32,
-    /// Free-form provenance string ("apteval --jobs 2 --scale 0.02 ...").
+    /// Free-form provenance string ("scale=0.02 seed=42").
     pub config: String,
     /// Host fingerprint (`os-arch-<n>c`, see [`host_fingerprint`]) so
     /// `perf-history` can flag cross-host throughput comparisons.

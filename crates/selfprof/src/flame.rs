@@ -1,11 +1,13 @@
 //! Inline-SVG icicle flamegraph rendering.
 //!
 //! Follows the `crates/timeline` HTML discipline (see
-//! `crates/timeline/src/html.rs`): no JavaScript, no external
-//! references, fixed-precision coordinates, fully deterministic bytes
-//! for a given tree. Hover details ride in `<title>` elements, which
-//! every browser shows as a tooltip without scripting. The page wrapper
-//! itself lives in `apt-bench` so this crate stays dependency-free.
+//! `crates/timeline/src/html.rs`, whose escaper it shares): no
+//! JavaScript, no external references, fixed-precision coordinates,
+//! fully deterministic bytes for a given tree. Hover details ride in
+//! `<title>` elements, which every browser shows as a tooltip without
+//! scripting. The page wrapper itself lives in `apt-bench`.
+
+use apt_timeline::html::escape;
 
 use crate::tree::{CallNode, CallTree};
 
@@ -23,17 +25,17 @@ const FLAME_COLORS: [&str; 10] = [
     "#ef7f27", "#fca55d",
 ];
 
-fn fnv1a(s: &str) -> u64 {
+/// The palette pick. FNV-1a-shaped, but its multiplier is not the FNV
+/// prime (`apt_metrics::fnv1a` uses the real one), so it is a hash of its
+/// own: switching to FNV-1a would recolour every flamegraph, whose bytes
+/// `tests/flame_golden.rs` pins.
+fn color_of(name: &str) -> &'static str {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
+    for b in name.bytes() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
-    h
-}
-
-fn color_of(name: &str) -> &'static str {
-    FLAME_COLORS[(fnv1a(name) % FLAME_COLORS.len() as u64) as usize]
+    FLAME_COLORS[(h % FLAME_COLORS.len() as u64) as usize]
 }
 
 fn px(v: f64) -> String {
@@ -49,20 +51,6 @@ fn fmt_us(us: u64) -> String {
     } else {
         format!("{us}\u{00b5}s")
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
-    out
 }
 
 fn depth_of(node: &CallNode) -> usize {

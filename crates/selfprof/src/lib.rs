@@ -1,6 +1,6 @@
 //! # apt-selfprof
 //!
-//! A zero-dependency scoped wall-time profiler for the simulator itself.
+//! A scoped wall-time profiler for the simulator itself.
 //! ROADMAP's interval-simulation item claims the cycle-accurate machine
 //! dominates campaign wall time; this crate exists to measure that claim
 //! instead of assuming it.

@@ -20,8 +20,8 @@
 //! * **canonical bytes** — `BTreeMap` ordering everywhere; encode of
 //!   equal ledgers is byte-identical, so ledger files are
 //!   arrival-order-independent too.
-//! * **crash safety** — saves go through temp + rename with the same
-//!   `<name>.tmp.<pid>` naming the shards use, so the
+//! * **crash safety** — the ledger is an `apt-store` word-framed file
+//!   saved by whole-file replace (DESIGN.md §3), so the
 //!   [`crate::ShardStore`] orphan sweep covers torn ledger writes in the
 //!   shared `db_dir` for free.
 
@@ -31,6 +31,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use apt_ingest::AggregateProfile;
+use apt_store::{WordReader, WordWriter};
 use apt_trace::PcOutcomes;
 
 /// Magic + format version; bump when the layout changes.
@@ -166,100 +167,45 @@ impl EfficacyLedger {
 
     /// Canonical serialization; equal ledgers encode byte-identically.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(LEDGER_MAGIC);
-        put_u64(&mut out, self.generations.len() as u64);
+        let mut w = WordWriter::new(LEDGER_MAGIC);
+        w.put(self.generations.len() as u64);
         for (gen, g) in &self.generations {
-            put_u64(&mut out, *gen);
-            put_u64(&mut out, g.epochs);
-            put_u64(&mut out, g.instructions);
-            put_u64(&mut out, g.cycles);
-            put_u64(&mut out, u64::from(g.rolled_back));
-            put_u64(&mut out, g.per_pc.len() as u64);
+            w.extend([
+                *gen,
+                g.epochs,
+                g.instructions,
+                g.cycles,
+                u64::from(g.rolled_back),
+                g.per_pc.len() as u64,
+            ]);
             for (pc, o) in &g.per_pc {
-                for v in [
-                    *pc,
-                    o.issued,
-                    o.timely,
-                    o.late,
-                    o.early,
-                    o.useless,
-                    o.redundant,
-                    o.dropped,
-                    o.timely_slack_cycles,
-                    o.late_head_start_cycles,
-                ] {
-                    put_u64(&mut out, v);
-                }
+                w.put(*pc);
+                w.extend(o.words());
             }
         }
-        out
+        w.finish()
     }
 
-    /// Strict inverse of [`EfficacyLedger::encode`]: bad magic,
-    /// truncation, trailing garbage or an out-of-range flag all read as
-    /// `None`.
+    /// Strict inverse of [`EfficacyLedger::encode`]: any damage the
+    /// [`WordReader`] rejects, or an out-of-range flag, reads as `None`.
     pub fn decode(bytes: &[u8]) -> Option<EfficacyLedger> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize| -> Option<u64> {
-            let end = pos.checked_add(8)?;
-            let v = u64::from_le_bytes(bytes.get(*pos..end)?.try_into().ok()?);
-            *pos = end;
-            Some(v)
-        };
-        // A corrupt count must not trigger a giant allocation.
-        let bounded = |n: u64| -> Option<usize> {
-            if n > bytes.len() as u64 {
-                None
-            } else {
-                Some(n as usize)
-            }
-        };
-        if bytes.get(..8)? != LEDGER_MAGIC {
-            return None;
-        }
-        pos += 8;
-        let n_gens = bounded(take(&mut pos)?)?;
-        let mut ledger = EfficacyLedger::default();
-        for _ in 0..n_gens {
-            let gen = take(&mut pos)?;
-            let mut g = GenEfficacy {
-                epochs: take(&mut pos)?,
-                instructions: take(&mut pos)?,
-                cycles: take(&mut pos)?,
-                ..GenEfficacy::default()
+        let mut r = WordReader::open(bytes, LEDGER_MAGIC)?;
+        let generations = r.map(|r| {
+            let [gen, epochs, instructions, cycles, rolled_back] = r.words()?;
+            let g = GenEfficacy {
+                epochs,
+                instructions,
+                cycles,
+                per_pc: r.map(|r| Some((r.word()?, PcOutcomes::from_words(r.words()?))))?,
+                rolled_back: match rolled_back {
+                    0 => false,
+                    1 => true,
+                    _ => return None,
+                },
             };
-            g.rolled_back = match take(&mut pos)? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
-            let n_pcs = bounded(take(&mut pos)?)?;
-            for _ in 0..n_pcs {
-                let pc = take(&mut pos)?;
-                let o = PcOutcomes {
-                    issued: take(&mut pos)?,
-                    timely: take(&mut pos)?,
-                    late: take(&mut pos)?,
-                    early: take(&mut pos)?,
-                    useless: take(&mut pos)?,
-                    redundant: take(&mut pos)?,
-                    dropped: take(&mut pos)?,
-                    timely_slack_cycles: take(&mut pos)?,
-                    late_head_start_cycles: take(&mut pos)?,
-                };
-                if g.per_pc.insert(pc, o).is_some() {
-                    return None;
-                }
-            }
-            if ledger.generations.insert(gen, g).is_some() {
-                return None;
-            }
-        }
-        if pos != bytes.len() {
-            return None;
-        }
-        Some(ledger)
+            Some((gen, g))
+        })?;
+        r.finish(EfficacyLedger { generations })
     }
 
     /// Loads a ledger file; missing or corrupt reads as empty (the
@@ -271,22 +217,9 @@ impl EfficacyLedger {
             .unwrap_or_default()
     }
 
-    /// Atomically saves the ledger (temp + rename; the temp name matches
-    /// the shard-store orphan-sweep pattern).
+    /// Saves the ledger with [`apt_store::replace`].
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let tmp = path.with_extension(format!("{LEDGER_EXT}.tmp.{}", std::process::id()));
-        fs::write(&tmp, self.encode())?;
-        match fs::rename(&tmp, path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
+        apt_store::replace(path.as_ref(), &self.encode())
     }
 
     /// The `serve-status` efficacy lines: one per generation, stable
@@ -317,10 +250,6 @@ impl EfficacyLedger {
         }
         out
     }
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 #[cfg(test)]

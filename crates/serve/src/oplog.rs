@@ -14,16 +14,16 @@
 //! * **rotation never splits a record** — a record is appended whole;
 //!   when the active `oplog.jsonl` crosses the size cap it is renamed to
 //!   the next `oplog.NNNNN.jsonl` and a fresh active file starts.
-//! * **torn tails are tolerated on read** — a crash mid-append (or a
-//!   crash racing rotation) leaves a final line without a newline; the
-//!   reader drops it on any file instead of failing, and
-//!   [`OpLogWriter::open`] truncates a torn active file so later
-//!   appends start on a fresh line.
+//! * **torn tails follow the `apt-store` append-log rule** — a crash
+//!   mid-append (or a crash racing rotation) leaves a final line without
+//!   a newline; the reader drops it on any file instead of failing, and
+//!   [`OpLogWriter::open`] truncates a torn active file so later appends
+//!   start on a fresh line (DESIGN.md §3).
 //! * **timestamps flow through a [`Clock`]** — the daemon injects a
 //!   `selfprof` clock, so golden tests swap in a `FakeClock` and assert
 //!   the log (and everything rendered from it) byte-for-byte.
 
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -531,17 +531,7 @@ impl OpLogWriter {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("op-log: {e}")))?;
         let seq = existing.last().map_or(0, |r| r.seq);
 
-        let active = cfg.dir.join(ACTIVE_FILE);
-        let mut written = 0u64;
-        if let Ok(bytes) = fs::read(&active) {
-            let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
-            if keep != bytes.len() {
-                let f = OpenOptions::new().write(true).open(&active)?;
-                f.set_len(keep as u64)?;
-            }
-            written = keep as u64;
-        }
-        let file = OpenOptions::new().create(true).append(true).open(&active)?;
+        let (file, written) = apt_store::open_log(&cfg.dir.join(ACTIVE_FILE))?;
         Ok(OpLogWriter {
             cfg,
             state: Mutex::new(WriterState {
@@ -578,13 +568,10 @@ impl OpLogWriter {
                 .cfg
                 .dir
                 .join(format!("oplog.{:05}.jsonl", st.next_rotation));
-            fs::rename(self.cfg.dir.join(ACTIVE_FILE), rotated)?;
+            let active = self.cfg.dir.join(ACTIVE_FILE);
+            fs::rename(&active, rotated)?;
             st.next_rotation += 1;
-            st.file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(self.cfg.dir.join(ACTIVE_FILE))?;
-            st.written = 0;
+            (st.file, st.written) = apt_store::open_log(&active)?;
         }
         Ok(rec)
     }
@@ -632,18 +619,7 @@ pub fn read_oplog_dir(dir: &Path) -> Result<Vec<OpRecord>, String> {
     let mut out = Vec::new();
     let mut prev_seq = 0u64;
     for path in files.iter() {
-        let bytes = fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let torn_tail = bytes.last().is_some_and(|&b| b != b'\n');
-        // Split at the last newline on BYTES before UTF-8 validation: a
-        // torn tail may end mid-character and must not poison the
-        // complete lines before it.
-        let keep = if torn_tail {
-            bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1)
-        } else {
-            bytes.len()
-        };
-        let complete = std::str::from_utf8(&bytes[..keep])
-            .map_err(|e| format!("{}: not UTF-8: {e}", path.display()))?;
+        let complete = apt_store::read_log(path).map_err(|e| format!("{}: {e}", path.display()))?;
         for (li, line) in complete.lines().enumerate() {
             let rec = OpRecord::from_line(line)
                 .map_err(|e| format!("{} line {}: {e}", path.display(), li + 1))?;
@@ -736,6 +712,7 @@ impl Obs {
 mod tests {
     use super::*;
     use apt_selfprof::FakeClock;
+    use std::fs::OpenOptions;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("apt-oplog-{tag}-{}", std::process::id()));

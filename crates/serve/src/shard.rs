@@ -13,9 +13,10 @@
 //!   deterministically. Duplicate labels are rejected: accepting one
 //!   silently would double-count its evidence.
 //! * **Crash safety.** Writes go through [`apt_ingest::ProfileDb::save`]
-//!   (temp file + rename); [`ShardStore::open`] sweeps temp files an
-//!   earlier crash orphaned. A torn write can therefore never corrupt a
-//!   shard — readers see old bytes or new bytes, nothing in between.
+//!   (an `apt-store` whole-file replace), so a torn write can never
+//!   corrupt a shard — readers see old bytes or new bytes. The store is
+//!   the directory's single owner, so [`ShardStore::open`] alone sweeps
+//!   the temp files an earlier crash orphaned, once, at start-up.
 //!
 //! Epoch GC bounds history: with a cap of `n`, committing keeps the `n`
 //! highest labels. Because the survivor set is "top `n` of the union of
@@ -51,20 +52,11 @@ pub struct ApplyOutcome {
 
 impl ShardStore {
     /// Opens (creating if necessary) a shard directory and sweeps temp
-    /// files orphaned by crashed writers.
+    /// files orphaned by crashed writers ([`apt_store::sweep_orphans`]).
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<ShardStore> {
         let store = ShardStore { dir: dir.into() };
         fs::create_dir_all(&store.dir)?;
-        for entry in fs::read_dir(&store.dir)?.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            // `ProfileDb::save` temp names are `<tenant>.tmp.<pid>`.
-            if let Some((_, pid)) = name.rsplit_once(".tmp.") {
-                if !pid.is_empty() && pid.bytes().all(|b| b.is_ascii_digit()) {
-                    let _ = fs::remove_file(entry.path());
-                }
-            }
-        }
+        apt_store::sweep_orphans(&store.dir)?;
         Ok(store)
     }
 
@@ -78,8 +70,7 @@ impl ShardStore {
         self.dir.join(format!("{tenant}.{SHARD_EXT}"))
     }
 
-    /// Loads a tenant's shard (empty when absent or corrupt). Read-only:
-    /// no orphan sweep, so concurrent committer writes are never raced.
+    /// Loads a tenant's shard (empty when absent or corrupt).
     pub fn load(&self, tenant: &str) -> ProfileDb {
         ProfileDb::load_or_empty(self.shard_path(tenant))
     }
@@ -109,8 +100,7 @@ impl ShardStore {
         epoch_cap: usize,
     ) -> io::Result<ApplyOutcome> {
         apt_selfprof::prof_scope!("serve/shard/apply");
-        let path = self.shard_path(tenant);
-        let mut db = ProfileDb::open(&path);
+        let mut db = self.load(tenant);
         let mut outcome = ApplyOutcome {
             db: ProfileDb::new(),
             accepted: Vec::new(),
@@ -135,7 +125,7 @@ impl ShardStore {
                 .extend(db.epochs.drain(..drop).map(|e| e.label));
         }
         if !outcome.accepted.is_empty() || !outcome.evicted.is_empty() {
-            db.save(&path)?;
+            db.save(self.shard_path(tenant))?;
         }
         outcome.accepted.sort();
         outcome.db = db;
@@ -249,15 +239,28 @@ mod tests {
         let store = tmp_store("sweep");
         store.apply("t", vec![epoch("a", 1)], 0).unwrap();
         let before = fs::read(store.shard_path("t")).unwrap();
-        fs::write(store.dir().join("t.tmp.1234"), b"partial").unwrap();
-        fs::write(store.dir().join("u.tmp.99"), b"partial").unwrap();
+        fs::write(store.dir().join("t.aptdb.tmp.1234"), b"partial").unwrap();
+        fs::write(store.dir().join("u.aptel.tmp.99"), b"partial").unwrap();
         fs::write(store.dir().join("not-a-temp.txt"), b"keep").unwrap();
 
         let reopened = ShardStore::open(store.dir()).unwrap();
-        assert!(!store.dir().join("t.tmp.1234").exists());
-        assert!(!store.dir().join("u.tmp.99").exists());
+        assert!(!store.dir().join("t.aptdb.tmp.1234").exists());
+        assert!(!store.dir().join("u.aptel.tmp.99").exists());
         assert!(store.dir().join("not-a-temp.txt").exists());
         assert_eq!(fs::read(reopened.shard_path("t")).unwrap(), before);
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn commits_never_sweep_the_directory() {
+        // Only `open` sweeps: a commit must not remove a temp file that
+        // another writer may still have in flight, even one beside the
+        // tenant's own shard.
+        let store = tmp_store("nosweep");
+        let foreign = store.dir().join("t.tmp.77");
+        fs::write(&foreign, b"in flight").unwrap();
+        store.apply("t", vec![epoch("a", 1)], 0).unwrap();
+        assert!(foreign.exists());
         let _ = fs::remove_dir_all(store.dir());
     }
 }

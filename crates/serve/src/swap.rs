@@ -3,9 +3,8 @@
 //! The consumer contract mirrors how a production loader would watch an
 //! AutoFDO profile directory (paper §3.6): readers open
 //! `<dir>/current.hints` at their convenience and must never observe a
-//! torn file. Every swap therefore goes through write-temp + rename —
-//! on POSIX a rename over an existing name is atomic, so a reader sees
-//! the whole old file or the whole new file.
+//! torn file. Every write is therefore an [`apt_store::replace`], so a
+//! reader sees the whole old file or the whole new file.
 //!
 //! Each swap first lands as an immutable numbered generation
 //! (`gen-000001.hints`, `gen-000002.hints`, …) before `current.hints`
@@ -16,11 +15,17 @@
 //!   the bytes are still on disk, nothing is regenerated.
 //! * **Audit** — `swap.log` appends one line per swap or rollback (no
 //!   wall-clock timestamps, so two runs that make the same decisions
-//!   write the same log).
+//!   write the same log). It is an `apt-store` append log: a line torn
+//!   by a crash is dropped on read and truncated before the next append.
+//!
+//! The directory is never swept for orphaned temp files: other processes
+//! (`aptgetsim rollback`) write to it too.
 
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+
+use apt_store::replace;
 
 /// File readers watch; always points at the active generation's bytes.
 pub const CURRENT_HINTS: &str = "current.hints";
@@ -46,7 +51,7 @@ impl HintSwapper {
             let gen_path = swapper.generation_path(gen);
             let cur = swapper.dir.join(CURRENT_HINTS);
             if gen_path.exists() && !cur.exists() {
-                atomic_write(&cur, &fs::read(&gen_path)?)?;
+                replace(&cur, &fs::read(&gen_path)?)?;
             }
         }
         Ok(swapper)
@@ -79,9 +84,9 @@ impl HintSwapper {
     pub fn swap_in(&self, hints: &[u8], note: &str) -> io::Result<u64> {
         apt_selfprof::prof_scope!("serve/swap");
         let gen = self.current_generation().unwrap_or(0) + 1;
-        atomic_write(&self.generation_path(gen), hints)?;
-        atomic_write(&self.current_hints_path(), hints)?;
-        atomic_write(&self.dir.join(CURRENT_STATE), format!("{gen}\n").as_bytes())?;
+        replace(&self.generation_path(gen), hints)?;
+        replace(&self.current_hints_path(), hints)?;
+        replace(&self.dir.join(CURRENT_STATE), format!("{gen}\n").as_bytes())?;
         self.log_line(&format!("swap gen={gen:06} bytes={} {note}", hints.len()))?;
         Ok(gen)
     }
@@ -98,8 +103,8 @@ impl HintSwapper {
         }
         let prev = gen - 1;
         let bytes = fs::read(self.generation_path(prev))?;
-        atomic_write(&self.current_hints_path(), &bytes)?;
-        atomic_write(
+        replace(&self.current_hints_path(), &bytes)?;
+        replace(
             &self.dir.join(CURRENT_STATE),
             format!("{prev}\n").as_bytes(),
         )?;
@@ -110,51 +115,19 @@ impl HintSwapper {
     /// Atomically writes an informational sidecar (e.g. `drift.txt`)
     /// next to the hints.
     pub fn write_sidecar(&self, name: &str, contents: &str) -> io::Result<()> {
-        atomic_write(&self.dir.join(name), contents.as_bytes())
+        replace(&self.dir.join(name), contents.as_bytes())
     }
 
-    /// Reads the audit log's complete lines. `swap.log` is a plain
-    /// append (not temp+rename — it must accumulate), so a crash
-    /// mid-append can tear the final line; like the op-log reader, the
-    /// torn tail is dropped instead of poisoning the whole history. A
-    /// missing log reads as empty.
+    /// Reads the audit log's complete lines ([`apt_store::read_log`]: a
+    /// torn final line is dropped, a missing log reads as empty).
     pub fn read_log(&self) -> io::Result<Vec<String>> {
-        let bytes = match fs::read(self.dir.join(SWAP_LOG)) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        // Split on bytes before UTF-8 validation: a torn tail may end
-        // mid-character and must not fail the complete lines before it.
-        let keep = if bytes.last().is_some_and(|&b| b != b'\n') {
-            bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1)
-        } else {
-            bytes.len()
-        };
-        let text = std::str::from_utf8(&bytes[..keep])
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("swap.log: {e}")))?;
+        let text = apt_store::read_log(&self.dir.join(SWAP_LOG))?;
         Ok(text.lines().map(str::to_string).collect())
     }
 
     fn log_line(&self, line: &str) -> io::Result<()> {
-        let mut f = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.dir.join(SWAP_LOG))?;
-        writeln!(f, "{line}")
-    }
-}
-
-/// Write-temp + rename; readers of `path` never see a torn file.
-fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension(format!("swaptmp.{}", std::process::id()));
-    fs::write(&tmp, bytes)?;
-    match fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = fs::remove_file(&tmp);
-            Err(e)
-        }
+        let (mut log, _) = apt_store::open_log(&self.dir.join(SWAP_LOG))?;
+        writeln!(log, "{line}")
     }
 }
 
@@ -236,6 +209,13 @@ mod tests {
         f.write_all(b"swap gen=000003 byt\xe2\x82").unwrap();
         drop(f);
         assert_eq!(sw.read_log().unwrap(), complete);
+
+        // The next append truncates the torn tail first, so its line
+        // reads back intact and on its own.
+        sw.swap_in(b"v3", "after-crash").unwrap();
+        let mut expected = complete;
+        expected.push("swap gen=000002 bytes=2 after-crash".to_string());
+        assert_eq!(sw.read_log().unwrap(), expected);
         let _ = fs::remove_dir_all(&dir);
     }
 

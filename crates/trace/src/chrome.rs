@@ -9,6 +9,8 @@
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
+use apt_metrics::json::write_str;
+
 use crate::event::{EventKind, TraceEvent};
 use crate::span::Span;
 
@@ -18,28 +20,10 @@ pub struct ChromeTrace {
     entries: Vec<String>,
 }
 
-/// JSON string escaping for the characters that can appear in span names
-/// and detail values (quotes, backslashes, control characters).
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 fn push_str_field(out: &mut String, key: &str, value: &str, trailing_comma: bool) {
-    out.push('"');
-    escape_into(out, key);
-    out.push_str("\":\"");
-    escape_into(out, value);
-    out.push('"');
+    write_str(out, key);
+    out.push(':');
+    write_str(out, value);
     if trailing_comma {
         out.push(',');
     }
@@ -271,8 +255,8 @@ mod tests {
     #[test]
     fn escaping() {
         let mut out = String::new();
-        escape_into(&mut out, "a\"b\\c\nd\te\u{1}");
-        assert_eq!(out, "a\\\"b\\\\c\\nd\\te\\u0001");
+        push_str_field(&mut out, "k", "a\"b\\c\nd\te\u{1}", false);
+        assert_eq!(out, "\"k\":\"a\\\"b\\\\c\\nd\\te\\u0001\"");
         let mut t = ChromeTrace::new();
         t.name_thread(1, "quo\"te");
         assert_balanced_json(&t.to_json());

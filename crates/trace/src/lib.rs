@@ -24,8 +24,9 @@
 //! * [`chrome`] — a hand-rolled Chrome trace-event JSON writer (no serde,
 //!   per DESIGN.md §8) loadable in `chrome://tracing` / Perfetto.
 //!
-//! The crate is intentionally zero-dependency and sits below `apt-mem` in
-//! the workspace DAG so the hierarchy can emit events directly.
+//! The crate depends only on the dependency-free `apt-metrics` (for its
+//! JSON string writer) and sits below `apt-mem` in the workspace DAG so
+//! the hierarchy can emit events directly.
 
 pub mod chrome;
 pub mod event;

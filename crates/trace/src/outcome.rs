@@ -121,15 +121,39 @@ impl PcOutcomes {
 
     /// Accumulates another tally into this one (merging runs).
     pub fn add(&mut self, other: &PcOutcomes) {
-        self.issued += other.issued;
-        self.timely += other.timely;
-        self.late += other.late;
-        self.early += other.early;
-        self.useless += other.useless;
-        self.redundant += other.redundant;
-        self.dropped += other.dropped;
-        self.timely_slack_cycles += other.timely_slack_cycles;
-        self.late_head_start_cycles += other.late_head_start_cycles;
+        let (a, b) = (self.words(), other.words());
+        *self = PcOutcomes::from_words(std::array::from_fn(|i| a[i] + b[i]));
+    }
+
+    /// The nine counters in their persisted order: the APTDB2 feedback
+    /// section and the APTEL1 ledger both write exactly this block.
+    pub fn words(&self) -> [u64; 9] {
+        [
+            self.issued,
+            self.timely,
+            self.late,
+            self.early,
+            self.useless,
+            self.redundant,
+            self.dropped,
+            self.timely_slack_cycles,
+            self.late_head_start_cycles,
+        ]
+    }
+
+    /// Inverse of [`PcOutcomes::words`].
+    pub fn from_words(w: [u64; 9]) -> PcOutcomes {
+        PcOutcomes {
+            issued: w[0],
+            timely: w[1],
+            late: w[2],
+            early: w[3],
+            useless: w[4],
+            redundant: w[5],
+            dropped: w[6],
+            timely_slack_cycles: w[7],
+            late_head_start_cycles: w[8],
+        }
     }
 }
 
@@ -310,6 +334,16 @@ mod tests {
     use super::*;
 
     const PC: u64 = 0x4010;
+
+    #[test]
+    fn words_round_trip_and_add_sums_fieldwise() {
+        let o = PcOutcomes::from_words([9, 8, 7, 6, 5, 4, 3, 2, 1]);
+        assert_eq!((o.issued, o.late_head_start_cycles), (9, 1));
+        assert_eq!(PcOutcomes::from_words(o.words()), o);
+        let mut sum = o;
+        sum.add(&o);
+        assert_eq!(sum.words(), [18, 16, 14, 12, 10, 8, 6, 4, 2]);
+    }
 
     #[test]
     fn timely_path_records_slack() {

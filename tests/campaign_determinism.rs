@@ -2,9 +2,9 @@
 //! function of (scale, seed, pipeline config) — independent of worker
 //! count, scheduling, and profile-cache state.
 //!
-//! These are the acceptance tests for `apteval`: byte-identical tables
-//! across `--jobs` values, and a warm profile cache that changes wall
-//! time but not one byte of the comparison.
+//! These are the acceptance tests for `aptgetsim campaign`: byte-identical
+//! tables across `--jobs` values, and a warm profile cache that changes
+//! wall time but not one byte of the comparison.
 
 use apt_bench::cache::ProfileCache;
 use apt_bench::eval::{run_campaign, CampaignConfig, CampaignReport};

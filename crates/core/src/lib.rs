@@ -60,8 +60,8 @@ pub use report::{format_perf_stat, geomean, speedup, Comparison};
 // Re-export the pieces callers typically need alongside the pipeline.
 pub use apt_cpu::{Machine, MemImage, PerfStats, ProfileData, SimConfig, SimError};
 pub use apt_ingest::{
-    analyze_aggregate, detect_drift, parse_file, parse_str, AggregateProfile, DriftConfig,
-    DriftReport, GenTag, IdentityRemap, Ingested, OffsetRemap, ProfileDb,
+    detect_drift, parse_file, parse_str, AggregateProfile, DriftConfig, DriftReport, GenTag,
+    IdentityRemap, Ingested, OffsetRemap, ProfileDb,
 };
 pub use apt_lir::Module;
 pub use apt_mem::MemConfig;

@@ -1,10 +1,10 @@
 //! The profiling → analysis → injection → measurement pipeline.
 
 use apt_cpu::{Machine, MemImage, PerfStats, ProfileData, SimConfig, SimError};
-use apt_ingest::{analyze_aggregate, ProfileDb};
+use apt_ingest::ProfileDb;
 use apt_lir::Module;
 use apt_passes::{ainsworth_jones, inject_prefetches, optimize_module, InjectionReport};
-use apt_profile::{analyze_traced, AnalysisConfig, AnalysisResult};
+use apt_profile::{analyze, AnalysisConfig, AnalysisResult, Evidence, Samples};
 use apt_timeline::Timeline;
 use apt_trace::{SpanRecorder, TraceConfig, TraceReport};
 
@@ -198,16 +198,14 @@ impl AptGet {
     }
 
     /// Optimises from the cross-run profile database instead of a raw
-    /// profile: the sample-count-weighted merge of every stored epoch
-    /// drives the aggregate analysis path (`apt-ingest`'s mirror of the
-    /// §3.4 model), then injection and -O3 cleanup run as usual. This is
-    /// the §3.6 AutoFDO deployment flow — `perf record` in production,
-    /// `aptgetsim ingest` per run, re-optimise from accumulated history
-    /// with no profiling run at build time.
+    /// profile: the sample-count-weighted merge of every stored epoch is
+    /// the analysis's evidence, then injection and -O3 cleanup run as
+    /// usual. This is the §3.6 AutoFDO deployment flow — `perf record` in
+    /// production, `aptgetsim ingest` per run, re-optimise from
+    /// accumulated history with no profiling run at build time.
     pub fn optimize_from_db(&self, module: &Module, db: &ProfileDb) -> Optimized {
         let agg = db.merged();
-        // The analysis only reads the counters the aggregate carries;
-        // reconstruct the stats it gates on (MPKI needs instructions).
+        // Only the counters the aggregate carries survive into the stats.
         let profile_stats = PerfStats {
             instructions: agg.instructions,
             cycles: agg.cycles,
@@ -215,18 +213,7 @@ impl AptGet {
             taken_branches: agg.taken_branches,
             ..Default::default()
         };
-        let map = module.assign_pcs();
-        let analysis = analyze_aggregate(module, &map, &agg, &self.cfg.analysis);
-
-        let mut optimized = module.clone();
-        let injection = inject_prefetches(&mut optimized, &analysis.specs());
-        optimize_module(&mut optimized);
-        Optimized {
-            module: optimized,
-            analysis,
-            injection,
-            profile_stats,
-        }
+        self.optimize_from_evidence(module, &agg, profile_stats, &mut SpanRecorder::new())
     }
 
     /// Applies the analysis to an already-collected profile (used by the
@@ -249,16 +236,25 @@ impl AptGet {
         profile_stats: PerfStats,
         spans: &mut SpanRecorder,
     ) -> Optimized {
+        let samples = Samples {
+            profile,
+            stats: &profile_stats,
+        };
+        self.optimize_from_evidence(module, &samples, profile_stats, spans)
+    }
+
+    /// The shared tail of every optimisation: the analysis over
+    /// `evidence`, prefetch injection, and the -O3 cleanup, one span each.
+    fn optimize_from_evidence(
+        &self,
+        module: &Module,
+        evidence: &dyn Evidence,
+        profile_stats: PerfStats,
+        spans: &mut SpanRecorder,
+    ) -> Optimized {
         let map = module.assign_pcs();
         let analysis = spans.scoped("analysis", |spans, g| {
-            let r = analyze_traced(
-                module,
-                &map,
-                profile,
-                &profile_stats,
-                &self.cfg.analysis,
-                spans,
-            );
+            let r = analyze(module, &map, evidence, &self.cfg.analysis, spans);
             spans.note(g, "hints", r.hints.len());
             for note in &r.notes {
                 spans.note(g, "note", note);

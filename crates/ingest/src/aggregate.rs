@@ -22,8 +22,8 @@
 //! outer-boundary-bounded latency variant and the bracketed
 //! `trip_counts_between` cannot be computed (both need loop-structure
 //! PCs). The aggregate carries the unbounded latencies and run-based
-//! trip counts; [`crate::analyze::analyze_aggregate`] documents the
-//! effect.
+//! trip counts; its `Evidence` impl in [`crate::analyze`] documents the
+//! effect on decisions.
 
 use std::collections::BTreeMap;
 
@@ -94,20 +94,7 @@ impl TripAgg {
 
     /// The derived statistics Eq. 2 consumes.
     pub fn stats(&self) -> TripCountStats {
-        TripCountStats {
-            mean: if self.runs > 0 {
-                self.total as f64 / self.runs as f64
-            } else {
-                0.0
-            },
-            weighted_mean: if self.total > 0 {
-                self.total_sq as f64 / self.total as f64
-            } else {
-                0.0
-            },
-            runs: self.runs,
-            saturated_runs: self.saturated_runs,
-        }
+        TripCountStats::from_sums(self.total, self.total_sq, self.runs, self.saturated_runs)
     }
 }
 

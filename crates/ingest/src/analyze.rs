@@ -1,200 +1,84 @@
-//! The §3.4 analysis pipeline over *aggregates* instead of raw samples.
+//! The profile database's side of the §3.4 analysis: an
+//! [`AggregateProfile`] is [`Evidence`], so `apt_profile::analyze` runs on
+//! a database's merged history exactly as it runs on one profiling run's
+//! samples.
 //!
-//! [`analyze_aggregate`] mirrors `apt_profile::analyze` step for step —
-//! delinquency ranking, Eq. 1 distance from latency peaks, Eq. 2 site
-//! selection — but consumes an [`AggregateProfile`] (typically
-//! `ProfileDb::merged()`), so optimisation can run from the cross-run
-//! database without any raw profile on hand. The Eq. 1/Eq. 2 cores are
-//! the *same functions* ([`eq1_distance`], [`eq2_site`],
-//! [`latency_peaks`]), so the two paths cannot drift apart on the model.
+//! Aggregates are built at ingest time, before any module is known, so
+//! two kinds of evidence differ from the sample path's:
 //!
-//! Documented divergence from the sample path (see
-//! [`crate::aggregate`]): aggregates are built before any module is
-//! known, so iteration latencies are the *unbounded* variant (no
-//! outer-back-edge reset) and trip counts follow the run-based
-//! `trip_counts` convention rather than the bracketed
-//! `trip_counts_between`. For the rotated single-block loops the
-//! simulator emits, both pairs coincide; deeply nested real-world loops
-//! may see slightly more outer-crossing noise in the latency tail.
+//! * iteration latencies are the *unbounded* variant: `boundary` is
+//!   ignored, so deltas across the enclosing loop's back edge stay in the
+//!   distribution;
+//! * trip counts are *run-based* (consecutive back-edge entries, the
+//!   `trip_counts` convention) rather than bracketed by the outer back
+//!   edge: `outer` is ignored, and any other taken branch in the loop
+//!   body ends a run after one back edge.
+//!
+//! The second difference changes decisions on real workloads: at scale
+//! 0.05 the two paths emit different hint files for BC, BFS, DFS,
+//! Graph500, HJ8-NPO and HJ8-NPO_st (`tests/golden/analysis.txt` pins
+//! both). On BFS at scale 0.02 the inner loop's run-based trip count
+//! reads exactly 2.0, where the bracketed count reads 8.0, so the DB path
+//! moves the prefetch to the outer loop.
 
-use apt_lir::pcmap::Location;
-use apt_lir::{AddressMap, Module, Pc};
-use apt_passes::loops::analyze_loops;
-use apt_passes::Site;
+use apt_lir::Pc;
 use apt_profile::{
-    eq1_distance, eq2_site, latency_peaks, AnalysisConfig, AnalysisResult, DelinquentLoad,
-    LoadHint, SiteNote,
+    rank_counts, AnalysisConfig, DelinquentLoad, Evidence, LatencySketch, TripCountStats,
 };
 
 use crate::aggregate::AggregateProfile;
 
-/// Ranks delinquent loads from the aggregate's per-PC miss counts,
-/// matching `rank_delinquent_loads` semantics: counted over samples of
-/// *every* serving level, share over all PEBS samples, sorted count
-/// descending then PC ascending.
-fn rank_from_aggregate(agg: &AggregateProfile, cfg: &AnalysisConfig) -> Vec<DelinquentLoad> {
-    let total = agg.pebs_samples;
-    if total == 0 {
-        return Vec::new();
+impl Evidence for AggregateProfile {
+    /// Counted over samples of *every* serving level, share over all PEBS
+    /// samples, as `rank_delinquent_loads` counts records.
+    fn delinquent(&self, cfg: &AnalysisConfig) -> Vec<DelinquentLoad> {
+        let counts = self
+            .pc_misses
+            .iter()
+            .map(|(&pc, levels)| (Pc(pc), levels.iter().sum()));
+        rank_counts(counts, self.pebs_samples, cfg.min_share, cfg.max_loads)
     }
-    let mut counts: Vec<(u64, u64)> = agg
-        .pc_misses
-        .iter()
-        .map(|(pc, c)| (*pc, c.iter().sum()))
-        .collect();
-    counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    counts
-        .into_iter()
-        .map(|(pc, n)| DelinquentLoad {
-            pc: Pc(pc),
-            samples: n,
-            share: n as f64 / total as f64,
-        })
-        .filter(|d| d.share >= cfg.min_share)
-        .take(cfg.max_loads)
-        .collect()
-}
 
-/// Runs the full analysis pipeline from an aggregate profile: per-PC
-/// miss counts → delinquent loads → latency sketches → peaks → Eq. 1
-/// distance → Eq. 2 site → hints.
-pub fn analyze_aggregate(
-    module: &Module,
-    map: &AddressMap,
-    agg: &AggregateProfile,
-    cfg: &AnalysisConfig,
-) -> AnalysisResult {
-    let mut result = AnalysisResult {
-        delinquent: rank_from_aggregate(agg, cfg),
-        ..Default::default()
-    };
-
-    for d in result.delinquent.clone() {
-        // Gate on absolute miss volume, exactly as the sample path does.
-        let est_mpki = d.samples as f64 * cfg.pebs_period.max(1) as f64 * 1000.0
-            / agg.instructions.max(1) as f64;
-        if est_mpki < cfg.min_load_mpki {
-            result.notes.push(format!(
-                "pc {}: ~{est_mpki:.2} MPKI below threshold; not worth prefetching",
-                d.pc
-            ));
-            continue;
-        }
-        let Some(Location::Inst(iref)) = map.resolve(d.pc) else {
-            result
-                .notes
-                .push(format!("pc {} does not resolve to an instruction", d.pc));
-            continue;
-        };
-        let func = module.function(iref.func);
-        let forest = analyze_loops(func);
-        let Some(inner_idx) = forest.innermost_of(iref.block) else {
-            result
-                .notes
-                .push(format!("load at {} is not inside a loop", d.pc));
-            continue;
-        };
-
-        let inner_latch = forest.loops[inner_idx].latches[0];
-        let bbl_branch = map.term_pc(iref.func, inner_latch);
-        let sketch = agg.iter_lat.get(&bbl_branch.0);
-        let obs = sketch.map_or(0, |s| s.total());
-
-        let (ic, mc, mut distance, peaks);
-        if obs < cfg.min_observations as u64 {
-            // §3.6 fallback: not enough LBR evidence — distance 1.
-            ic = 0.0;
-            mc = 0.0;
-            distance = 1;
-            peaks = Vec::new();
-            result.notes.push(format!(
-                "pc {}: only {} latency observations; defaulting to distance 1",
-                d.pc, obs
-            ));
-        } else {
-            let hist = sketch
-                .expect("obs > 0 implies sketch")
-                .to_histogram(cfg.hist_bins, 0.995)
-                .expect("non-empty sketch")
-                .smoothed(cfg.smoothing);
-            let ps = latency_peaks(&hist, cfg);
-            let (i, m, dist) = eq1_distance(&ps, cfg);
-            ic = i;
-            mc = m;
-            distance = dist;
-            peaks = ps;
-        }
-
-        // Eq. 2: choose the injection site.
-        let mut site = Site::Inner;
-        let mut fanout = 1u64;
-        let mut trip_count = None;
-        let inner_distance = distance;
-        let mut inner_fallback = inner_distance;
-        if let Some(outer_idx) = forest.parent_of(inner_idx) {
-            let outer_latch = forest.loops[outer_idx].latches[0];
-            let outer_branch_pc = map.term_pc(iref.func, outer_latch);
-            let trips = agg
-                .trips
-                .get(&bbl_branch.0)
-                .copied()
-                .unwrap_or_default()
-                .stats();
-            let dec = eq2_site(&trips, inner_distance, cfg, || {
-                agg.iter_lat
-                    .get(&outer_branch_pc.0)
-                    .filter(|s| s.total() >= cfg.min_observations as u64)
-                    .and_then(|s| s.to_histogram(cfg.hist_bins, 0.995))
-            });
-            site = dec.site;
-            fanout = dec.fanout;
-            trip_count = dec.trip_count;
-            distance = dec.distance;
-            inner_fallback = dec.inner_fallback;
-            match dec.note {
-                Some(SiteNote::SaturatedInner) => result.notes.push(format!(
-                    "pc {}: inner loop saturates the LBR; staying inner",
-                    d.pc
-                )),
-                Some(SiteNote::OuterUnmeasuredScaled { distance }) => result.notes.push(format!(
-                    "pc {}: outer latency unmeasured; scaled distance to {}",
-                    d.pc, distance
-                )),
-                None => {}
-            }
-        }
-
-        result.hints.push(LoadHint {
-            pc: d.pc,
-            func: iref.func,
-            load: (iref.block, iref.inst),
-            distance,
-            site,
-            fanout,
-            ic_latency: ic,
-            mc_latency: mc,
-            trip_count,
-            inner_distance: Some(inner_fallback),
-            peaks,
-            share: d.share,
-        });
+    fn pebs_records(&self) -> u64 {
+        self.pebs_samples
     }
-    result
+
+    fn instructions(&self) -> u64 {
+        self.instructions
+    }
+
+    /// Unbounded: `boundary` is ignored (see the module docs).
+    fn latencies(&self, branch: Pc, _boundary: Option<Pc>) -> LatencySketch {
+        self.iter_lat.get(&branch.0).cloned().unwrap_or_default()
+    }
+
+    /// Run-based: `outer` is ignored (see the module docs).
+    fn trips(&self, inner: Pc, _outer: Pc) -> TripCountStats {
+        self.trips
+            .get(&inner.0)
+            .copied()
+            .unwrap_or_default()
+            .stats()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apt_lir::Module;
+    use apt_profile::analyze;
+    use apt_trace::SpanRecorder;
 
     #[test]
     fn empty_aggregate_yields_empty_result() {
         let m = Module::new("t");
         let map = m.assign_pcs();
-        let r = analyze_aggregate(
+        let r = analyze(
             &m,
             &map,
             &AggregateProfile::default(),
             &AnalysisConfig::default(),
+            &mut SpanRecorder::new(),
         );
         assert!(r.hints.is_empty());
         assert!(r.delinquent.is_empty());
@@ -211,7 +95,13 @@ mod tests {
             ..Default::default()
         };
         agg.pc_misses.insert(0xdead_0000, [0, 0, 0, 100]);
-        let r = analyze_aggregate(&m, &map, &agg, &AnalysisConfig::default());
+        let r = analyze(
+            &m,
+            &map,
+            &agg,
+            &AnalysisConfig::default(),
+            &mut SpanRecorder::new(),
+        );
         assert!(r.hints.is_empty());
         assert_eq!(r.delinquent.len(), 1);
         assert_eq!(r.notes.len(), 1);
@@ -233,7 +123,13 @@ mod tests {
             ..Default::default()
         };
         agg.pc_misses.insert(0x24, [0, 0, 0, 100]);
-        let r = analyze_aggregate(&m, &map, &agg, &AnalysisConfig::default());
+        let r = analyze(
+            &m,
+            &map,
+            &agg,
+            &AnalysisConfig::default(),
+            &mut SpanRecorder::new(),
+        );
         assert!(r.hints.is_empty());
         assert!(
             r.notes[0].contains("not worth prefetching"),
@@ -255,7 +151,7 @@ mod tests {
             min_share: 0.10,
             ..Default::default()
         };
-        let d = rank_from_aggregate(&agg, &cfg);
+        let d = agg.delinquent(&cfg);
         assert_eq!(d.len(), 2);
         assert_eq!(d[0].pc, Pc(0x100));
         assert!((d[0].share - 0.70).abs() < 1e-12);

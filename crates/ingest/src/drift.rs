@@ -20,7 +20,7 @@
 //! Either signal past its threshold marks the entry *stale*; a stale
 //! entry is a re-profile prompt, not an error.
 
-use apt_profile::{eq1_distance, latency_peaks, AnalysisConfig, LatencySketch};
+use apt_profile::{eq1_distance, sketch_distribution, AnalysisConfig};
 
 use crate::aggregate::AggregateProfile;
 
@@ -29,8 +29,6 @@ use crate::aggregate::AggregateProfile;
 pub struct DriftConfig {
     /// Bins for the common-geometry TV comparison.
     pub tv_bins: usize,
-    /// Minimum observations on *both* sides before a branch is compared.
-    pub min_observations: u64,
     /// TV distance at or above which a latency distribution is stale.
     pub tv_threshold: f64,
     /// Relative Eq. 1 distance change at or above which a branch is
@@ -39,7 +37,9 @@ pub struct DriftConfig {
     /// Absolute delinquency-share change at or above which a load is
     /// stale.
     pub share_delta_threshold: f64,
-    /// Eq. 1 tunables (histogram bins, smoothing, SNR, DRAM hint).
+    /// Eq. 1 tunables (histogram bins, smoothing, SNR, DRAM hint), and
+    /// the minimum observations on *both* sides before a branch is
+    /// compared — the optimiser's own gate for reading a distribution.
     pub analysis: AnalysisConfig,
 }
 
@@ -47,7 +47,6 @@ impl Default for DriftConfig {
     fn default() -> DriftConfig {
         DriftConfig {
             tv_bins: 64,
-            min_observations: 16,
             tv_threshold: 0.35,
             distance_delta_threshold: 0.25,
             share_delta_threshold: 0.10,
@@ -214,17 +213,6 @@ impl DriftReport {
     }
 }
 
-/// Bins a sketch with an externally fixed geometry (for the common-grid
-/// TV comparison).
-fn binned(sketch: &LatencySketch, min: u64, bin_width: u64, nbins: usize) -> Vec<f64> {
-    let mut counts = vec![0.0; nbins];
-    for (v, c) in sketch.entries() {
-        let b = (((v.saturating_sub(min)) / bin_width) as usize).min(nbins - 1);
-        counts[b] += c as f64;
-    }
-    counts
-}
-
 /// Total-variation distance between two binned distributions.
 fn tv_distance(a: &[f64], b: &[f64]) -> f64 {
     let (ta, tb): (f64, f64) = (a.iter().sum(), b.iter().sum());
@@ -236,18 +224,6 @@ fn tv_distance(a: &[f64], b: &[f64]) -> f64 {
         .zip(b)
         .map(|(x, y)| (x / ta - y / tb).abs())
         .sum::<f64>()
-}
-
-/// The Eq. 1 distance a sketch implies (histogram → smoothing → CWT
-/// peaks → Eq. 1), exactly as the optimiser would derive it.
-fn implied_distance(sketch: &LatencySketch, cfg: &AnalysisConfig) -> u64 {
-    sketch
-        .to_histogram(cfg.hist_bins, 0.995)
-        .map(|h| {
-            let peaks = latency_peaks(&h.smoothed(cfg.smoothing), cfg);
-            eq1_distance(&peaks, cfg).2
-        })
-        .unwrap_or(1)
 }
 
 /// Compares `current` (the newest epoch) against `baseline` (the merged
@@ -265,16 +241,18 @@ pub fn detect_drift(
         ..Default::default()
     };
 
-    // Branch latency drift: every branch PC with enough evidence on
-    // both sides.
+    // Branch latency drift: every branch PC whose distribution the
+    // optimiser would read on both sides.
     for (pc, base_sketch) in &baseline.iter_lat {
         let Some(cur_sketch) = current.iter_lat.get(pc) else {
             continue;
         };
-        let (b_obs, c_obs) = (base_sketch.total(), cur_sketch.total());
-        if b_obs < cfg.min_observations || c_obs < cfg.min_observations {
+        let (Some((_, base_peaks)), Some((_, cur_peaks))) = (
+            sketch_distribution(base_sketch, &cfg.analysis),
+            sketch_distribution(cur_sketch, &cfg.analysis),
+        ) else {
             continue;
-        }
+        };
         // Common binning from the union multiset: both sides measured
         // on the same grid, tail clipped once for both.
         let mut union = base_sketch.clone();
@@ -284,11 +262,13 @@ pub fn detect_drift(
         };
         let nbins = grid.counts.len();
         let tv = tv_distance(
-            &binned(base_sketch, grid.min, grid.bin_width, nbins),
-            &binned(cur_sketch, grid.min, grid.bin_width, nbins),
+            &base_sketch.binned(grid.min, grid.bin_width, nbins).counts,
+            &cur_sketch.binned(grid.min, grid.bin_width, nbins).counts,
         );
-        let bd = implied_distance(base_sketch, &cfg.analysis);
-        let cd = implied_distance(cur_sketch, &cfg.analysis);
+        // The Eq. 1 distance each side implies, exactly as the optimiser
+        // derives it.
+        let bd = eq1_distance(&base_peaks, &cfg.analysis).2;
+        let cd = eq1_distance(&cur_peaks, &cfg.analysis).2;
         let delta = (cd as f64 - bd as f64).abs() / bd.max(1) as f64;
         report.branches.push(BranchDrift {
             pc: *pc,
@@ -296,8 +276,8 @@ pub fn detect_drift(
             baseline_distance: bd,
             current_distance: cd,
             distance_delta: delta,
-            baseline_obs: b_obs,
-            current_obs: c_obs,
+            baseline_obs: base_sketch.total(),
+            current_obs: cur_sketch.total(),
             stale: tv >= cfg.tv_threshold || delta >= cfg.distance_delta_threshold,
         });
     }

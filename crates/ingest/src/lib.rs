@@ -26,9 +26,12 @@
 //!    distributions and the resulting Eq. 1 distance delta, plus
 //!    delinquency-share shifts. A stale profile is flagged before it
 //!    mis-tunes prefetch distances.
-//! 4. [`analyze`] — re-derives prefetch hints from an aggregate alone
-//!    (no raw samples), sharing Eq. 1/Eq. 2 with the sample-driven path
-//!    in `apt-profile` so the two pipelines cannot diverge on decisions.
+//! 4. [`analyze`] — makes an aggregate `apt_profile::Evidence`, so the
+//!    one §3.4 analysis, `apt_profile::analyze`, derives hints from a
+//!    database's merged history with no raw samples on hand. The
+//!    aggregate's evidence differs from raw samples in two documented
+//!    ways (unbounded latencies, run-based trip counts), which change
+//!    decisions on some workloads.
 
 pub mod aggregate;
 pub mod analyze;
@@ -38,7 +41,6 @@ pub mod parser;
 pub mod remap;
 
 pub use aggregate::{AggregateProfile, GenTag, TripAgg};
-pub use analyze::analyze_aggregate;
 pub use db::{Epoch, ProfileDb};
 pub use drift::{detect_drift, BranchDrift, DriftConfig, DriftReport, LoadDrift};
 pub use parser::{parse_file, parse_reader, parse_str, IngestError, Ingested, ParseError};

@@ -1,4 +1,6 @@
-//! Ranking delinquent loads from PEBS samples (§3.2, step 1).
+//! Ranking delinquent loads from LLC-miss samples (§3.2, step 1).
+
+use std::collections::BTreeMap;
 
 use apt_cpu::PebsRecord;
 use apt_lir::Pc;
@@ -13,38 +15,46 @@ pub struct DelinquentLoad {
     pub share: f64,
 }
 
-/// Aggregates PEBS records into delinquent loads.
+/// Ranks per-PC LLC-miss counts into delinquent loads.
 ///
-/// Returns PCs covering at least `min_share` of all LLC-miss samples,
-/// most-delinquent first, at most `max_loads` of them. This mirrors the
-/// paper's use of "loads that cause frequent LLC misses" [39].
-pub fn rank_delinquent_loads(
-    records: &[PebsRecord],
+/// Returns PCs covering at least `min_share` of `total` samples,
+/// most-delinquent first (ties by PC, for determinism), at most
+/// `max_loads` of them. This mirrors the paper's use of "loads that
+/// cause frequent LLC misses" \[39\].
+pub fn rank_counts(
+    counts: impl IntoIterator<Item = (Pc, u64)>,
+    total: u64,
     min_share: f64,
     max_loads: usize,
 ) -> Vec<DelinquentLoad> {
-    if records.is_empty() {
+    if total == 0 {
         return Vec::new();
     }
-    let mut counts: Vec<(Pc, u64)> = Vec::new();
-    for r in records {
-        match counts.iter_mut().find(|(pc, _)| *pc == r.pc) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((r.pc, 1)),
-        }
-    }
-    let total = records.len() as f64;
+    let mut counts: Vec<(Pc, u64)> = counts.into_iter().collect();
     counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     counts
         .into_iter()
         .map(|(pc, n)| DelinquentLoad {
             pc,
             samples: n,
-            share: n as f64 / total,
+            share: n as f64 / total as f64,
         })
         .filter(|d| d.share >= min_share)
         .take(max_loads)
         .collect()
+}
+
+/// Counts PEBS records per PC and ranks them with [`rank_counts`].
+pub fn rank_delinquent_loads(
+    records: &[PebsRecord],
+    min_share: f64,
+    max_loads: usize,
+) -> Vec<DelinquentLoad> {
+    let mut counts: BTreeMap<Pc, u64> = BTreeMap::new();
+    for r in records {
+        *counts.entry(r.pc).or_default() += 1;
+    }
+    rank_counts(counts, records.len() as u64, min_share, max_loads)
 }
 
 #[cfg(test)]

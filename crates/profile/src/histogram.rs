@@ -1,5 +1,7 @@
 //! Latency histograms (the distribution plotted in Fig. 4).
 
+use crate::sketch::LatencySketch;
+
 /// A fixed-bin histogram over `u64` latencies.
 #[derive(Debug, Clone)]
 pub struct Histogram {
@@ -14,28 +16,10 @@ pub struct Histogram {
 impl Histogram {
     /// Builds a histogram with roughly `target_bins` bins, clipping the
     /// upper tail at the `clip_quantile` quantile to keep outliers from
-    /// flattening the interesting region.
+    /// flattening the interesting region: the raw-value entry point to
+    /// [`LatencySketch::to_histogram`], the one binning.
     pub fn build(values: &[u64], target_bins: usize, clip_quantile: f64) -> Option<Histogram> {
-        if values.is_empty() || target_bins == 0 {
-            return None;
-        }
-        let mut sorted: Vec<u64> = values.to_vec();
-        sorted.sort_unstable();
-        let min = sorted[0];
-        let q_idx = (((sorted.len() - 1) as f64) * clip_quantile.clamp(0.0, 1.0)) as usize;
-        let max = sorted[q_idx].max(min + 1);
-        let bin_width = ((max - min) / target_bins as u64).max(1);
-        let nbins = ((max - min) / bin_width + 1) as usize;
-        let mut counts = vec![0.0; nbins];
-        for &v in &sorted {
-            let b = (((v.saturating_sub(min)) / bin_width) as usize).min(nbins - 1);
-            counts[b] += 1.0;
-        }
-        Some(Histogram {
-            min,
-            bin_width,
-            counts,
-        })
+        LatencySketch::from_values(values).to_histogram(target_bins, clip_quantile)
     }
 
     /// The latency at the centre of bin `i`, saturating at `u64::MAX` for

@@ -97,6 +97,25 @@ impl TripCountStats {
     pub fn reliable(&self) -> bool {
         self.runs >= 4 && self.runs > self.saturated_runs
     }
+
+    /// The statistics of `runs` fully observed runs with trip-count sums
+    /// `total = Σt` and `total_sq = Σt²`.
+    pub fn from_sums(total: u64, total_sq: u64, runs: u64, saturated_runs: u64) -> TripCountStats {
+        TripCountStats {
+            mean: if runs > 0 {
+                total as f64 / runs as f64
+            } else {
+                0.0
+            },
+            weighted_mean: if total > 0 {
+                total_sq as f64 / total as f64
+            } else {
+                0.0
+            },
+            runs,
+            saturated_runs,
+        }
+    }
 }
 
 /// Measures inner-loop trip counts: maximal runs of consecutive entries
@@ -131,20 +150,7 @@ pub fn trip_counts(samples: &[LbrSample], branch_pc: Pc) -> TripCountStats {
             // Otherwise: truncated, length unknown — discard.
         }
     }
-    TripCountStats {
-        mean: if runs > 0 {
-            total as f64 / runs as f64
-        } else {
-            0.0
-        },
-        weighted_mean: if total > 0 {
-            total_sq as f64 / total as f64
-        } else {
-            0.0
-        },
-        runs,
-        saturated_runs: saturated,
-    }
+    TripCountStats::from_sums(total, total_sq, runs, saturated)
 }
 
 /// Measures inner-loop trip counts the way Fig. 3 describes: count the
@@ -181,20 +187,7 @@ pub fn trip_counts_between(samples: &[LbrSample], inner_pc: Pc, outer_pc: Pc) ->
             saturated += 1;
         }
     }
-    TripCountStats {
-        mean: if runs > 0 {
-            total as f64 / runs as f64
-        } else {
-            0.0
-        },
-        weighted_mean: if total > 0 {
-            total_sq as f64 / total as f64
-        } else {
-            0.0
-        },
-        runs,
-        saturated_runs: saturated,
-    }
+    TripCountStats::from_sums(total, total_sq, runs, saturated)
 }
 
 #[cfg(test)]

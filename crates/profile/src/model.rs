@@ -1,12 +1,17 @@
 //! The APT-GET analytical model: Eq. 1 (prefetch distance) and Eq. 2
 //! (injection site), applied per delinquent load.
+//!
+//! The analysis is written once, over the [`Evidence`] trait, and runs on
+//! either profile source: [`Samples`] (one profiling run's raw LBR/PEBS
+//! samples) or `apt_ingest::AggregateProfile` (a profile database's
+//! merged counts).
 
-use apt_cpu::ProfileData;
+use apt_cpu::{PerfStats, ProfileData};
 use apt_lir::pcmap::Location;
-use apt_lir::{AddressMap, BlockId, FuncId, InstId, Module, Pc};
+use apt_lir::{AddressMap, BlockId, FuncId, InstId, InstRef, Module, Pc};
 use apt_passes::loops::analyze_loops;
 use apt_passes::{InjectionSpec, Site};
-use apt_trace::SpanRecorder;
+use apt_trace::{SpanGuard, SpanRecorder};
 
 use crate::cwt::find_peaks_cwt;
 use crate::delinquent::{rank_delinquent_loads, DelinquentLoad};
@@ -14,6 +19,7 @@ use crate::histogram::Histogram;
 use crate::lbr_analysis::{
     iteration_latencies, iteration_latencies_bounded, trip_counts_between, TripCountStats,
 };
+use crate::sketch::LatencySketch;
 
 /// Tunables of the analysis.
 #[derive(Debug, Clone, Copy)]
@@ -134,6 +140,56 @@ impl AnalysisResult {
     }
 }
 
+/// The profile evidence the §3.4 analysis reads. Each profile source is
+/// one implementation, and everything that differs between sources sits
+/// in it: [`Samples`] here, `AggregateProfile` in `apt-ingest`.
+pub trait Evidence {
+    /// Delinquent loads, most delinquent first (§3.2, step 1).
+    fn delinquent(&self, cfg: &AnalysisConfig) -> Vec<DelinquentLoad>;
+    /// PEBS records behind the ranking.
+    fn pebs_records(&self) -> u64;
+    /// Retired instructions of the profiled run(s), for the MPKI gate.
+    fn instructions(&self) -> u64;
+    /// Iteration latencies of the loop whose back edge is `branch`.
+    /// `boundary` is the enclosing loop's back edge: a delta across it
+    /// spans a whole outer iteration, so a source that can tell drops it.
+    fn latencies(&self, branch: Pc, boundary: Option<Pc>) -> LatencySketch;
+    /// Trip counts of the loop whose back edge is `inner`, nested in the
+    /// loop whose back edge is `outer`.
+    fn trips(&self, inner: Pc, outer: Pc) -> TripCountStats;
+}
+
+/// One profiling run's raw samples: latencies reset at the outer back
+/// edge, and trip counts bracketed by outer back edges (Fig. 3).
+#[derive(Debug, Clone, Copy)]
+pub struct Samples<'a> {
+    pub profile: &'a ProfileData,
+    pub stats: &'a PerfStats,
+}
+
+impl Evidence for Samples<'_> {
+    fn delinquent(&self, cfg: &AnalysisConfig) -> Vec<DelinquentLoad> {
+        rank_delinquent_loads(&self.profile.pebs, cfg.min_share, cfg.max_loads)
+    }
+
+    fn pebs_records(&self) -> u64 {
+        self.profile.pebs.len() as u64
+    }
+
+    fn instructions(&self) -> u64 {
+        self.stats.instructions
+    }
+
+    fn latencies(&self, branch: Pc, boundary: Option<Pc>) -> LatencySketch {
+        let lats = iteration_latencies_bounded(&self.profile.lbr_samples, branch, boundary);
+        LatencySketch::from_values(&lats)
+    }
+
+    fn trips(&self, inner: Pc, outer: Pc) -> TripCountStats {
+        trip_counts_between(&self.profile.lbr_samples, inner, outer)
+    }
+}
+
 /// Latency distribution + peaks for one loop branch — the data behind
 /// Fig. 4. Exposed for the figure-reproduction benches.
 pub fn latency_distribution(
@@ -142,22 +198,31 @@ pub fn latency_distribution(
     cfg: &AnalysisConfig,
 ) -> Option<(Histogram, Vec<PeakSummary>)> {
     let lats = iteration_latencies(&profile.lbr_samples, branch_pc);
-    if lats.len() < cfg.min_observations {
+    sketch_distribution(&LatencySketch::from_values(&lats), cfg)
+}
+
+/// The §3.2 chain from a latency multiset to Eq. 1's input: bin it with
+/// the tail clipped at the 99.5th percentile, smooth it, find its CWT
+/// peaks. `None` below `cfg.min_observations`, where the distribution is
+/// not trusted (§3.6). The analysis, drift detection and the Fig. 4 bench
+/// all read latency distributions through here.
+pub fn sketch_distribution(
+    sketch: &LatencySketch,
+    cfg: &AnalysisConfig,
+) -> Option<(Histogram, Vec<PeakSummary>)> {
+    if sketch.total() < cfg.min_observations as u64 {
         return None;
     }
-    let hist = Histogram::build(&lats, cfg.hist_bins, 0.995)?.smoothed(cfg.smoothing);
-    let peaks = detect_peaks(&hist, cfg);
+    let hist = sketch
+        .to_histogram(cfg.hist_bins, 0.995)?
+        .smoothed(cfg.smoothing);
+    let peaks = latency_peaks(&hist, cfg);
     Some((hist, peaks))
 }
 
 /// CWT peak detection over a latency histogram, with per-peak mass
 /// attribution — the §3.2 step between the raw distribution and Eq. 1.
-/// Public for the figure benches and the recovery property tests.
 pub fn latency_peaks(hist: &Histogram, cfg: &AnalysisConfig) -> Vec<PeakSummary> {
-    detect_peaks(hist, cfg)
-}
-
-fn detect_peaks(hist: &Histogram, cfg: &AnalysisConfig) -> Vec<PeakSummary> {
     let max_width = (hist.counts.len() / 8).clamp(2, 24);
     let widths: Vec<usize> = (1..=max_width).collect();
     let raw = find_peaks_cwt(&hist.counts, &widths, cfg.min_snr);
@@ -184,16 +249,11 @@ fn detect_peaks(hist: &Histogram, cfg: &AnalysisConfig) -> Vec<PeakSummary> {
     out
 }
 
-/// Eq. 1, exposed for property testing: derive `(IC_latency, MC_latency,
-/// distance)` from the detected latency peaks. The distance is
-/// `round(MC / IC)` clamped to `[1, cfg.max_distance]`, with the single-
-/// and zero-peak fallbacks of §3.2/§3.6.
+/// Eq. 1: derive `(IC_latency, MC_latency, distance)` from the detected
+/// latency peaks. The distance is `round(MC / IC)` clamped to
+/// `[1, cfg.max_distance]`, with the single- and zero-peak fallbacks of
+/// §3.2/§3.6.
 pub fn eq1_distance(peaks: &[PeakSummary], cfg: &AnalysisConfig) -> (f64, f64, u64) {
-    derive_distance(peaks, cfg)
-}
-
-/// Eq. 1: derive `(IC, MC, distance)` from the latency peaks.
-fn derive_distance(peaks: &[PeakSummary], cfg: &AnalysisConfig) -> (f64, f64, u64) {
     let (ic, mc) = match peaks {
         [] => (1.0, 0.0),
         [only] => {
@@ -247,54 +307,31 @@ fn derive_distance(peaks: &[PeakSummary], cfg: &AnalysisConfig) -> (f64, f64, u6
     (ic, mc, distance)
 }
 
-/// A structured §3.6 fallback reason attached to a [`SiteDecision`];
-/// callers format it with the load's PC for human-readable notes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SiteNote {
-    /// The inner loop saturates the LBR: its trip count is unmeasurably
-    /// large, so the inner site stays and no trip count is reported.
-    SaturatedInner,
-    /// The outer loop's latency distribution had too few observations;
-    /// the inner distance was scaled by the trip count instead.
-    OuterUnmeasuredScaled {
-        /// The scaled distance chosen.
-        distance: u64,
-    },
-}
-
-/// The outcome of Eq. 2 for a load inside a nested loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SiteDecision {
-    /// Chosen injection site.
-    pub site: Site,
+/// The outcome of Eq. 2 for one load.
+struct SiteDecision {
+    site: Site,
     /// Inner iterations prefetched per outer iteration (outer site only).
-    pub fanout: u64,
+    fanout: u64,
     /// Measured trip count, when reliable.
-    pub trip_count: Option<f64>,
+    trip_count: Option<f64>,
     /// Prefetch distance in iterations of the chosen site's loop.
-    pub distance: u64,
+    distance: u64,
     /// Structural-fallback inner distance (capped by short trip counts).
-    pub inner_fallback: u64,
-    /// Fallback reason, if any.
-    pub note: Option<SiteNote>,
+    inner_fallback: u64,
+    /// The §3.6 fallback taken, if any, for the notes.
+    note: Option<String>,
 }
 
-/// Eq. 2 (§3.3): decide the injection site for a load in a nested loop
-/// from its inner-loop trip-count statistics.
-///
-/// `inner_distance` is the Eq. 1 distance on the inner loop;
-/// `outer_hist` lazily supplies the *outer* loop's latency histogram
-/// (unsmoothed), or `None` when it is unmeasured (too few observations) —
-/// the distance is then scaled by the trip count instead of re-derived.
-///
-/// Pure: both the sample-driven path ([`analyze`]) and the profile-
-/// database path (`apt-ingest`'s aggregate analysis) call this, so the
-/// two pipelines cannot drift apart on the site decision.
-pub fn eq2_site(
-    trips: &TripCountStats,
+/// Eq. 2 (§3.3): decide the injection site for a load whose innermost
+/// loop has back edge `branch`, nested in the loop with back edge
+/// `outer` (if any). `inner_distance` is the Eq. 1 distance on the inner
+/// loop.
+fn eq2_site(
+    evidence: &dyn Evidence,
+    branch: Pc,
+    outer: Option<Pc>,
     inner_distance: u64,
     cfg: &AnalysisConfig,
-    outer_hist: impl FnOnce() -> Option<Histogram>,
 ) -> SiteDecision {
     let mut dec = SiteDecision {
         site: Site::Inner,
@@ -304,13 +341,17 @@ pub fn eq2_site(
         inner_fallback: inner_distance,
         note: None,
     };
+    let Some(outer) = outer else {
+        return dec;
+    };
+    let trips = evidence.trips(branch, outer);
     let long_tail = trips.saturated_runs * 8 >= trips.runs.max(1);
     if long_tail {
         // §3.6: LBR snapshots land wholly inside the inner loop — its
         // trip count is large (at least for the iterations where the
         // misses happen), so inner-loop prefetching is the right site
         // and the outer latency is unmeasurable.
-        dec.note = Some(SiteNote::SaturatedInner);
+        dec.note = Some("inner loop saturates the LBR; staying inner".to_string());
     } else if trips.reliable() {
         dec.trip_count = Some(trips.weighted_mean);
         // If outer injection turns out to be structurally impossible,
@@ -326,56 +367,38 @@ pub fn eq2_site(
             dec.fanout = (trips.weighted_mean.round() as u64).clamp(1, cfg.max_fanout);
             // Recompute the distance against the *outer* loop's latency
             // distribution (§3.3).
-            if let Some(h) = outer_hist() {
-                let ps = detect_peaks(&h.smoothed(cfg.smoothing), cfg);
-                let (_, _, od) = derive_distance(&ps, cfg);
-                dec.distance = od;
+            if let Some((_, peaks)) = sketch_distribution(&evidence.latencies(outer, None), cfg) {
+                dec.distance = eq1_distance(&peaks, cfg).2;
             } else {
                 // Scale the inner distance by the trip count.
                 dec.distance = ((inner_distance as f64 / trips.weighted_mean).ceil() as u64)
                     .clamp(1, cfg.max_distance);
-                dec.note = Some(SiteNote::OuterUnmeasuredScaled {
-                    distance: dec.distance,
-                });
+                dec.note = Some(format!(
+                    "outer latency unmeasured; scaled distance to {}",
+                    dec.distance
+                ));
             }
         }
     }
     dec
 }
 
-/// Runs the full §3.4 pipeline: PEBS → delinquent loads → LBR latency
-/// distributions → peaks → Eq. 1 distance → Eq. 2 site → hints.
+/// Runs the full §3.4 pipeline on `evidence`: delinquent loads → loop
+/// latency distributions → peaks → Eq. 1 distance → Eq. 2 site → hints.
+/// Emits one span per phase and per analysed load into `spans` (the data
+/// behind `--explain` / `--trace-out`).
 pub fn analyze(
     module: &Module,
     map: &AddressMap,
-    profile: &ProfileData,
-    profile_stats: &apt_cpu::PerfStats,
-    cfg: &AnalysisConfig,
-) -> AnalysisResult {
-    // Span recording is cheap relative to the analysis itself (CWT over
-    // histograms), so the untraced entry point just discards the spans.
-    let mut spans = SpanRecorder::new();
-    analyze_traced(module, map, profile, profile_stats, cfg, &mut spans)
-}
-
-/// [`analyze`], additionally emitting one span per phase and per analyzed
-/// load into `spans` (the data behind `--explain` / `--trace-out`).
-pub fn analyze_traced(
-    module: &Module,
-    map: &AddressMap,
-    profile: &ProfileData,
-    profile_stats: &apt_cpu::PerfStats,
+    evidence: &dyn Evidence,
     cfg: &AnalysisConfig,
     spans: &mut SpanRecorder,
 ) -> AnalysisResult {
     let rank = spans.begin("delinquency-ranking");
-    let mut result = AnalysisResult {
-        delinquent: rank_delinquent_loads(&profile.pebs, cfg.min_share, cfg.max_loads),
-        ..Default::default()
-    };
-    spans.note(&rank, "pebs_records", profile.pebs.len());
-    spans.note(&rank, "candidates", result.delinquent.len());
-    for d in &result.delinquent {
+    let delinquent = evidence.delinquent(cfg);
+    spans.note(&rank, "pebs_records", evidence.pebs_records());
+    spans.note(&rank, "candidates", delinquent.len());
+    for d in &delinquent {
         spans.note(
             &rank,
             &format!("share[{}]", d.pc),
@@ -384,174 +407,152 @@ pub fn analyze_traced(
     }
     spans.end(rank);
 
-    for d in result.delinquent.clone() {
+    let (mut hints, mut notes) = (Vec::new(), Vec::new());
+    for d in &delinquent {
         let load_span = spans.begin(&format!("load {}", d.pc));
-        // Gate on absolute miss volume: a load must miss often enough per
-        // instruction for prefetching to pay for its slice (the CG case).
-        let est_mpki = d.samples as f64 * cfg.pebs_period.max(1) as f64 * 1000.0
-            / profile_stats.instructions.max(1) as f64;
-        if est_mpki < cfg.min_load_mpki {
-            result.notes.push(format!(
+        match locate(module, map, evidence, cfg, d) {
+            Err((note, reason)) => {
+                notes.push(note);
+                spans.note(&load_span, "skipped", reason);
+            }
+            Ok(loc) => {
+                let hint = load_hint(evidence, cfg, d, loc, &mut notes, spans, &load_span);
+                spans.note(&load_span, "distance", hint.distance);
+                spans.note(&load_span, "site", format!("{:?}", hint.site));
+                hints.push(hint);
+            }
+        }
+        spans.end(load_span);
+    }
+    AnalysisResult {
+        hints,
+        delinquent,
+        notes,
+    }
+}
+
+/// Where a delinquent load sits: its instruction, its innermost loop's
+/// back edge, and the enclosing loop's back edge, if any.
+type LoadLoc = (InstRef, Pc, Option<Pc>);
+
+/// The gates before the model: the load must miss often enough per
+/// instruction for prefetching to pay for its slice (the CG case), and
+/// must resolve to an instruction inside a loop. `Err((note, reason))`
+/// skips the load.
+fn locate(
+    module: &Module,
+    map: &AddressMap,
+    evidence: &dyn Evidence,
+    cfg: &AnalysisConfig,
+    d: &DelinquentLoad,
+) -> Result<LoadLoc, (String, String)> {
+    let est_mpki = d.samples as f64 * cfg.pebs_period.max(1) as f64 * 1000.0
+        / evidence.instructions().max(1) as f64;
+    if est_mpki < cfg.min_load_mpki {
+        return Err((
+            format!(
                 "pc {}: ~{est_mpki:.2} MPKI below threshold; not worth prefetching",
                 d.pc
-            ));
-            spans.note(
-                &load_span,
-                "skipped",
-                format!("{est_mpki:.2} MPKI below threshold"),
-            );
-            spans.end(load_span);
-            continue;
-        }
-        let Some(Location::Inst(iref)) = map.resolve(d.pc) else {
-            result
-                .notes
-                .push(format!("pc {} does not resolve to an instruction", d.pc));
-            spans.note(
-                &load_span,
-                "skipped",
-                "pc does not resolve to an instruction",
-            );
-            spans.end(load_span);
-            continue;
-        };
-        let func = module.function(iref.func);
-        let forest = analyze_loops(func);
-        let Some(inner_idx) = forest.innermost_of(iref.block) else {
-            result
-                .notes
-                .push(format!("load at {} is not inside a loop", d.pc));
-            spans.note(&load_span, "skipped", "not inside a loop");
-            spans.end(load_span);
-            continue;
-        };
-
-        // Latency distribution of the loop containing the load, measured
-        // at its back-edge branch (retired once per continuing iteration;
-        // for the common single-block rotated loop this *is* the BBL
-        // containing the load, as in §3.2).
-        let inner_latch = forest.loops[inner_idx].latches[0];
-        let bbl_branch = map.term_pc(iref.func, inner_latch);
-        // Deltas across the enclosing loop's back edge are not iteration
-        // latencies; reset at that boundary.
-        let boundary = forest.parent_of(inner_idx).map(|o| {
-            let outer_latch = forest.loops[o].latches[0];
-            map.term_pc(iref.func, outer_latch)
-        });
-        let lbr = spans.begin("lbr-matching");
-        let lats = iteration_latencies_bounded(&profile.lbr_samples, bbl_branch, boundary);
-        spans.note(&lbr, "loop_branch", bbl_branch);
-        spans.note(&lbr, "observations", lats.len());
-        spans.end(lbr);
-
-        let (ic, mc, mut distance, peaks);
-        if lats.len() < cfg.min_observations {
-            // §3.6 fallback: not enough LBR evidence — distance 1.
-            ic = 0.0;
-            mc = 0.0;
-            distance = 1;
-            peaks = Vec::new();
-            result.notes.push(format!(
-                "pc {}: only {} latency observations; defaulting to distance 1",
-                d.pc,
-                lats.len()
-            ));
-            spans.note(
-                &load_span,
-                "fallback",
-                format!("only {} latency observations; distance 1", lats.len()),
-            );
-        } else {
-            let cwt = spans.begin("cwt-peaks");
-            let hist = Histogram::build(&lats, cfg.hist_bins, 0.995)
-                .expect("non-empty latencies")
-                .smoothed(cfg.smoothing);
-            let ps = detect_peaks(&hist, cfg);
-            spans.note(&cwt, "histogram", format!("\n{}", hist.ascii(48)));
-            for (i, p) in ps.iter().enumerate() {
-                spans.note(
-                    &cwt,
-                    &format!("peak{i}"),
-                    format!("{} cycles ({:.0}% mass)", p.latency, p.mass * 100.0),
-                );
-            }
-            spans.end(cwt);
-            let eq1 = spans.begin("eq1-distance");
-            let (i, m, dist) = derive_distance(&ps, cfg);
-            ic = i;
-            mc = m;
-            distance = dist;
-            peaks = ps;
-            spans.note(&eq1, "ic_latency", format!("{ic:.1}"));
-            spans.note(&eq1, "mc_latency", format!("{mc:.1}"));
-            spans.note(&eq1, "distance", distance);
-            spans.end(eq1);
-        }
-
-        // Eq. 2: choose the injection site.
-        let eq2 = spans.begin("eq2-site");
-        let mut site = Site::Inner;
-        let mut fanout = 1u64;
-        let mut trip_count = None;
-        let inner_distance = distance;
-        let mut inner_fallback = inner_distance;
-        if let Some(outer_idx) = forest.parent_of(inner_idx) {
-            let outer_latch = forest.loops[outer_idx].latches[0];
-            let outer_branch_pc = map.term_pc(iref.func, outer_latch);
-            let trips = trip_counts_between(&profile.lbr_samples, bbl_branch, outer_branch_pc);
-            let dec = eq2_site(&trips, inner_distance, cfg, || {
-                let outer_lats = iteration_latencies(&profile.lbr_samples, outer_branch_pc);
-                if outer_lats.len() >= cfg.min_observations {
-                    Histogram::build(&outer_lats, cfg.hist_bins, 0.995)
-                } else {
-                    None
-                }
-            });
-            site = dec.site;
-            fanout = dec.fanout;
-            trip_count = dec.trip_count;
-            distance = dec.distance;
-            inner_fallback = dec.inner_fallback;
-            match dec.note {
-                Some(SiteNote::SaturatedInner) => result.notes.push(format!(
-                    "pc {}: inner loop saturates the LBR; staying inner",
-                    d.pc
-                )),
-                Some(SiteNote::OuterUnmeasuredScaled { distance }) => result.notes.push(format!(
-                    "pc {}: outer latency unmeasured; scaled distance to {}",
-                    d.pc, distance
-                )),
-                None => {}
-            }
-        }
-
-        spans.note(&eq2, "site", format!("{site:?}"));
-        spans.note(&eq2, "fanout", fanout);
-        if let Some(t) = trip_count {
-            spans.note(&eq2, "trip_count", format!("{t:.1}"));
-        }
-        spans.end(eq2);
-
-        spans.note(&load_span, "distance", distance);
-        spans.note(&load_span, "site", format!("{site:?}"));
-        spans.end(load_span);
-
-        result.hints.push(LoadHint {
-            pc: d.pc,
-            func: iref.func,
-            load: (iref.block, iref.inst),
-            distance,
-            site,
-            fanout,
-            ic_latency: ic,
-            mc_latency: mc,
-            trip_count,
-            inner_distance: Some(inner_fallback),
-            peaks,
-            share: d.share,
-        });
+            ),
+            format!("{est_mpki:.2} MPKI below threshold"),
+        ));
     }
-    result
+    let Some(Location::Inst(iref)) = map.resolve(d.pc) else {
+        return Err((
+            format!("pc {} does not resolve to an instruction", d.pc),
+            "pc does not resolve to an instruction".to_string(),
+        ));
+    };
+    let forest = analyze_loops(module.function(iref.func));
+    let Some(inner) = forest.innermost_of(iref.block) else {
+        return Err((
+            format!("load at {} is not inside a loop", d.pc),
+            "not inside a loop".to_string(),
+        ));
+    };
+    // Each loop is measured at its back-edge branch, retired once per
+    // continuing iteration; for the common single-block rotated loop
+    // this *is* the BBL containing the load, as in §3.2.
+    let latch = |l: usize| map.term_pc(iref.func, forest.loops[l].latches[0]);
+    Ok((iref, latch(inner), forest.parent_of(inner).map(latch)))
+}
+
+/// Eq. 1 and Eq. 2 for one located load.
+fn load_hint(
+    evidence: &dyn Evidence,
+    cfg: &AnalysisConfig,
+    d: &DelinquentLoad,
+    (iref, branch, outer): LoadLoc,
+    notes: &mut Vec<String>,
+    spans: &mut SpanRecorder,
+    load_span: &SpanGuard,
+) -> LoadHint {
+    let lbr = spans.begin("lbr-matching");
+    let sketch = evidence.latencies(branch, outer);
+    let obs = sketch.total();
+    spans.note(&lbr, "loop_branch", branch);
+    spans.note(&lbr, "observations", obs);
+    spans.end(lbr);
+
+    let (ic, mc, distance, peaks) = if obs < cfg.min_observations as u64 {
+        // §3.6 fallback: not enough LBR evidence — distance 1.
+        notes.push(format!(
+            "pc {}: only {obs} latency observations; defaulting to distance 1",
+            d.pc
+        ));
+        spans.note(
+            load_span,
+            "fallback",
+            format!("only {obs} latency observations; distance 1"),
+        );
+        (0.0, 0.0, 1, Vec::new())
+    } else {
+        let cwt = spans.begin("cwt-peaks");
+        let (hist, peaks) = sketch_distribution(&sketch, cfg).expect("enough observations");
+        spans.note(&cwt, "histogram", format!("\n{}", hist.ascii(48)));
+        for (i, p) in peaks.iter().enumerate() {
+            spans.note(
+                &cwt,
+                &format!("peak{i}"),
+                format!("{} cycles ({:.0}% mass)", p.latency, p.mass * 100.0),
+            );
+        }
+        spans.end(cwt);
+        let eq1 = spans.begin("eq1-distance");
+        let (ic, mc, distance) = eq1_distance(&peaks, cfg);
+        spans.note(&eq1, "ic_latency", format!("{ic:.1}"));
+        spans.note(&eq1, "mc_latency", format!("{mc:.1}"));
+        spans.note(&eq1, "distance", distance);
+        spans.end(eq1);
+        (ic, mc, distance, peaks)
+    };
+
+    let eq2 = spans.begin("eq2-site");
+    let dec = eq2_site(evidence, branch, outer, distance, cfg);
+    if let Some(note) = &dec.note {
+        notes.push(format!("pc {}: {note}", d.pc));
+    }
+    spans.note(&eq2, "site", format!("{:?}", dec.site));
+    spans.note(&eq2, "fanout", dec.fanout);
+    if let Some(t) = dec.trip_count {
+        spans.note(&eq2, "trip_count", format!("{t:.1}"));
+    }
+    spans.end(eq2);
+
+    LoadHint {
+        pc: d.pc,
+        func: iref.func,
+        load: (iref.block, iref.inst),
+        distance: dec.distance,
+        site: dec.site,
+        fanout: dec.fanout,
+        ic_latency: ic,
+        mc_latency: mc,
+        trip_count: dec.trip_count,
+        inner_distance: Some(dec.inner_fallback),
+        peaks,
+        share: d.share,
+    }
 }
 
 #[cfg(test)]
@@ -575,7 +576,7 @@ mod tests {
                 mass: 0.4,
             },
         ];
-        let (ic, mc, d) = derive_distance(&peaks, &cfg());
+        let (ic, mc, d) = eq1_distance(&peaks, &cfg());
         assert_eq!(ic, 10.0);
         assert_eq!(mc, 80.0);
         assert_eq!(d, 8);
@@ -599,7 +600,7 @@ mod tests {
                 mass: 0.25,
             },
         ];
-        let (_, mc, d) = derive_distance(&peaks, &cfg());
+        let (_, mc, d) = eq1_distance(&peaks, &cfg());
         assert_eq!(mc, 80.0);
         assert_eq!(d, 8);
     }
@@ -622,7 +623,7 @@ mod tests {
                 mass: 0.001,
             },
         ];
-        let (_, mc, d) = derive_distance(&peaks, &cfg());
+        let (_, mc, d) = eq1_distance(&peaks, &cfg());
         assert_eq!(mc, 80.0);
         assert_eq!(d, 8);
     }
@@ -635,7 +636,7 @@ mod tests {
             latency: 150,
             mass: 1.0,
         }];
-        let (ic, mc, d) = derive_distance(&peaks, &cfg());
+        let (ic, mc, d) = eq1_distance(&peaks, &cfg());
         assert_eq!(ic, 30.0);
         assert_eq!(mc, 120.0);
         assert_eq!(d, 4);
@@ -643,7 +644,7 @@ mod tests {
 
     #[test]
     fn no_peaks_defaults_to_one() {
-        let (_, _, d) = derive_distance(&[], &cfg());
+        let (_, _, d) = eq1_distance(&[], &cfg());
         assert_eq!(d, 1);
     }
 
@@ -660,7 +661,7 @@ mod tests {
             },
         ];
         let c = cfg();
-        let (_, _, d) = derive_distance(&peaks, &c);
+        let (_, _, d) = eq1_distance(&peaks, &c);
         assert_eq!(d, c.max_distance);
     }
 
@@ -668,8 +669,12 @@ mod tests {
     fn analyze_empty_profile_is_empty() {
         let m = Module::new("t");
         let map = m.assign_pcs();
-        let stats = apt_cpu::PerfStats::default();
-        let r = analyze(&m, &map, &ProfileData::default(), &stats, &cfg());
+        let (profile, stats) = (ProfileData::default(), PerfStats::default());
+        let evidence = Samples {
+            profile: &profile,
+            stats: &stats,
+        };
+        let r = analyze(&m, &map, &evidence, &cfg(), &mut SpanRecorder::new());
         assert!(r.hints.is_empty());
         assert!(r.delinquent.is_empty());
     }

@@ -13,10 +13,11 @@
 //!
 //! * **merge is count addition** — trivially associative, commutative and
 //!   deterministic (`BTreeMap` keeps keys ordered);
-//! * [`LatencySketch::to_histogram`] replays [`Histogram::build`]'s exact
-//!   algorithm over the multiset, so a sketch merged from any sharding of
-//!   the samples yields the *bit-identical* histogram the in-memory path
-//!   builds from the concatenated samples (the shard property test);
+//! * [`LatencySketch::to_histogram`] is the workspace's one binning
+//!   ([`Histogram::build`] is `from_values` + `to_histogram`), so a sketch
+//!   merged from any sharding of the samples yields the *bit-identical*
+//!   histogram built from the concatenated samples (the shard property
+//!   test);
 //! * every count is a `u64`, so on-disk round-trips are exact.
 //!
 //! Iteration latencies are cycle counts with heavy repetition (a loop has
@@ -99,8 +100,7 @@ impl LatencySketch {
         }
     }
 
-    /// The `k`-th smallest observation (0-based, with multiplicity) —
-    /// the order statistic [`Histogram::build`] uses for tail clipping.
+    /// The `k`-th smallest observation (0-based, with multiplicity).
     fn kth(&self, k: u64) -> Option<u64> {
         let mut seen = 0u64;
         for (&v, &c) in &self.counts {
@@ -113,8 +113,8 @@ impl LatencySketch {
     }
 
     /// The exact quantile-`q` observation (clamped to `[0, 1]`): the
-    /// `⌊(n−1)·q⌋`-th order statistic of the multiset, matching the index
-    /// convention [`Histogram::build`] uses for tail clipping. `q = 0` is
+    /// `⌊(n−1)·q⌋`-th order statistic of the multiset, the index
+    /// [`LatencySketch::to_histogram`] clips the tail at. `q = 0` is
     /// the minimum, `q = 1` the maximum; an empty sketch yields `None`.
     pub fn quantile(&self, q: f64) -> Option<u64> {
         let n = self.total();
@@ -125,32 +125,34 @@ impl LatencySketch {
         self.kth(k)
     }
 
-    /// Builds the same histogram [`Histogram::build`] would build from
-    /// the expanded multiset: identical `min`, `bin_width` and bin counts.
-    /// Returns `None` exactly when `Histogram::build` would (no
-    /// observations, or `target_bins == 0`).
+    /// The model's binning, and the only one: roughly `target_bins`
+    /// bins from the minimum up to the `clip_quantile` order statistic,
+    /// the last bin catching the clipped tail. `None` with no
+    /// observations or `target_bins == 0`.
     pub fn to_histogram(&self, target_bins: usize, clip_quantile: f64) -> Option<Histogram> {
-        if self.is_empty() || target_bins == 0 {
+        if target_bins == 0 {
             return None;
         }
-        let n = self.total();
-        let min = self.min().expect("non-empty");
-        // Mirror Histogram::build: index the sorted multiset at the
-        // clip quantile.
-        let q_idx = (((n - 1) as f64) * clip_quantile.clamp(0.0, 1.0)) as u64;
-        let max = self.kth(q_idx).expect("quantile within range").max(min + 1);
+        let min = self.min()?;
+        let max = self.quantile(clip_quantile)?.max(min + 1);
         let bin_width = ((max - min) / target_bins as u64).max(1);
         let nbins = ((max - min) / bin_width + 1) as usize;
+        Some(self.binned(min, bin_width, nbins))
+    }
+
+    /// Bins the multiset on a fixed geometry: `nbins` (≥ 1) bins of
+    /// `bin_width` from `min`, the last one catching everything above.
+    pub fn binned(&self, min: u64, bin_width: u64, nbins: usize) -> Histogram {
         let mut counts = vec![0.0; nbins];
         for (&v, &c) in &self.counts {
-            let b = (((v.saturating_sub(min)) / bin_width) as usize).min(nbins - 1);
+            let b = ((v.saturating_sub(min) / bin_width) as usize).min(nbins - 1);
             counts[b] += c as f64;
         }
-        Some(Histogram {
+        Histogram {
             min,
             bin_width,
             counts,
-        })
+        }
     }
 }
 
@@ -166,12 +168,29 @@ mod tests {
 
     #[test]
     fn matches_histogram_build() {
+        // Oracle: the sort-based definition of the binning — clip at the
+        // ⌊(n−1)·q⌋-th sorted value, equal-width bins from the minimum,
+        // the clipped tail in the last bin.
         let values: Vec<u64> = (0..500).map(|i| (i * 37) % 211 + 10).collect();
+        let mut sorted = values.clone();
+        sorted.sort_unstable();
         let sketch = LatencySketch::from_values(&values);
         for (bins, clip) in [(10, 1.0), (96, 0.995), (4, 0.5), (1, 1.0)] {
-            let direct = Histogram::build(&values, bins, clip).unwrap();
-            let via = sketch.to_histogram(bins, clip).unwrap();
-            assert_hist_eq(&direct, &via);
+            let min = sorted[0];
+            let max = sorted[((sorted.len() - 1) as f64 * clip) as usize].max(min + 1);
+            let bin_width = ((max - min) / bins as u64).max(1);
+            let mut counts = vec![0.0; ((max - min) / bin_width + 1) as usize];
+            for v in &sorted {
+                let b = (((v - min) / bin_width) as usize).min(counts.len() - 1);
+                counts[b] += 1.0;
+            }
+            let oracle = Histogram {
+                min,
+                bin_width,
+                counts,
+            };
+            assert_hist_eq(&sketch.to_histogram(bins, clip).unwrap(), &oracle);
+            assert_hist_eq(&Histogram::build(&values, bins, clip).unwrap(), &oracle);
         }
     }
 

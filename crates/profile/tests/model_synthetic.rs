@@ -6,7 +6,8 @@ use apt_cpu::{LbrEntry, LbrSample, PebsRecord, ProfileData};
 use apt_lir::{FunctionBuilder, Module, Operand, Pc, Width};
 use apt_mem::Level;
 use apt_passes::Site;
-use apt_profile::{analyze, AnalysisConfig};
+use apt_profile::{analyze, AnalysisConfig, Samples};
+use apt_trace::SpanRecorder;
 use proptest::prelude::*;
 
 /// Builds `for i { v = T[B[i]] }` and returns (module, load pc, back-edge
@@ -99,7 +100,16 @@ fn recovers_known_distance() {
     let map = m.assign_pcs();
     // IC = 20, MC = 120 → distance 6, misses every 3rd iteration.
     let profile = synth_profile(load_pc, branch_pc, 20, 120, 3, 40);
-    let r = analyze(&m, &map, &profile, &fake_stats(), &test_cfg());
+    let r = analyze(
+        &m,
+        &map,
+        &Samples {
+            profile: &profile,
+            stats: &fake_stats(),
+        },
+        &test_cfg(),
+        &mut SpanRecorder::new(),
+    );
     assert_eq!(r.hints.len(), 1, "{:?}", r.notes);
     let h = &r.hints[0];
     assert_eq!(h.site, Site::Inner, "single loop");
@@ -118,7 +128,16 @@ fn all_miss_loop_uses_dram_hint() {
     let map = m.assign_pcs();
     // Every iteration misses: single peak at 20 + 120.
     let profile = synth_profile(load_pc, branch_pc, 20, 120, 1, 40);
-    let r = analyze(&m, &map, &profile, &fake_stats(), &test_cfg());
+    let r = analyze(
+        &m,
+        &map,
+        &Samples {
+            profile: &profile,
+            stats: &fake_stats(),
+        },
+        &test_cfg(),
+        &mut SpanRecorder::new(),
+    );
     assert_eq!(r.hints.len(), 1);
     let h = &r.hints[0];
     assert!(
@@ -134,7 +153,16 @@ fn sparse_lbr_falls_back_to_distance_one() {
     let map = m.assign_pcs();
     let mut profile = synth_profile(load_pc, branch_pc, 20, 120, 3, 1);
     profile.lbr_samples[0].truncate(2); // Almost no latency evidence.
-    let r = analyze(&m, &map, &profile, &fake_stats(), &test_cfg());
+    let r = analyze(
+        &m,
+        &map,
+        &Samples {
+            profile: &profile,
+            stats: &fake_stats(),
+        },
+        &test_cfg(),
+        &mut SpanRecorder::new(),
+    );
     assert_eq!(r.hints.len(), 1);
     assert_eq!(r.hints[0].distance, 1, "§3.6 fallback");
 }
@@ -149,7 +177,16 @@ proptest! {
         let map = m.assign_pcs();
         let mc = ic * mc_mult;
         let profile = synth_profile(load_pc, branch_pc, ic, mc, 3, 40);
-        let r = analyze(&m, &map, &profile, &fake_stats(), &test_cfg());
+        let r = analyze(
+        &m,
+        &map,
+        &Samples {
+            profile: &profile,
+            stats: &fake_stats(),
+        },
+        &test_cfg(),
+        &mut SpanRecorder::new(),
+    );
         prop_assert_eq!(r.hints.len(), 1);
         let d = r.hints[0].distance;
         let ideal = mc_mult;

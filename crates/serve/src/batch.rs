@@ -544,7 +544,8 @@ mod tests {
 
     /// An aggregate with one loop branch whose iteration latencies
     /// cluster tightly around `center` — enough observations to clear
-    /// `DriftConfig::min_observations`.
+    /// `AnalysisConfig::min_observations`, the gate drift shares with
+    /// the optimiser.
     fn agg(center: u64) -> AggregateProfile {
         let mut a = AggregateProfile {
             instructions: 1_000_000,

@@ -17,7 +17,7 @@ pub const LOAD_PC: u64 = 0x400200;
 /// A parseable perf-script dump whose iteration latencies at
 /// [`BRANCH_PC`] cluster tightly around `center` cycles: `snapshots`
 /// LBR lines of 17 same-PC entries (16 latency observations each, so
-/// one snapshot already clears `DriftConfig::min_observations`), each
+/// one snapshot already clears `AnalysisConfig::min_observations`), each
 /// followed by one DRAM-served PEBS sample at [`LOAD_PC`].
 pub fn dump(center: u64, snapshots: usize) -> String {
     let mut out = String::from(

@@ -21,11 +21,15 @@
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p aptget --test analysis_golden
 //! ```
+//!
+//! A second test checks that the DB path records the same analysis
+//! spans as the sample path where their evidence agrees.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use apt_metrics::fnv1a;
+use apt_profile::{analyze, Evidence, Samples};
 use apt_workloads::all_workloads;
 use aptget::{
     execute, hintfile, AggregateProfile, AptGet, Optimized, PipelineConfig, ProfileDb, Span,
@@ -146,4 +150,32 @@ fn analysis_decisions_match_the_golden_on_both_paths() {
         section(&mut out, "db-2", &apt.optimize_from_db(&w.module, &db));
     }
     check_golden("analysis.txt", &out);
+}
+
+/// Both paths run the one analysis, so they record the same spans. On
+/// RandAcc, whose delinquent load sits in a single-level loop, the two
+/// evidence sources agree, so the timing-free span trees of `analyze`
+/// over one run's samples and over its aggregate are equal.
+#[test]
+fn db_path_records_the_sample_path_analysis_spans() {
+    let spec = all_workloads()
+        .into_iter()
+        .find(|s| s.name == "RandAcc")
+        .expect("RandAcc registered");
+    let w = spec.build(SCALE, SEED);
+    let cfg = PipelineConfig::default();
+    let exec = execute(&w.module, w.image, &w.calls, &cfg.profile_sim).expect("profiling run");
+    let map = w.module.assign_pcs();
+    let tree = |evidence: &dyn Evidence| {
+        let mut spans = SpanRecorder::new();
+        analyze(&w.module, &map, evidence, &cfg.analysis, &mut spans);
+        span_tree(spans.spans())
+    };
+    let samples = tree(&Samples {
+        profile: &exec.profile,
+        stats: &exec.stats,
+    });
+    let aggregate = tree(&AggregateProfile::from_profile(&exec.profile, &exec.stats));
+    assert!(samples.contains("cwt-peaks"), "{samples}");
+    assert_eq!(samples, aggregate);
 }

@@ -21,6 +21,8 @@
 //! reads exactly 2.0, where the bracketed count reads 8.0, so the DB path
 //! moves the prefetch to the outer loop.
 
+use std::borrow::Cow;
+
 use apt_lir::Pc;
 use apt_profile::{
     rank_counts, AnalysisConfig, DelinquentLoad, Evidence, LatencySketch, TripCountStats,
@@ -48,8 +50,10 @@ impl Evidence for AggregateProfile {
     }
 
     /// Unbounded: `boundary` is ignored (see the module docs).
-    fn latencies(&self, branch: Pc, _boundary: Option<Pc>) -> LatencySketch {
-        self.iter_lat.get(&branch.0).cloned().unwrap_or_default()
+    fn latencies(&self, branch: Pc, _boundary: Option<Pc>) -> Cow<'_, LatencySketch> {
+        self.iter_lat
+            .get(&branch.0)
+            .map_or_else(Cow::default, Cow::Borrowed)
     }
 
     /// Run-based: `outer` is ignored (see the module docs).

@@ -1,5 +1,7 @@
 //! Latency histograms (the distribution plotted in Fig. 4).
 
+use std::fmt::Write as _;
+
 use crate::sketch::LatencySketch;
 
 /// A fixed-bin histogram over `u64` latencies.
@@ -93,14 +95,12 @@ impl Histogram {
         if peak == 0.0 {
             return String::new();
         }
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.counts.len() * (12 + width));
         for (i, &c) in self.counts.iter().enumerate() {
             let bar = ((c / peak) * width as f64).round() as usize;
-            out.push_str(&format!(
-                "{:>8} | {}\n",
-                self.bin_center(i),
-                "#".repeat(bar)
-            ));
+            let _ = write!(out, "{:>8} | ", self.bin_center(i));
+            out.extend(std::iter::repeat_n('#', bar));
+            out.push('\n');
         }
         out
     }

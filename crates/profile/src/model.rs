@@ -6,6 +6,8 @@
 //! samples) or `apt_ingest::AggregateProfile` (a profile database's
 //! merged counts).
 
+use std::borrow::Cow;
+
 use apt_cpu::{PerfStats, ProfileData};
 use apt_lir::pcmap::Location;
 use apt_lir::{AddressMap, BlockId, FuncId, InstId, InstRef, Module, Pc};
@@ -153,7 +155,8 @@ pub trait Evidence {
     /// Iteration latencies of the loop whose back edge is `branch`.
     /// `boundary` is the enclosing loop's back edge: a delta across it
     /// spans a whole outer iteration, so a source that can tell drops it.
-    fn latencies(&self, branch: Pc, boundary: Option<Pc>) -> LatencySketch;
+    /// Borrowed when the source already stores the multiset.
+    fn latencies(&self, branch: Pc, boundary: Option<Pc>) -> Cow<'_, LatencySketch>;
     /// Trip counts of the loop whose back edge is `inner`, nested in the
     /// loop whose back edge is `outer`.
     fn trips(&self, inner: Pc, outer: Pc) -> TripCountStats;
@@ -180,9 +183,9 @@ impl Evidence for Samples<'_> {
         self.stats.instructions
     }
 
-    fn latencies(&self, branch: Pc, boundary: Option<Pc>) -> LatencySketch {
+    fn latencies(&self, branch: Pc, boundary: Option<Pc>) -> Cow<'_, LatencySketch> {
         let lats = iteration_latencies_bounded(&self.profile.lbr_samples, branch, boundary);
-        LatencySketch::from_values(&lats)
+        Cow::Owned(LatencySketch::from_values(&lats))
     }
 
     fn trips(&self, inner: Pc, outer: Pc) -> TripCountStats {

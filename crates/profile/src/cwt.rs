@@ -36,19 +36,32 @@ pub fn ricker(points: usize, a: f64) -> Vec<f64> {
         .collect()
 }
 
+/// The Ricker kernel for width `w` over a signal of `n` points: ten
+/// widths long, but no longer than the signal (at least 8 points).
+fn wavelet(w: usize, n: usize) -> Vec<f64> {
+    ricker((10 * w).min(n.max(8)).max(3), w as f64)
+}
+
 /// "Same"-mode convolution of `signal` with `kernel`, with *reflected*
 /// boundaries. Reflection keeps the zero-mean property of the wavelet at
 /// the edges, so a flat signal transforms to (near) zero everywhere and
 /// genuine peaks at the histogram's first bins remain detectable.
+///
+/// The reflected signal is padded once, so each output is a dot product
+/// over a window of the padded copy, and four outputs share each pass
+/// over the kernel. Every output still adds its products one kernel tap
+/// at a time, in tap order, starting from 0.0 — the same operations as
+/// the direct form — so the result is bit-identical to it.
 fn convolve_same(signal: &[f64], kernel: &[f64]) -> Vec<f64> {
     let n = signal.len() as isize;
     let k = kernel.len();
-    let mut out = vec![0.0; signal.len()];
+    if n == 0 {
+        return Vec::new();
+    }
     let half = (k / 2) as isize;
-    for (i, o) in out.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for (j, &kv) in kernel.iter().enumerate() {
-            let mut idx = i as isize + j as isize - half;
+    let padded: Vec<f64> = (0..signal.len() + k - 1)
+        .map(|m| {
+            let mut idx = m as isize - half;
             // Reflect (repeatedly, in case the kernel is wider than the
             // signal).
             loop {
@@ -57,12 +70,29 @@ fn convolve_same(signal: &[f64], kernel: &[f64]) -> Vec<f64> {
                 } else if idx >= n {
                     idx = 2 * n - 1 - idx;
                 } else {
-                    break;
+                    break signal[idx as usize];
                 }
             }
-            acc += signal[idx as usize] * kv;
+        })
+        .collect();
+    let mut out = vec![0.0; signal.len()];
+    let mut quads = out.chunks_exact_mut(4);
+    for (i, quad) in (0..).step_by(4).zip(&mut quads) {
+        let mut acc = [0.0f64; 4];
+        for (&kv, window) in kernel.iter().zip(padded[i..].windows(4)) {
+            for (a, &x) in acc.iter_mut().zip(window) {
+                *a += x * kv;
+            }
         }
-        *o = acc;
+        quad.copy_from_slice(&acc);
+    }
+    let tail = quads.into_remainder();
+    let first = signal.len() - tail.len();
+    for (i, o) in (first..).zip(tail) {
+        *o = kernel
+            .iter()
+            .zip(&padded[i..])
+            .fold(0.0, |acc, (&kv, &x)| acc + x * kv);
     }
     out
 }
@@ -101,23 +131,34 @@ struct Ridge {
 
 /// Finds peaks in `signal` using wavelet widths `widths` (ascending).
 ///
-/// `min_snr` is the minimum (exclusive) signal-to-noise ratio;
-/// noise is estimated as the 95th percentile of |CWT| at the smallest
-/// width over a window around the ridge.
+/// `min_snr` is the minimum (exclusive) signal-to-noise ratio; noise is
+/// estimated as the median of |CWT| at the smallest width.
 pub fn find_peaks_cwt(signal: &[f64], widths: &[usize], min_snr: f64) -> Vec<Peak> {
     if signal.is_empty() || widths.is_empty() {
         return Vec::new();
     }
-    let n = signal.len();
-
     // CWT matrix: one row per width, ascending.
     let rows: Vec<Vec<f64>> = widths
         .iter()
-        .map(|&w| {
-            let kernel_len = (10 * w).min(n.max(8));
-            convolve_same(signal, &ricker(kernel_len.max(3), w as f64))
-        })
+        .map(|&w| convolve_same(signal, &wavelet(w, signal.len())))
         .collect();
+    let mut abs0: Vec<f64> = rows[0].iter().map(|v| v.abs()).collect();
+    let mid = (abs0.len() - 1) / 2;
+    let (_, median, _) = abs0.select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("finite"));
+    let noise = median.max(1e-12);
+    ridge_peaks(signal, widths, &rows, noise, min_snr)
+}
+
+/// Links the CWT `rows`' relative maxima into ridge lines and keeps the
+/// ridges long enough and, against the `noise` floor, strong enough.
+fn ridge_peaks(
+    signal: &[f64],
+    widths: &[usize],
+    rows: &[Vec<f64>],
+    noise: f64,
+    min_snr: f64,
+) -> Vec<Peak> {
+    let n = signal.len();
 
     // Ridge lines: start from maxima of the largest width, connect down.
     let max_gap = 2usize;
@@ -162,11 +203,7 @@ pub fn find_peaks_cwt(signal: &[f64], widths: &[usize], min_snr: f64) -> Vec<Pea
         }
     }
 
-    // Noise floor: 95th percentile of |CWT| at the smallest width.
-    let mut abs0: Vec<f64> = rows[0].iter().map(|v| v.abs()).collect();
-    abs0.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let noise_global = abs0[((abs0.len() - 1) as f64 * 0.5) as usize].max(1e-12);
-
+    let signal_max = signal.iter().cloned().fold(0.0f64, |a, b| a.max(b.abs()));
     let min_len = (widths.len() / 4).max(2);
     let mut peaks: Vec<Peak> = Vec::new();
     for r in &ridges {
@@ -180,11 +217,10 @@ pub fn find_peaks_cwt(signal: &[f64], widths: &[usize], min_snr: f64) -> Vec<Pea
             .min_by_key(|(wi, _)| *wi)
             .expect("non-empty");
         let strength = rows[wi_min][pos].max(rows[0][pos.min(n - 1)]);
-        let signal_max = signal.iter().cloned().fold(0.0f64, |a, b| a.max(b.abs()));
         if strength < 1e-6 * signal_max.max(1e-300) {
             continue; // Numerical residue, not a real response.
         }
-        let snr = strength / noise_global;
+        let snr = strength / noise;
         // Strict: a response indistinguishable from the noise floor (snr
         // exactly 1, e.g. any constant signal) is not a peak.
         if snr > min_snr {
@@ -212,6 +248,107 @@ pub fn find_peaks_cwt(signal: &[f64], widths: &[usize], min_snr: f64) -> Vec<Pea
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference [`convolve_same`] must equal bit for bit: each
+    /// output reflects its own indices and sums its products in tap
+    /// order.
+    fn convolve_same_direct(signal: &[f64], kernel: &[f64]) -> Vec<f64> {
+        let n = signal.len() as isize;
+        let k = kernel.len();
+        let mut out = vec![0.0; signal.len()];
+        let half = (k / 2) as isize;
+        for (i, o) in out.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (j, &kv) in kernel.iter().enumerate() {
+                let mut idx = i as isize + j as isize - half;
+                loop {
+                    if idx < 0 {
+                        idx = -idx - 1;
+                    } else if idx >= n {
+                        idx = 2 * n - 1 - idx;
+                    } else {
+                        break;
+                    }
+                }
+                acc += signal[idx as usize] * kv;
+            }
+            *o = acc;
+        }
+        out
+    }
+
+    /// [`find_peaks_cwt`] over the reference rows, with the noise median
+    /// taken by a full sort.
+    fn find_peaks_cwt_direct(signal: &[f64], widths: &[usize], min_snr: f64) -> Vec<Peak> {
+        let rows: Vec<Vec<f64>> = widths
+            .iter()
+            .map(|&w| convolve_same_direct(signal, &wavelet(w, signal.len())))
+            .collect();
+        let mut abs0: Vec<f64> = rows[0].iter().map(|v| v.abs()).collect();
+        abs0.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let noise = abs0[((abs0.len() - 1) as f64 * 0.5) as usize].max(1e-12);
+        ridge_peaks(signal, widths, &rows, noise, min_snr)
+    }
+
+    /// Histogram-like signals of 1–300 points built from runs of zeros,
+    /// flat runs and hashed noise, cycled up to the drawn length. Half
+    /// are shorter than the shortest kernel (8 points), so reflection
+    /// repeats.
+    fn signal() -> impl Strategy<Value = Vec<f64>> {
+        let run = (0u64..3, any::<u64>(), 1usize..=24);
+        let len = prop_oneof![1usize..=7, 8usize..=300];
+        (len, prop::collection::vec(run, 1..=12)).prop_map(|(len, runs)| {
+            let mut out = Vec::with_capacity(len);
+            for (i, &(kind, seed, run_len)) in runs.iter().cycle().enumerate() {
+                for j in 0..run_len {
+                    if out.len() == len {
+                        return out;
+                    }
+                    out.push(match kind {
+                        0 => 0.0,
+                        1 => (seed % 1000) as f64 / 8.0,
+                        _ => {
+                            let mut z =
+                                seed ^ ((i * 64 + j) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                            ((z ^ (z >> 31)) % 100_000) as f64 / 97.0
+                        }
+                    });
+                }
+            }
+            unreachable!("runs cycle forever")
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The padded four-output convolution is bit-identical to the
+        /// direct form, including kernels wider than the signal, and
+        /// the peaks found on it are the same.
+        #[test]
+        fn padded_convolution_matches_the_direct_form(
+            signal in signal(),
+            max_width in 1usize..=24,
+            min_snr in prop::sample::select(vec![0.5, 1.0, 2.0, 12.0]),
+        ) {
+            let widths: Vec<usize> = (1..=max_width).collect();
+            for &w in &widths {
+                let kernel = wavelet(w, signal.len());
+                let fast: Vec<u64> =
+                    convolve_same(&signal, &kernel).iter().map(|v| v.to_bits()).collect();
+                let direct: Vec<u64> =
+                    convolve_same_direct(&signal, &kernel).iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(fast, direct, "width {} over {} points", w, signal.len());
+            }
+            prop_assert_eq!(
+                find_peaks_cwt(&signal, &widths, min_snr),
+                find_peaks_cwt_direct(&signal, &widths, min_snr)
+            );
+        }
+    }
 
     fn gaussian_bump(signal: &mut [f64], center: f64, sigma: f64, amp: f64) {
         for (i, v) in signal.iter_mut().enumerate() {

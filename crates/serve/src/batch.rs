@@ -6,10 +6,19 @@
 //! they hand finished [`Job`]s to one committer thread over an mpsc
 //! channel. The committer drains whatever has queued up, groups it by
 //! tenant, and commits each tenant's epochs with a *single* shard
-//! load+save — under concurrent upload bursts the write amplification
-//! drops from one save per upload to one save per tenant per batch.
+//! save — under concurrent upload bursts the write amplification drops
+//! from one save per upload to one save per tenant per batch.
 //! Single-writer also makes [`ShardStore::open`]'s orphan sweep safe:
 //! no other thread ever has a temp file in flight.
+//!
+//! Neither the shard nor the ledger is read back per commit. Each
+//! tenant's shard and drift baseline are decoded once and then folded
+//! batch by batch in the [`ShardStore`]; the efficacy ledger is likewise
+//! kept in memory here. Both are updated only after their file write
+//! succeeds, and a failed write drops the in-memory copy so the next
+//! commit re-reads the file. What still grows with history is the
+//! whole-file shard write and the reoptimizer's merge of the whole
+//! shard.
 //!
 //! Every decision the committer makes is a function of the *post-commit
 //! shard*, never of arrival order:
@@ -22,11 +31,11 @@
 //!   swap has happened, `current.hints` always equals the offline
 //!   [`Reoptimizer`] output for the shard as it stands.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use apt_ingest::{detect_drift, AggregateProfile, DriftConfig, Epoch, ProfileDb};
@@ -34,7 +43,7 @@ use apt_ingest::{detect_drift, AggregateProfile, DriftConfig, Epoch, ProfileDb};
 use crate::efficacy::EfficacyLedger;
 use crate::metrics::{QueueDepth, ServeMetrics};
 use crate::oplog::{EpochOutcome, Obs, OpKind, ReoptOutcome, Stage};
-use crate::shard::ShardStore;
+use crate::shard::{Shard, ShardStore};
 use crate::swap::HintSwapper;
 
 /// Derives hint-file bytes for a tenant from its shard. The daemon is
@@ -112,6 +121,9 @@ pub struct Committer {
     /// How far the active generation's timely share may trail an
     /// earlier evidenced generation before it is rolled back.
     pub efficacy_threshold: f64,
+    /// Each tenant's efficacy ledger as last saved, read from its file
+    /// on the first commit that lands outcome evidence.
+    pub(crate) ledgers: Mutex<HashMap<String, EfficacyLedger>>,
 }
 
 impl Committer {
@@ -224,7 +236,7 @@ impl Committer {
         }
 
         let traces: Vec<u64> = jobs.iter().map(|j| j.trace).collect();
-        let verdict = self.reoptimize_if_moved(tenant, &outcome.db, &traces);
+        let verdict = self.reoptimize_if_moved(tenant, &outcome.shard, &traces);
         // Outcome evidence lands after reoptimization so the regression
         // policy judges the generation that is active *now*; a rollback
         // updates the generation the replies report.
@@ -244,7 +256,7 @@ impl Committer {
                     detail: String::new(),
                 });
                 Ok(Accepted {
-                    shard_epochs: outcome.db.epochs.len() as u64,
+                    shard_epochs: outcome.shard.db().epochs.len() as u64,
                     drifted: verdict.drifted,
                     max_tv: verdict.max_tv,
                     generation,
@@ -296,17 +308,20 @@ impl Committer {
         // Same first-wins claim discipline the reply loop uses, so an
         // in-batch duplicate label contributes exactly one epoch.
         let mut claim: HashSet<&str> = accepted.iter().map(|s| s.as_str()).collect();
-        let path = EfficacyLedger::path(self.store.dir(), tenant);
-        let mut ledger = EfficacyLedger::load_or_empty(&path);
-        let mut landed = false;
-        for job in jobs {
-            if claim.remove(job.label.as_str()) {
-                ledger.record_epoch(job.agg.gen.ledger_key(), &job.agg);
-                landed = true;
-            }
-        }
-        if !landed {
+        let landed: Vec<&Job> = jobs
+            .iter()
+            .filter(|job| claim.remove(job.label.as_str()))
+            .collect();
+        if landed.is_empty() {
             return None;
+        }
+        let path = EfficacyLedger::path(self.store.dir(), tenant);
+        // Taken out while this commit edits it; it goes back only once
+        // the edit is saved.
+        let cached = self.ledgers().remove(tenant);
+        let mut ledger = cached.unwrap_or_else(|| EfficacyLedger::load_or_empty(&path));
+        for job in landed {
+            ledger.record_epoch(job.agg.gen.ledger_key(), &job.agg);
         }
 
         let mut rolled_to = None;
@@ -375,7 +390,14 @@ impl Committer {
             epochs: ledger.total_epochs(),
             detail,
         });
+        self.ledgers().insert(tenant.to_string(), ledger);
         rolled_to
+    }
+
+    fn ledgers(&self) -> MutexGuard<'_, HashMap<String, EfficacyLedger>> {
+        self.ledgers
+            .lock()
+            .expect("a thread panicked while holding the efficacy ledgers")
     }
 
     /// Post-commit drift detection + hint reoptimization for one shard.
@@ -383,7 +405,8 @@ impl Committer {
     /// this evaluation: each gets a drift span (the evaluation serves
     /// them all); singular decision records (drift score, reopt verdict,
     /// swap) attribute to the first.
-    fn reoptimize_if_moved(&self, tenant: &str, db: &ProfileDb, traces: &[u64]) -> Verdict {
+    fn reoptimize_if_moved(&self, tenant: &str, shard: &Shard, traces: &[u64]) -> Verdict {
+        let db = shard.db();
         let primary = traces.first().copied().unwrap_or(0);
         let mut verdict = Verdict::default();
         let swapper = match HintSwapper::open(self.hints_dir.join(tenant)) {
@@ -402,7 +425,7 @@ impl Committer {
         if db.epochs.len() >= 2 {
             let newest = db.epochs.last().expect("non-empty");
             let report = detect_drift(
-                &db.baseline(),
+                shard.baseline(),
                 &newest.agg,
                 &newest.label,
                 db.epochs.len() - 1,
@@ -579,6 +602,7 @@ mod tests {
             queue,
             efficacy_window: 2,
             efficacy_threshold: 0.2,
+            ledgers: Mutex::default(),
         };
         (c, root)
     }
@@ -903,6 +927,49 @@ mod tests {
             OpKind::Ledger { trace: 0xC3, epochs: 3, detail, .. }
                 if detail == "gen 2 timely 0.1250"
         )));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn failed_shard_write_rolls_nothing_forward() {
+        let (c, root) = committer("write-fail");
+        let status = || crate::daemon::status_text(&c.store, &root.join("hints"), "t");
+        let (j1, r1) = job("t", "e1", 100);
+        c.commit_batch(vec![j1]);
+        r1.recv().unwrap().unwrap();
+        let shard = c.store.shard_path("t");
+        let e1_bytes = fs::read(&shard).unwrap();
+
+        // A non-empty directory where the shard file was makes the
+        // rename that replaces the file fail.
+        fs::remove_file(&shard).unwrap();
+        fs::create_dir_all(shard.join("occupied")).unwrap();
+        let (j2, r2) = job("t", "e2", 400);
+        c.commit_batch(vec![j2]);
+        let err = r2.recv().unwrap().unwrap_err();
+        assert!(err.starts_with("shard write failed: "), "got: {err}");
+        assert!(!status().contains("  e2:"), "{}", status());
+
+        fs::remove_dir_all(&shard).unwrap();
+        fs::write(&shard, &e1_bytes).unwrap();
+        let (j3, r3) = job("t", "e3", 100);
+        c.commit_batch(vec![j3]);
+        assert_eq!(r3.recv().unwrap().unwrap().shard_epochs, 2);
+        let labels: Vec<String> = c
+            .store
+            .load("t")
+            .epochs
+            .into_iter()
+            .map(|e| e.label)
+            .collect();
+        assert_eq!(labels, ["e1", "e3"]);
+        let text = status();
+        assert!(text.starts_with("tenant t: 2 epoch(s)"), "{text}");
+        assert!(text.contains("  e1:") && text.contains("  e3:"), "{text}");
+        assert!(!text.contains("  e2:"), "{text}");
+        // The ledger never saw e2 either.
+        let ledger = EfficacyLedger::load_or_empty(EfficacyLedger::path(c.store.dir(), "t"));
+        assert_eq!(ledger.total_epochs(), 2);
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -170,6 +170,7 @@ impl Daemon {
             queue: queue.clone(),
             efficacy_window: config.efficacy_window,
             efficacy_threshold: config.efficacy_threshold,
+            ledgers: Default::default(),
         };
         let committer_handle = std::thread::Builder::new()
             .name("apt-serve-commit".to_string())
@@ -499,21 +500,24 @@ pub fn backlog_warning(depth: u64, queue_warn: u64) -> Option<String> {
 /// Renders a tenant's status. Deliberately excludes timestamps: the
 /// text is a pure function of the shard contents, hint presence and
 /// efficacy ledger, so any upload interleaving that produces the same
-/// on-disk state produces the same report.
+/// committed state produces the same report. The shard part comes from
+/// the store's committed copy ([`ShardStore::read`]).
 pub fn status_text(store: &ShardStore, hints_dir: &std::path::Path, tenant: &str) -> String {
-    let db = store.load(tenant);
     let hints_active = hints_dir.join(tenant).join(CURRENT_HINTS).exists();
-    let mut out = format!(
-        "tenant {tenant}: {} epoch(s), hints {}\n",
-        db.epochs.len(),
-        if hints_active { "active" } else { "absent" },
-    );
-    for e in &db.epochs {
-        out.push_str(&format!(
-            "  {}: {} lbr snapshot(s), {} pebs sample(s), {} instructions\n",
-            e.label, e.agg.lbr_snapshots, e.agg.pebs_samples, e.agg.instructions,
-        ));
-    }
+    let mut out = store.read(tenant, |db| {
+        let mut out = format!(
+            "tenant {tenant}: {} epoch(s), hints {}\n",
+            db.epochs.len(),
+            if hints_active { "active" } else { "absent" },
+        );
+        for e in &db.epochs {
+            out.push_str(&format!(
+                "  {}: {} lbr snapshot(s), {} pebs sample(s), {} instructions\n",
+                e.label, e.agg.lbr_snapshots, e.agg.pebs_samples, e.agg.instructions,
+            ));
+        }
+        out
+    });
     // The efficacy summary appears only once a ledger exists, so
     // pre-feedback deployments render exactly the historical report.
     let ledger = EfficacyLedger::load_or_empty(EfficacyLedger::path(store.dir(), tenant));
@@ -532,26 +536,27 @@ pub fn status_json(
     tenant: &str,
     warning: Option<&str>,
 ) -> String {
-    let db = store.load(tenant);
     let hints_active = hints_dir.join(tenant).join(CURRENT_HINTS).exists();
     let ledger = EfficacyLedger::load_or_empty(EfficacyLedger::path(store.dir(), tenant));
     let mut o = String::from("{\"tenant\":");
     json::write_str(&mut o, tenant);
-    o.push_str(&format!(
-        ",\"epochs\":{},\"hints_active\":{hints_active},\"epoch_list\":[",
-        db.epochs.len()
-    ));
-    for (i, e) in db.epochs.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str("{\"label\":");
-        json::write_str(&mut o, &e.label);
+    store.read(tenant, |db| {
         o.push_str(&format!(
-            ",\"lbr_snapshots\":{},\"pebs_samples\":{},\"instructions\":{}}}",
-            e.agg.lbr_snapshots, e.agg.pebs_samples, e.agg.instructions
+            ",\"epochs\":{},\"hints_active\":{hints_active},\"epoch_list\":[",
+            db.epochs.len()
         ));
-    }
+        for (i, e) in db.epochs.iter().enumerate() {
+            if i > 0 {
+                o.push(',');
+            }
+            o.push_str("{\"label\":");
+            json::write_str(&mut o, &e.label);
+            o.push_str(&format!(
+                ",\"lbr_snapshots\":{},\"pebs_samples\":{},\"instructions\":{}}}",
+                e.agg.lbr_snapshots, e.agg.pebs_samples, e.agg.instructions
+            ));
+        }
+    });
     o.push_str("],\"efficacy\":[");
     for (i, (gen, g)) in ledger.generations.iter().enumerate() {
         if i > 0 {

@@ -12,9 +12,11 @@
 //!   uploads, hard caps on every length field.
 //! * [`shard`] — per-tenant `APTDB1` shard files with canonical
 //!   (label-sorted) epoch order, so any upload interleaving yields
-//!   byte-identical shards.
-//! * [`batch`] — the single committer thread: one shard write per
-//!   tenant per batch, post-commit drift detection, reoptimization.
+//!   byte-identical shards; each shard and its drift baseline are
+//!   decoded once and then kept in memory.
+//! * [`batch`] — the single committer thread: folds each batch into the
+//!   in-memory shard and efficacy ledger, one shard write per tenant per
+//!   batch, post-commit drift detection, reoptimization.
 //! * [`swap`] — generation-numbered atomic hint hot-swap with rollback
 //!   and an append-only audit log.
 //! * [`daemon`] — acceptor + per-connection handlers; upload bodies go
@@ -59,5 +61,5 @@ pub use oplog::{
     read_oplog_dir, trace_hex, Obs, OpKind, OpLogConfig, OpLogWriter, OpRecord, Stage,
 };
 pub use protocol::{Reply, UploadHeader, UploadReply};
-pub use shard::{ApplyOutcome, ShardStore};
+pub use shard::{ApplyOutcome, Shard, ShardStore};
 pub use swap::HintSwapper;

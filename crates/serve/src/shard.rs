@@ -6,42 +6,104 @@
 //! tenant its history. Two properties carry the daemon's correctness:
 //!
 //! * **Canonical epoch order.** Epochs are kept sorted by label, not by
-//!   arrival. [`AggregateProfile`](apt_ingest::AggregateProfile) merges
-//!   are associative and commutative, so the *content* of a shard never
-//!   depends on arrival order — sorting makes the *bytes* arrival-order
-//!   independent too, and pins down "newest epoch" (the drift subject)
-//!   deterministically. Duplicate labels are rejected: accepting one
-//!   silently would double-count its evidence.
+//!   arrival. [`AggregateProfile`] merges are associative and
+//!   commutative, so the *content* of a shard never depends on arrival
+//!   order — sorting makes the *bytes* arrival-order independent too,
+//!   and pins down "newest epoch" (the drift subject) deterministically.
+//!   Duplicate labels are rejected: accepting one silently would
+//!   double-count its evidence.
 //! * **Crash safety.** Writes go through [`apt_ingest::ProfileDb::save`]
 //!   (an `apt-store` whole-file replace), so a torn write can never
 //!   corrupt a shard — readers see old bytes or new bytes. The store is
 //!   the directory's single owner, so [`ShardStore::open`] alone sweeps
 //!   the temp files an earlier crash orphaned, once, at start-up.
 //!
+//! **Committed state lives in memory.** The first commit to touch a
+//! tenant decodes its file once; from then on the store keeps the
+//! decoded [`Shard`] — the epochs plus their drift baseline — and each
+//! commit folds its batch into it, so a commit costs what its new epochs
+//! cost (plus the whole-file write). The in-memory copy is replaced only
+//! after the write succeeds; a failed write drops it, so the next commit
+//! re-reads the file and memory never runs ahead of disk. Status reads
+//! ([`ShardStore::read`]) render from that copy. Because the store is
+//! the directory's single owner, a change another process makes to a
+//! committed shard file is not seen, and the next commit overwrites it.
+//! [`ShardStore::load`] always reads the file, for offline tools.
+//!
 //! Epoch GC bounds history: with a cap of `n`, committing keeps the `n`
 //! highest labels. Because the survivor set is "top `n` of the union of
 //! everything ever accepted", it too is arrival-order independent.
 
+use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use apt_ingest::{Epoch, ProfileDb};
+use apt_ingest::{AggregateProfile, Epoch, ProfileDb};
 
 /// Shard file extension.
 const SHARD_EXT: &str = "aptdb";
 
-/// The per-tenant shard directory.
+/// The per-tenant shard directory and the committed shards it holds in
+/// memory. Clones share the in-memory shards.
 #[derive(Debug, Clone)]
 pub struct ShardStore {
     dir: PathBuf,
+    committed: Arc<Mutex<HashMap<String, Arc<Shard>>>>,
+}
+
+/// One tenant's committed shard with its drift baseline kept folded.
+#[derive(Debug, Clone)]
+pub struct Shard {
+    db: ProfileDb,
+    /// Always equal to `db.baseline()`: the merge of every epoch but the
+    /// newest.
+    baseline: AggregateProfile,
+}
+
+impl Shard {
+    fn new(db: ProfileDb) -> Shard {
+        let baseline = db.baseline();
+        Shard { db, baseline }
+    }
+
+    /// The shard's epochs, in canonical (label) order.
+    pub fn db(&self) -> &ProfileDb {
+        &self.db
+    }
+
+    /// The drift baseline: equal to [`ProfileDb::baseline`] of
+    /// [`Shard::db`], kept by folding rather than re-merging.
+    pub fn baseline(&self) -> &AggregateProfile {
+        &self.baseline
+    }
+
+    /// Inserts `epoch` at its canonical position, folding the baseline:
+    /// an epoch that becomes the newest pushes the previous newest into
+    /// the baseline; one that lands below the newest joins it itself.
+    /// Merging is exact `u64` addition, so the fold equals a re-merge.
+    /// Returns `false`, inserting nothing, on a duplicate label.
+    fn insert(&mut self, epoch: Epoch) -> bool {
+        let epochs = &mut self.db.epochs;
+        let Err(pos) = epochs.binary_search_by(|e| e.label.cmp(&epoch.label)) else {
+            return false;
+        };
+        if pos < epochs.len() {
+            self.baseline.merge(&epoch.agg);
+        } else if let Some(newest) = epochs.last() {
+            self.baseline.merge(&newest.agg);
+        }
+        epochs.insert(pos, epoch);
+        true
+    }
 }
 
 /// One batch commit's outcome for a single tenant.
 #[derive(Debug, Clone)]
 pub struct ApplyOutcome {
     /// The post-commit shard.
-    pub db: ProfileDb,
+    pub shard: Arc<Shard>,
     /// Labels inserted by this commit, in canonical (label) order.
     pub accepted: Vec<String>,
     /// `(label, reason)` for epochs the commit refused.
@@ -54,7 +116,10 @@ impl ShardStore {
     /// Opens (creating if necessary) a shard directory and sweeps temp
     /// files orphaned by crashed writers ([`apt_store::sweep_orphans`]).
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<ShardStore> {
-        let store = ShardStore { dir: dir.into() };
+        let store = ShardStore {
+            dir: dir.into(),
+            committed: Arc::default(),
+        };
         fs::create_dir_all(&store.dir)?;
         apt_store::sweep_orphans(&store.dir)?;
         Ok(store)
@@ -70,9 +135,30 @@ impl ShardStore {
         self.dir.join(format!("{tenant}.{SHARD_EXT}"))
     }
 
-    /// Loads a tenant's shard (empty when absent or corrupt).
+    /// Loads a tenant's shard from its file (empty when absent or
+    /// corrupt), whatever this store holds in memory.
     pub fn load(&self, tenant: &str) -> ProfileDb {
         ProfileDb::load_or_empty(self.shard_path(tenant))
+    }
+
+    /// Runs `f` on a tenant's committed shard: the in-memory copy once a
+    /// commit of this store has touched the tenant (read under the lock,
+    /// so a commit never has to copy it), else the file.
+    pub fn read<R>(&self, tenant: &str, f: impl FnOnce(&ProfileDb) -> R) -> R {
+        let committed = self.committed();
+        match committed.get(tenant) {
+            Some(shard) => f(&shard.db),
+            None => {
+                drop(committed);
+                f(&self.load(tenant))
+            }
+        }
+    }
+
+    fn committed(&self) -> MutexGuard<'_, HashMap<String, Arc<Shard>>> {
+        self.committed
+            .lock()
+            .expect("a thread panicked while holding the committed shards")
     }
 
     /// All tenants with a shard on disk, sorted.
@@ -89,10 +175,14 @@ impl ShardStore {
         Ok(out)
     }
 
-    /// Commits a batch of epochs to one tenant's shard: load once, insert
-    /// every epoch at its canonical (label-sorted) position, GC down to
+    /// Commits a batch of epochs to one tenant's shard: fold every epoch
+    /// in at its canonical (label-sorted) position, GC down to
     /// `epoch_cap` (0 = unlimited), save once. Duplicate labels — against
     /// the shard or within the batch — are rejected, not merged.
+    ///
+    /// The tenant's in-memory shard is taken out for the commit and put
+    /// back only once the save succeeded; on a failed save it stays out,
+    /// so the next commit decodes the file again.
     pub fn apply(
         &self,
         tenant: &str,
@@ -100,36 +190,41 @@ impl ShardStore {
         epoch_cap: usize,
     ) -> io::Result<ApplyOutcome> {
         apt_selfprof::prof_scope!("serve/shard/apply");
-        let mut db = self.load(tenant);
-        let mut outcome = ApplyOutcome {
-            db: ProfileDb::new(),
-            accepted: Vec::new(),
-            rejected: Vec::new(),
-            evicted: Vec::new(),
+        let taken = self.committed().remove(tenant);
+        let mut shard = match taken {
+            // Only a caller still holding an earlier outcome shares it.
+            Some(shard) => Arc::unwrap_or_clone(shard),
+            None => Shard::new(self.load(tenant)),
         };
+        let mut accepted = Vec::new();
+        let mut rejected = Vec::new();
         for epoch in epochs {
-            match db.epochs.binary_search_by(|e| e.label.cmp(&epoch.label)) {
-                Ok(_) => outcome
-                    .rejected
-                    .push((epoch.label, "duplicate epoch label".to_string())),
-                Err(pos) => {
-                    outcome.accepted.push(epoch.label.clone());
-                    db.epochs.insert(pos, epoch);
-                }
+            let label = epoch.label.clone();
+            if shard.insert(epoch) {
+                accepted.push(label);
+            } else {
+                rejected.push((label, "duplicate epoch label".to_string()));
             }
         }
-        if epoch_cap > 0 && db.epochs.len() > epoch_cap {
-            let drop = db.epochs.len() - epoch_cap;
-            outcome
-                .evicted
-                .extend(db.epochs.drain(..drop).map(|e| e.label));
+        let mut evicted = Vec::new();
+        if epoch_cap > 0 && shard.db.epochs.len() > epoch_cap {
+            let drop = shard.db.epochs.len() - epoch_cap;
+            evicted.extend(shard.db.epochs.drain(..drop).map(|e| e.label));
+            shard.baseline = shard.db.baseline();
         }
-        if !outcome.accepted.is_empty() || !outcome.evicted.is_empty() {
-            db.save(self.shard_path(tenant))?;
+        if !accepted.is_empty() || !evicted.is_empty() {
+            shard.db.save(self.shard_path(tenant))?;
         }
-        outcome.accepted.sort();
-        outcome.db = db;
-        Ok(outcome)
+        accepted.sort();
+        let shard = Arc::new(shard);
+        self.committed()
+            .insert(tenant.to_string(), Arc::clone(&shard));
+        Ok(ApplyOutcome {
+            shard,
+            accepted,
+            rejected,
+            evicted,
+        })
     }
 }
 
@@ -148,6 +243,15 @@ mod tests {
         }
     }
 
+    fn labels(out: &ApplyOutcome) -> Vec<&str> {
+        out.shard
+            .db()
+            .epochs
+            .iter()
+            .map(|e| e.label.as_str())
+            .collect()
+    }
+
     fn tmp_store(tag: &str) -> ShardStore {
         let dir = std::env::temp_dir().join(format!("apt-shard-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -161,8 +265,7 @@ mod tests {
             .apply("t", vec![epoch("c", 3), epoch("a", 1)], 0)
             .unwrap();
         let out = store.apply("t", vec![epoch("b", 2)], 0).unwrap();
-        let labels: Vec<&str> = out.db.epochs.iter().map(|e| e.label.as_str()).collect();
-        assert_eq!(labels, ["a", "b", "c"]);
+        assert_eq!(labels(&out), ["a", "b", "c"]);
 
         // A different arrival order produces byte-identical shard files.
         let store2 = tmp_store("order2");
@@ -188,7 +291,7 @@ mod tests {
         assert_eq!(out.rejected.len(), 1);
         assert_eq!(out.rejected[0].0, "a");
         // The original epoch's evidence is untouched.
-        assert_eq!(out.db.epochs[0].agg.instructions, 1);
+        assert_eq!(out.shard.db().epochs[0].agg.instructions, 1);
         // In-batch duplicates: first wins, second rejected.
         let out = store
             .apply("t", vec![epoch("c", 1), epoch("c", 2)], 0)
@@ -209,16 +312,14 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.evicted, ["a", "b"]);
-        let labels: Vec<&str> = out.db.epochs.iter().map(|e| e.label.as_str()).collect();
-        assert_eq!(labels, ["c", "d"]);
+        assert_eq!(labels(&out), ["c", "d"]);
 
         // A late arrival below the survivors is admitted then collected:
         // the survivor set stays "top-cap of everything ever accepted".
         let out = store.apply("t", vec![epoch("b", 2)], 2).unwrap();
         assert_eq!(out.accepted, ["b"]);
         assert_eq!(out.evicted, ["b"]);
-        let labels: Vec<&str> = out.db.epochs.iter().map(|e| e.label.as_str()).collect();
-        assert_eq!(labels, ["c", "d"]);
+        assert_eq!(labels(&out), ["c", "d"]);
         let _ = fs::remove_dir_all(store.dir());
     }
 

@@ -8,6 +8,7 @@ mod common;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
+use apt_ingest::{AggregateProfile, ProfileDb};
 use apt_metrics::Registry;
 use apt_serve::{protocol, Client, ClientError, ShardStore};
 use common::{dump, scratch, try_daemon};
@@ -238,6 +239,46 @@ fn bad_hello_is_rejected() {
     let mut rest = Vec::new();
     raw.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty());
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn status_renders_the_committed_shard_not_the_file() {
+    let root = scratch("out-of-band");
+    let Some(daemon) = try_daemon(&root, |_| {}) else {
+        return;
+    };
+    let mut client = Client::connect(daemon.addr()).expect("connect");
+    let text = dump(100, 2);
+    client
+        .upload_reader("t", "e1", text.len() as u64, &mut text.as_bytes())
+        .expect("first upload");
+    let committed = client.status("t").expect("status");
+    let committed_json = client.status_json("t").expect("status json");
+
+    // Another writer replaces the shard file behind the daemon's back.
+    // The daemon owns its db_dir, so status keeps reporting what it
+    // committed, and its next commit overwrites the foreign change.
+    let shard = root.join("db").join("t.aptdb");
+    let mut foreign = ProfileDb::new();
+    foreign.push_epoch("foreign", AggregateProfile::default());
+    foreign.save(&shard).unwrap();
+    assert_eq!(client.status("t").expect("status"), committed);
+    assert_eq!(
+        client.status_json("t").expect("status json"),
+        committed_json
+    );
+
+    client
+        .upload_reader("t", "e2", text.len() as u64, &mut text.as_bytes())
+        .expect("second upload");
+    let labels: Vec<String> = ProfileDb::load_or_empty(&shard)
+        .epochs
+        .into_iter()
+        .map(|e| e.label)
+        .collect();
+    assert_eq!(labels, ["e1", "e2"]);
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }

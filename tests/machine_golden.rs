@@ -1,0 +1,169 @@
+//! Golden pins for every number the detailed machine simulates.
+//!
+//! Every registered workload is built at scale 0.02, seed 42, and run
+//! five ways:
+//!
+//! * `profile` — the profiling run under `PipelineConfig::default()`'s
+//!   `profile_sim` (LBR and PEBS on);
+//! * `baseline`, `A&J` and `APT-GET` — the three measurement runs under
+//!   `measure_sim`, with the APT-GET run traced under
+//!   `TraceConfig::outcomes()`;
+//! * `sampled` — one SMARTS run of the APT-GET module with CI's schedule
+//!   (period 4096, window 2048, warm-up 1024).
+//!
+//! Each section records every `PerfStats` field, the return values, the
+//! final image digest and an FNV-1a digest of the telemetry timeline's
+//! JSON. The profiling run also pins the exported `perf script` text,
+//! which carries every LBR and PEBS record; the traced run pins its
+//! outcome totals and per-PC outcome table; the sampled run pins its
+//! estimated counters, its raw windows and its instruction split.
+//! `tests/golden/machine.txt` therefore changes whenever any simulated
+//! number changes. Regenerate it after an intentional change with:
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test -p apt-bench --test machine_golden
+//! ```
+
+use std::fmt::Write as _;
+use std::path::PathBuf;
+
+use apt_bench::AJ_STATIC_DISTANCE;
+use apt_cpu::export_perf_script;
+use apt_metrics::fnv1a;
+use apt_sample::{run_sampled, SampleConfig};
+use apt_workloads::all_workloads;
+use aptget::{
+    ainsworth_jones_optimize, execute, execute_traced, timeline_to_json, AptGet, Execution,
+    PipelineConfig, Timeline, TraceConfig,
+};
+
+const SCALE: f64 = 0.02;
+const SEED: u64 = 42;
+
+fn check_golden(name: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(name);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {name} ({e}); run with UPDATE_GOLDEN=1"));
+    if actual != expected {
+        let first = actual
+            .lines()
+            .zip(expected.lines())
+            .position(|(a, e)| a != e)
+            .unwrap_or_else(|| actual.lines().count().min(expected.lines().count()));
+        panic!(
+            "golden mismatch for {name} at line {}:\n  actual:   {:?}\n  expected: {:?}",
+            first + 1,
+            actual.lines().nth(first),
+            expected.lines().nth(first)
+        );
+    }
+}
+
+fn timeline_digest(t: &Timeline) -> u64 {
+    fnv1a(timeline_to_json(t).as_bytes())
+}
+
+/// The architectural and timing results every run shares.
+fn execution(out: &mut String, title: &str, e: &Execution) {
+    let _ = writeln!(out, "== {title}");
+    let _ = writeln!(out, "stats {:?}", e.stats);
+    let _ = writeln!(
+        out,
+        "rets {:?} image {:016x} timeline {:016x} windows {}",
+        e.rets,
+        e.image.digest(),
+        timeline_digest(&e.timeline),
+        e.timeline.samples.len()
+    );
+}
+
+#[test]
+fn simulated_numbers_match_the_golden() {
+    let cfg = PipelineConfig::default();
+    let apt = AptGet::new(cfg);
+    let schedule = SampleConfig {
+        period: 4096,
+        window: 2048,
+        warmup: 1024,
+        ..SampleConfig::default()
+    };
+    let mut out = String::new();
+    for spec in all_workloads() {
+        let w = spec.build(SCALE, SEED);
+        let name = &spec.name;
+        let _ = writeln!(out, "# {name}");
+
+        let profile = execute(&w.module, w.image.clone(), &w.calls, &cfg.profile_sim)
+            .unwrap_or_else(|e| panic!("{name}: profiling run: {e}"));
+        execution(&mut out, "profile", &profile);
+        let perf = export_perf_script(&profile.profile, &profile.stats);
+        let _ = writeln!(
+            out,
+            "perf-script {:016x} lbr {} pebs {}",
+            fnv1a(perf.as_bytes()),
+            profile.profile.lbr_samples.len(),
+            profile.profile.pebs.len()
+        );
+
+        let measure = |module: &aptget::Module, trace: TraceConfig| {
+            execute_traced(module, w.image.clone(), &w.calls, &cfg.measure_sim, trace)
+                .unwrap_or_else(|e| panic!("{name}: measurement run: {e}"))
+        };
+        let (base, _) = measure(&w.module, TraceConfig::off());
+        execution(&mut out, "baseline", &base);
+        let (aj_module, _) = ainsworth_jones_optimize(&w.module, AJ_STATIC_DISTANCE);
+        let (aj, _) = measure(&aj_module, TraceConfig::off());
+        execution(&mut out, "A&J", &aj);
+        let opt = apt.optimize_with_profile(&w.module, &profile.profile, profile.stats);
+        let (tuned, report) = measure(&opt.module, TraceConfig::outcomes());
+        execution(&mut out, "APT-GET", &tuned);
+        let _ = writeln!(out, "outcomes {:?}", report.outcomes.total);
+        let _ = writeln!(
+            out,
+            "outcomes-per-pc {:016x}",
+            fnv1a(format!("{:?}", report.outcomes.per_pc).as_bytes())
+        );
+
+        let s = run_sampled(
+            &opt.module,
+            w.image.clone(),
+            &w.calls,
+            &cfg.measure_sim,
+            &schedule,
+            TraceConfig::outcomes(),
+        )
+        .unwrap_or_else(|e| panic!("{name}: sampled run: {e}"));
+        let _ = writeln!(out, "== sampled");
+        let _ = writeln!(out, "stats {:?}", s.stats);
+        let _ = writeln!(
+            out,
+            "rets {:?} image {:016x} timeline {:016x} raw-windows {:016x}",
+            s.rets,
+            s.image.digest(),
+            timeline_digest(&s.timeline),
+            fnv1a(format!("{:?}", s.windows).as_bytes())
+        );
+        let _ = writeln!(
+            out,
+            "instructions exact {} detailed {} measured {} ff {} windows {}",
+            s.exact_instructions,
+            s.detailed_instructions,
+            s.measured_instructions,
+            s.ff_instructions,
+            s.windows.len()
+        );
+        let _ = writeln!(
+            out,
+            "outcomes {:?} traced {:?}",
+            s.outcomes, s.trace.outcomes.total
+        );
+    }
+    check_golden("machine.txt", &out);
+}

@@ -35,12 +35,6 @@
 //!                                        #   report with gate-tolerance
 //!                                        #   corridors (default
 //!                                        #   perf-history.html)
-//! aptgetsim report BFS [--out FILE]      # one workload's matrix as a
-//!                                        #   self-contained HTML timeline
-//!                                        #   report (default report.html)
-//! aptgetsim serve-metrics BFS [--addr HOST:PORT]
-//!                                        # run one workload's matrix and
-//!                                        #   serve /metrics until killed
 //! aptgetsim serve [--addr HOST:PORT] [--db-dir DIR] [--hints-dir DIR]
 //!                 [--reopt-threshold TV] [--epoch-cap N] [--metrics-addr HOST:PORT]
 //!                 [--oplog-dir DIR] [--efficacy-window N] [--efficacy-threshold D]
@@ -100,8 +94,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use apt_bench::eval::{campaign_cli, run_campaign, CampaignArgs, CampaignConfig};
-use apt_bench::report::render_campaign_report;
+use apt_bench::eval::{campaign_cli, CampaignArgs};
 use apt_bench::{compare_variants_traced, fx, pct, AJ_STATIC_DISTANCE};
 use apt_metrics::{gate, BenchSnapshot, GateConfig, MetricsServer, Registry};
 use apt_profile::hintfile;
@@ -142,7 +135,7 @@ struct Args {
     tolerance: Option<f64>,
     /// `bench-gate`: also gate each detected execution phase.
     phases: bool,
-    /// `serve-metrics`/`serve`/`upload`/`serve-status`: bind or dial address.
+    /// `serve`/`upload`/`serve-status`: bind or dial address.
     addr: Option<String>,
     /// `serve`: per-tenant shard directory.
     db_dir: Option<String>,
@@ -446,7 +439,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n");
-            eprintln!("usage: aptgetsim <list|run|hints|ir|export|ingest|drift|bench-gate|perf-history|report|serve-metrics|serve|upload|serve-status|serve-dash|rollback|campaign> [WORKLOAD|FILE|DIR] [--scale S] [--seed N] [--optimized] [--explain] [--trace-out PATH] [--out PATH] [--db PATH] [--label STR] [--pc-offset HEX] [--fail-threshold TV] [--baseline PATH] [--tolerance T] [--phases] [--addr HOST:PORT] [--db-dir DIR] [--hints-dir DIR] [--tenant NAME] [--reopt-threshold TV] [--epoch-cap N] [--metrics-addr HOST:PORT] [--dram-scale N] [--oplog-dir DIR] [--retry N] [--metrics-file PATH] [--efficacy-window N] [--efficacy-threshold D] [--json] [--hint-gen G] [--prefetch-distance D]");
+            eprintln!("usage: aptgetsim <list|run|hints|ir|export|ingest|drift|bench-gate|perf-history|serve|upload|serve-status|serve-dash|rollback|campaign> [WORKLOAD|FILE|DIR] [--scale S] [--seed N] [--optimized] [--explain] [--trace-out PATH] [--out PATH] [--db PATH] [--label STR] [--pc-offset HEX] [--fail-threshold TV] [--baseline PATH] [--tolerance T] [--phases] [--addr HOST:PORT] [--db-dir DIR] [--hints-dir DIR] [--tenant NAME] [--reopt-threshold TV] [--epoch-cap N] [--metrics-addr HOST:PORT] [--dram-scale N] [--oplog-dir DIR] [--retry N] [--metrics-file PATH] [--efficacy-window N] [--efficacy-threshold D] [--json] [--hint-gen G] [--prefetch-distance D]");
             return ExitCode::FAILURE;
         }
     };
@@ -702,69 +695,6 @@ fn main() -> ExitCode {
                 annotations.len()
             );
             ExitCode::SUCCESS
-        }
-        "report" => {
-            let Some(name) = args.workload.as_deref() else {
-                eprintln!("error: `report` needs a workload name");
-                return ExitCode::FAILURE;
-            };
-            // One workload's [baseline, A&J, APT-GET] triple, serial and
-            // uncached: the report depends only on simulated results.
-            let cfg = CampaignConfig {
-                workloads: vec![name.to_string()],
-                cache: None,
-                collect_outcomes: true,
-                ..CampaignConfig::new(args.scale, args.seed, 1)
-            };
-            let report = match run_campaign(&cfg) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            println!("{}", report.table_text());
-            let path = args.out.as_deref().unwrap_or("report.html");
-            if let Err(e) = std::fs::write(path, render_campaign_report(&report)) {
-                eprintln!("error: could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("[timeline report written to {path}]");
-            ExitCode::SUCCESS
-        }
-        "serve-metrics" => {
-            let Some(name) = args.workload.as_deref() else {
-                eprintln!("error: `serve-metrics` needs a workload name");
-                return ExitCode::FAILURE;
-            };
-            let registry = Registry::new();
-            let addr = args.addr.as_deref().unwrap_or("127.0.0.1:9184");
-            let server = match MetricsServer::bind(addr, registry.clone()) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: could not bind {addr}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            println!("serving http://{}/metrics (Ctrl-C to stop)", server.addr());
-            let cfg = CampaignConfig {
-                workloads: vec![name.to_string()],
-                cache: None,
-                metrics: registry,
-                collect_outcomes: true,
-                ..CampaignConfig::new(args.scale, args.seed, 1)
-            };
-            match run_campaign(&cfg) {
-                Ok(report) => println!("{}", report.table_text()),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            // Keep the scrape endpoint alive; the process is the server.
-            loop {
-                std::thread::sleep(std::time::Duration::from_secs(3600));
-            }
         }
         "serve" => {
             let addr = args.addr.as_deref().unwrap_or("127.0.0.1:9185");

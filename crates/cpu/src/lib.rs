@@ -1,9 +1,11 @@
 //! Execution-driven timing simulator for `apt-lir` programs.
 //!
-//! This crate stands in for the paper's evaluation machine: it *functionally
-//! executes* IR while charging cycle costs against the `apt-mem` hierarchy,
-//! and it implements the two hardware profiling facilities APT-GET relies
-//! on:
+//! This crate stands in for the paper's evaluation machine. [`Machine`] is
+//! the `apt_lir::eval::Memory` the decoded `apt-lir` interpreter runs
+//! against in detail: the interpreter executes the IR, and the machine's
+//! hooks — one per retired instruction, in program order — charge cycle
+//! costs against the `apt-mem` hierarchy and drive the two hardware
+//! profiling facilities APT-GET relies on:
 //!
 //! * **LBR** ([`lbr`]) — a 32-entry ring of retired taken branches with
 //!   cycle timestamps, snapshotted periodically like `perf record -b`;
@@ -28,10 +30,10 @@ pub mod perfscript;
 pub mod stats;
 
 pub use lbr::{LbrEntry, LbrRing, LbrSample, LBR_ENTRIES};
-pub use machine::{CoreOutcome, CoreState, Machine, SimConfig, SimError, WarmMem};
+pub use machine::{Machine, SimConfig, SimError, WarmMem};
 pub use memimg::MemImage;
 pub use pebs::PebsRecord;
 pub use perfscript::export_perf_script;
-pub use stats::{PerfStats, ProfileData};
+pub use stats::{CounterSnapshot, PerfStats, ProfileData};
 
 pub use apt_timeline::{Timeline, WindowOutcomes, WindowSample};

@@ -1,16 +1,17 @@
-//! The simulated machine: functional interpreter + timing + profilers.
+//! The simulated machine: timing + profilers on the decoded interpreter.
 
-use apt_lir::eval::{bin_cost, eval_bin, eval_un, sign_extend};
-use apt_lir::{AddressMap, BlockId, FuncId, Reg};
-use apt_lir::{Inst, Module, Operand, Pc, Terminator};
+use std::sync::Arc;
+
+use apt_lir::eval::{EvalError, Memory, RunState};
+use apt_lir::{DecodedModule, Interp, Module, Pc};
 use apt_mem::{Hierarchy, MemConfig};
-use apt_timeline::{Timeline, WindowOutcomes, WindowSample};
-use apt_trace::{PcOutcomes, TraceConfig, TraceReport};
+use apt_timeline::{Timeline, WindowSample};
+use apt_trace::{TraceConfig, TraceReport};
 
 use crate::lbr::{LbrRing, LbrSample};
 use crate::memimg::{MemFault, MemImage};
 use crate::pebs::PebsSampler;
-use crate::stats::{PerfStats, ProfileData};
+use crate::stats::{CounterSnapshot, PerfStats, ProfileData};
 
 /// Simulation configuration: memory system plus profiling knobs.
 #[derive(Debug, Clone, Copy)]
@@ -97,14 +98,19 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// A machine instance: module text + data image + caches + profilers.
+/// A machine instance: decoded module text + data image + caches +
+/// profilers.
+///
+/// The machine executes nothing itself. It is the [`Memory`] the decoded
+/// interpreter ([`apt_lir::Interp`]) runs against in detail: every hook
+/// charges cycles, probes the hierarchy and feeds LBR, PEBS and the
+/// telemetry windows.
 ///
 /// Cache and profiler state persists across [`Machine::call`]s, so
 /// multi-phase workloads (e.g. Brandes' BC) run with warm caches exactly
 /// like consecutive phases of a real process.
-pub struct Machine<'m> {
-    module: &'m Module,
-    map: AddressMap,
+pub struct Machine {
+    code: Arc<DecodedModule>,
     cfg: SimConfig,
     /// Functional data memory.
     pub image: MemImage,
@@ -117,27 +123,26 @@ pub struct Machine<'m> {
     cycles: u64,
     branches: u64,
     taken_branches: u64,
+    /// PC of the last access the image refused: the PC a fault reports.
+    fault_pc: Pc,
     // Telemetry windows (see `close_window`): samples emitted so far, the
-    // next boundary, and the cumulative-counter snapshot at the last close.
+    // next boundary, and the counter snapshot at the last close.
     timeline: Vec<WindowSample>,
     next_window: u64,
     win_index: u64,
-    win_start: PerfStats,
-    win_start_mshr_occ: u64,
-    win_start_outcomes: PcOutcomes,
+    win_start: CounterSnapshot,
     timeline_done: bool,
 }
 
-impl<'m> Machine<'m> {
+impl Machine {
     /// Creates a machine executing `module` against `image`.
-    pub fn new(module: &'m Module, cfg: SimConfig, image: MemImage) -> Machine<'m> {
+    pub fn new(module: &Module, cfg: SimConfig, image: MemImage) -> Machine {
         let mut hier = Hierarchy::new(&cfg.mem);
         if cfg.trace.is_active() {
             hier.set_trace(cfg.trace);
         }
         Machine {
-            module,
-            map: module.assign_pcs(),
+            code: Arc::new(DecodedModule::decode(module)),
             cfg,
             image,
             hier,
@@ -153,6 +158,7 @@ impl<'m> Machine<'m> {
             cycles: 0,
             branches: 0,
             taken_branches: 0,
+            fault_pc: Pc(0),
             timeline: Vec::new(),
             next_window: if cfg.timeline_window == 0 {
                 u64::MAX
@@ -160,16 +166,14 @@ impl<'m> Machine<'m> {
                 cfg.timeline_window
             },
             win_index: 0,
-            win_start: PerfStats::default(),
-            win_start_mshr_occ: 0,
-            win_start_outcomes: PcOutcomes::default(),
+            win_start: CounterSnapshot::default(),
             timeline_done: false,
         }
     }
 
-    /// The PC layout of the module under execution.
-    pub fn address_map(&self) -> &AddressMap {
-        &self.map
+    /// The decoded module under execution, for [`Machine::start`].
+    pub fn code(&self) -> Arc<DecodedModule> {
+        Arc::clone(&self.code)
     }
 
     /// Cumulative statistics so far.
@@ -240,62 +244,74 @@ impl<'m> Machine<'m> {
 
     /// Calls `func` with `args`; returns its return value, if any.
     pub fn call(&mut self, func: &str, args: &[u64]) -> Result<Option<u64>, SimError> {
-        let mut st = self.begin_call(func, args)?;
-        match self.run_core(&mut st, u64::MAX)? {
-            CoreOutcome::Done(v) => Ok(v),
-            CoreOutcome::Paused => unreachable!("unbounded run_core always finishes"),
+        let code = self.code();
+        let mut interp = Machine::start(&code, func, args)?;
+        match self.run(&mut interp, u64::MAX)? {
+            RunState::Done(v) => Ok(v),
+            RunState::Paused => unreachable!("an unbounded run always finishes"),
         }
     }
 
-    /// Resolves `func`, checks arity, and returns the initial detailed
-    /// activation state without executing anything. Drive it with
-    /// [`Machine::run_core`]; [`Machine::call`] is the unbounded
+    /// Resolves `func` in `code` (a machine's [`Machine::code`]), checks
+    /// arity, and returns the activation without executing anything.
+    /// Drive it with [`Machine::run`]; [`Machine::call`] is the unbounded
     /// combination of the two.
-    pub fn begin_call(&mut self, func: &str, args: &[u64]) -> Result<CoreState, SimError> {
-        let (fid, f) = self
-            .module
-            .function_by_name(func)
+    pub fn start<'c>(
+        code: &'c DecodedModule,
+        func: &str,
+        args: &[u64],
+    ) -> Result<Interp<'c>, SimError> {
+        let (_, f) = code
+            .func_by_name(func)
             .ok_or_else(|| SimError::UnknownFunction(func.to_string()))?;
-        if f.arity() != args.len() {
-            return Err(SimError::ArityMismatch {
-                func: func.to_string(),
-                expected: f.arity(),
-                got: args.len(),
-            });
-        }
-        let mut regs = vec![0u64; f.next_reg as usize];
-        regs[..args.len()].copy_from_slice(args);
-        Ok(CoreState {
-            fid,
-            regs,
-            block: f.entry,
+        Interp::new(f, args).map_err(|_| SimError::ArityMismatch {
+            func: func.to_string(),
+            expected: f.arity(),
+            got: args.len(),
         })
     }
 
-    #[inline]
-    fn val(regs: &[u64], op: Operand) -> u64 {
-        match op {
-            Operand::Reg(Reg(r)) => regs[r as usize],
-            Operand::Imm(v) => v,
+    /// Runs `interp` in detail until the function returns or at least
+    /// `fuel` more instructions have retired, pausing at the next block
+    /// boundary. A paused activation may continue on any [`Memory`] —
+    /// this machine, [`Machine::warm_mem`] or the bare image — and a
+    /// paused-and-resumed detailed execution is byte-identical to a
+    /// straight one.
+    pub fn run(&mut self, interp: &mut Interp, fuel: u64) -> Result<RunState, SimError> {
+        apt_selfprof::prof_scope!("cpu/exec");
+        // The instruction limit holds at every block boundary. Capping
+        // the run to pause once `instructions` passes it stops at the
+        // first boundary that breaks it; a fuel pause there comes first.
+        if self.instructions > self.cfg.inst_limit {
+            return Err(SimError::InstLimit);
         }
+        let cap = (self.cfg.inst_limit - self.instructions).saturating_add(1);
+        let start = self.instructions;
+        let state = interp.run(self, fuel.min(cap)).map_err(|err| match err {
+            EvalError::Fault { addr, width } => SimError::Fault {
+                pc: self.fault_pc,
+                fault: MemFault { addr, width },
+            },
+            other => unreachable!("a run raises only faults, not {other}"),
+        })?;
+        if state == RunState::Paused && self.instructions - start < fuel {
+            return Err(SimError::InstLimit);
+        }
+        Ok(state)
     }
 
-    #[inline]
-    fn retire(&mut self, cost: u64) {
-        self.instructions += 1;
-        self.cycles += cost;
-        if self.cycles >= self.next_lbr_sample {
-            self.lbr_samples.push(self.lbr.snapshot());
-            self.next_lbr_sample = self.cycles + self.cfg.lbr_sample_period;
-        }
-        if self.cycles >= self.next_window {
-            self.close_window(0);
-            // One instruction can cost more than a whole window; realign to
-            // the next boundary past `cycles` rather than emitting a
-            // backlog of empty windows.
-            let w = self.cfg.timeline_window;
-            self.next_window = (self.cycles / w + 1) * w;
-        }
+    /// Reads every cumulative counter and closes an MSHR accounting
+    /// window at the current cycle: returns the snapshot and the peak MSHR
+    /// occupancy since the previous close.
+    pub fn counters(&mut self) -> (CounterSnapshot, u64) {
+        let stats = self.stats();
+        let (mshr_occ_cycles, peak) = self.hier.mshr_window_stats(self.cycles);
+        let snapshot = CounterSnapshot {
+            stats,
+            mshr_occ_cycles,
+            outcomes: self.hier.tracer.outcome_totals(),
+        };
+        (snapshot, peak as u64)
     }
 
     /// Closes the current telemetry window at `self.cycles`: emits the
@@ -304,55 +320,12 @@ impl<'m> Machine<'m> {
     /// only reads (and re-anchors) monotone counters, so enabling the
     /// timeline cannot change simulated results.
     fn close_window(&mut self, pending_useless: u64) {
-        let end = self.stats();
-        let s = self.win_start;
-        let (mshr_occ_cum, mshr_peak) = self.hier.mshr_window_stats(self.cycles);
-        let out = self.hier.tracer.outcome_totals();
-        let o = self.win_start_outcomes;
-        self.timeline.push(WindowSample {
-            index: self.win_index,
-            start_cycle: s.cycles,
-            end_cycle: end.cycles,
-            start_instr: s.instructions,
-            instructions: end.instructions - s.instructions,
-            cycles: end.cycles - s.cycles,
-            branches: end.branches - s.branches,
-            taken_branches: end.taken_branches - s.taken_branches,
-            loads: end.mem.loads - s.mem.loads,
-            stores: end.mem.stores - s.mem.stores,
-            l1_hits: end.mem.l1_hits - s.mem.l1_hits,
-            l2_hits: end.mem.l2_hits - s.mem.l2_hits,
-            llc_hits: end.mem.llc_hits - s.mem.llc_hits,
-            demand_fills: end.mem.demand_fills - s.mem.demand_fills,
-            fb_hits_swpf: end.mem.fb_hits_swpf - s.mem.fb_hits_swpf,
-            fb_hits_other: end.mem.fb_hits_other - s.mem.fb_hits_other,
-            sw_pf_issued: end.mem.sw_pf_issued - s.mem.sw_pf_issued,
-            sw_pf_redundant: end.mem.sw_pf_redundant - s.mem.sw_pf_redundant,
-            sw_pf_dropped_full: end.mem.sw_pf_dropped_full - s.mem.sw_pf_dropped_full,
-            sw_pf_offcore: end.mem.sw_pf_offcore - s.mem.sw_pf_offcore,
-            sw_pf_oncore: end.mem.sw_pf_oncore - s.mem.sw_pf_oncore,
-            hw_pf_offcore: end.mem.hw_pf_offcore - s.mem.hw_pf_offcore,
-            pf_evicted_unused: end.mem.pf_evicted_unused - s.mem.pf_evicted_unused,
-            pf_used: end.mem.pf_used - s.mem.pf_used,
-            stall_l2: end.mem.stall_l2 - s.mem.stall_l2,
-            stall_llc: end.mem.stall_llc - s.mem.stall_llc,
-            stall_dram: end.mem.stall_dram - s.mem.stall_dram,
-            mshr_occ_cycles: mshr_occ_cum - self.win_start_mshr_occ,
-            mshr_peak: mshr_peak as u64,
-            outcomes: WindowOutcomes {
-                issued: out.issued - o.issued,
-                timely: out.timely - o.timely,
-                late: out.late - o.late,
-                early: out.early - o.early,
-                useless: out.useless - o.useless + pending_useless,
-                redundant: out.redundant - o.redundant,
-                dropped: out.dropped - o.dropped,
-            },
-        });
+        let (end, peak) = self.counters();
+        let mut sample = self.win_start.window_to(&end, self.win_index, peak);
+        sample.outcomes.useless += pending_useless;
+        self.timeline.push(sample);
         self.win_index += 1;
         self.win_start = end;
-        self.win_start_mshr_occ = mshr_occ_cum;
-        self.win_start_outcomes = out;
     }
 
     /// Flushes the final (usually partial) telemetry window. Idempotent;
@@ -369,7 +342,7 @@ impl<'m> Machine<'m> {
         // in the final window (`take_trace` does the same drain).
         self.hier.drain(self.cycles);
         let pending = self.hier.tracer.outcome_pending() as u64;
-        if self.instructions > self.win_start.instructions || pending > 0 {
+        if self.instructions > self.win_start.stats.instructions || pending > 0 {
             self.close_window(pending);
         }
     }
@@ -382,194 +355,6 @@ impl<'m> Machine<'m> {
         Timeline {
             window: self.cfg.timeline_window,
             samples: std::mem::take(&mut self.timeline),
-        }
-    }
-
-    /// Runs the detailed core from `st` until the function returns or at
-    /// least `fuel` more instructions have retired, pausing at the next
-    /// block boundary (the overshoot is at most one block, so the state
-    /// stays a clean `(regs, block)` pair the functional interpreter can
-    /// pick up). Timing, profiling, and telemetry behave exactly as in an
-    /// unbounded run — a paused-and-resumed execution is byte-identical to
-    /// a straight one.
-    pub fn run_core(&mut self, st: &mut CoreState, fuel: u64) -> Result<CoreOutcome, SimError> {
-        apt_selfprof::prof_scope!("cpu/exec");
-        let fid = st.fid;
-        let func = self.module.function(fid);
-        let regs = &mut st.regs;
-        let mut cur: BlockId = st.block;
-        let run_start = self.instructions;
-        // Scratch for parallel-copy φ resolution.
-        let mut phi_tmp: Vec<(u32, u64)> = Vec::new();
-
-        // φ-nodes resolve when the edge into their block is taken (the
-        // incoming value is picked by predecessor, and at that point the
-        // predecessor's registers are exactly the edge's source values).
-        // Resolving on entry via a `prev` block would be equivalent; the
-        // edge formulation is what lets a pause point be just `(regs,
-        // block)` with no edge memory.
-        fn apply_phis(
-            func: &apt_lir::Function,
-            from: BlockId,
-            target: BlockId,
-            regs: &mut [u64],
-            phi_tmp: &mut Vec<(u32, u64)>,
-        ) {
-            let block = func.block(target);
-            let phi_count = block.phi_count();
-            if phi_count == 0 {
-                return;
-            }
-            phi_tmp.clear();
-            for inst in &block.insts[..phi_count] {
-                let Inst::Phi { dst, incomings } = inst else {
-                    unreachable!("phi prefix")
-                };
-                let (_, op) = incomings
-                    .iter()
-                    .find(|(p, _)| *p == from)
-                    .expect("verifier guarantees an incoming per predecessor");
-                phi_tmp.push((dst.0, Machine::val(regs, *op)));
-            }
-            for &(d, v) in phi_tmp.iter() {
-                regs[d as usize] = v;
-            }
-        }
-
-        loop {
-            if self.instructions > self.cfg.inst_limit {
-                return Err(SimError::InstLimit);
-            }
-            let fetch_scope = apt_selfprof::ScopeGuard::enter("cpu/step/fetch");
-            let block = func.block(cur);
-            let base_pc = self.map.block_start_pc(fid, cur).0;
-            // (Block lookup stands in for fetch/decode; φs retire free.)
-            let phi_count = block.phi_count();
-
-            drop(fetch_scope);
-
-            // Straight-line body.
-            apt_selfprof::prof_scope!("cpu/step/exec");
-            for (i, inst) in block.insts.iter().enumerate().skip(phi_count) {
-                let pc = Pc(base_pc + 4 * i as u64);
-                match inst {
-                    Inst::Phi { .. } => unreachable!("phi prefix"),
-                    Inst::Bin { dst, op, a, b } => {
-                        let x = Self::val(regs, *a);
-                        let y = Self::val(regs, *b);
-                        regs[dst.0 as usize] = eval_bin(*op, x, y);
-                        self.retire(bin_cost(*op));
-                    }
-                    Inst::Un { dst, op, a } => {
-                        let x = Self::val(regs, *a);
-                        regs[dst.0 as usize] = eval_un(*op, x);
-                        self.retire(1);
-                    }
-                    Inst::Select {
-                        dst,
-                        cond,
-                        if_true,
-                        if_false,
-                    } => {
-                        let c = Self::val(regs, *cond);
-                        regs[dst.0 as usize] = if c != 0 {
-                            Self::val(regs, *if_true)
-                        } else {
-                            Self::val(regs, *if_false)
-                        };
-                        self.retire(1);
-                    }
-                    Inst::Load {
-                        dst,
-                        addr,
-                        width,
-                        sext,
-                        spec,
-                    } => {
-                        let a = Self::val(regs, *addr);
-                        let w = width.bytes();
-                        let raw = match self.image.read(a, w) {
-                            Ok(v) => v,
-                            // Speculative (prefetch-slice) loads never
-                            // fault: out-of-range reads yield 0 and skip
-                            // the memory system.
-                            Err(_) if *spec => {
-                                regs[dst.0 as usize] = 0;
-                                self.retire(1);
-                                continue;
-                            }
-                            Err(fault) => return Err(SimError::Fault { pc, fault }),
-                        };
-                        let v = if *sext { sign_extend(raw, w) } else { raw };
-                        regs[dst.0 as usize] = v;
-                        let r = {
-                            apt_selfprof::prof_scope!("cpu/step/mem");
-                            self.hier.demand_load(pc.0, a, self.cycles)
-                        };
-                        self.pebs.observe(pc, r.served, self.cycles);
-                        self.retire(r.latency);
-                    }
-                    Inst::Store { addr, value, width } => {
-                        let a = Self::val(regs, *addr);
-                        let v = Self::val(regs, *value);
-                        self.image
-                            .write(a, v, width.bytes())
-                            .map_err(|fault| SimError::Fault { pc, fault })?;
-                        {
-                            apt_selfprof::prof_scope!("cpu/step/mem");
-                            self.hier.store(pc.0, a, self.cycles);
-                        }
-                        self.retire(1);
-                    }
-                    Inst::Prefetch { addr } => {
-                        let a = Self::val(regs, *addr);
-                        // Prefetching unmapped addresses is architecturally
-                        // a no-op (like x86 PREFETCHT0), so no fault check.
-                        {
-                            apt_selfprof::prof_scope!("cpu/step/mem");
-                            self.hier.sw_prefetch(pc.0, a, self.cycles);
-                        }
-                        self.retire(1);
-                    }
-                }
-            }
-
-            // Terminator.
-            let term_pc = self.map.term_pc(fid, cur);
-            match &block.term {
-                Terminator::Br { target } => {
-                    self.branches += 1;
-                    self.taken_branches += 1;
-                    self.retire(1);
-                    self.lbr
-                        .record(term_pc, self.map.block_start_pc(fid, *target), self.cycles);
-                    apply_phis(func, cur, *target, regs, &mut phi_tmp);
-                    cur = *target;
-                }
-                Terminator::CondBr { cond, then_, else_ } => {
-                    let c = Self::val(regs, *cond);
-                    self.branches += 1;
-                    self.retire(1);
-                    let target = if c != 0 {
-                        self.taken_branches += 1;
-                        self.lbr
-                            .record(term_pc, self.map.block_start_pc(fid, *then_), self.cycles);
-                        *then_
-                    } else {
-                        *else_
-                    };
-                    apply_phis(func, cur, target, regs, &mut phi_tmp);
-                    cur = target;
-                }
-                Terminator::Ret { value } => {
-                    self.retire(1);
-                    return Ok(CoreOutcome::Done(value.map(|v| Self::val(regs, v))));
-                }
-            }
-            if self.instructions - run_start >= fuel {
-                st.block = cur;
-                return Ok(CoreOutcome::Paused);
-            }
         }
     }
 
@@ -602,12 +387,6 @@ impl<'m> Machine<'m> {
         }
     }
 
-    /// The tracer's cumulative per-outcome totals (see `apt-trace`) — the
-    /// counter snapshot `apt-sample` diffs around measurement windows.
-    pub fn outcome_totals(&self) -> PcOutcomes {
-        self.hier.tracer.outcome_totals()
-    }
-
     /// Installs any already-arrived fills and returns how many prefetches
     /// are still unclassified — the count that finalizes as `useless` when
     /// tracing ends (mirrors [`Machine::finish_timeline`]'s bookkeeping).
@@ -615,44 +394,87 @@ impl<'m> Machine<'m> {
         self.hier.drain(self.cycles);
         self.hier.tracer.outcome_pending() as u64
     }
+}
 
-    /// Closes an MSHR accounting window at the current cycle: cumulative
-    /// `∫occupancy` and the peak since the previous close (delegates to
-    /// `Hierarchy::mshr_window_stats`).
-    pub fn mshr_window_stats(&mut self) -> (u64, usize) {
-        self.hier.mshr_window_stats(self.cycles)
+/// The detailed core: the interpreter's hooks, in program order, are the
+/// retired instruction stream. A successful load reads the image, probes
+/// the hierarchy, offers itself to PEBS and retires its latency; a
+/// refused access retires nothing (the interpreter retires a speculative
+/// load that faulted, and ends the run on any other fault).
+impl Memory for Machine {
+    #[inline]
+    fn read(&mut self, pc: Pc, addr: u64, width: u64) -> Option<u64> {
+        let Ok(v) = self.image.read(addr, width) else {
+            self.fault_pc = pc;
+            return None;
+        };
+        let r = {
+            apt_selfprof::prof_scope!("cpu/step/mem");
+            self.hier.demand_load(pc.0, addr, self.cycles)
+        };
+        self.pebs.observe(pc, r.served, self.cycles);
+        self.retire(r.latency);
+        Some(v)
     }
-}
 
-/// A paused detailed activation: the SSA register file plus the block
-/// about to execute, whose φ-copies have already been applied. Block
-/// boundaries are the only pause points, so this pair is the complete
-/// architectural state — interchangeable with `apt_lir::Interp`
-/// checkpoints, which use the same convention.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoreState {
-    fid: FuncId,
-    /// SSA register file.
-    pub regs: Vec<u64>,
-    /// Block about to execute (φ-copies already applied).
-    pub block: BlockId,
-}
-
-impl CoreState {
-    /// The function this activation executes.
-    pub fn fid(&self) -> FuncId {
-        self.fid
+    #[inline]
+    fn write(&mut self, pc: Pc, addr: u64, value: u64, width: u64) -> Option<()> {
+        if self.image.write(addr, value, width).is_err() {
+            self.fault_pc = pc;
+            return None;
+        }
+        {
+            apt_selfprof::prof_scope!("cpu/step/mem");
+            self.hier.store(pc.0, addr, self.cycles);
+        }
+        self.retire(1);
+        Some(())
     }
-}
 
-/// Outcome of a fueled [`Machine::run_core`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CoreOutcome {
-    /// The function returned.
-    Done(Option<u64>),
-    /// The fuel budget was reached; the activation paused at a block
-    /// boundary and can be resumed (or handed to the interpreter).
-    Paused,
+    #[inline]
+    fn prefetch(&mut self, pc: Pc, addr: u64) {
+        // Prefetching unmapped addresses is architecturally a no-op (like
+        // x86 PREFETCHT0), so no fault check.
+        {
+            apt_selfprof::prof_scope!("cpu/step/mem");
+            self.hier.sw_prefetch(pc.0, addr, self.cycles);
+        }
+        self.retire(1);
+    }
+
+    #[inline]
+    fn retire(&mut self, cost: u64) {
+        self.instructions += 1;
+        self.cycles += cost;
+        if self.cycles >= self.next_lbr_sample {
+            self.lbr_samples.push(self.lbr.snapshot());
+            self.next_lbr_sample = self.cycles + self.cfg.lbr_sample_period;
+        }
+        if self.cycles >= self.next_window {
+            self.close_window(0);
+            // One instruction can cost more than a whole window; realign to
+            // the next boundary past `cycles` rather than emitting a
+            // backlog of empty windows.
+            let w = self.cfg.timeline_window;
+            self.next_window = (self.cycles / w + 1) * w;
+        }
+    }
+
+    #[inline]
+    fn branch(&mut self, pc: Pc, target: Pc, taken: bool, conditional: bool) {
+        self.branches += 1;
+        // An unconditional branch counts as taken before it retires, a
+        // conditional one after: a telemetry window closing on this
+        // retire sees exactly that.
+        if !conditional {
+            self.taken_branches += 1;
+        }
+        self.retire(1);
+        if taken {
+            self.taken_branches += conditional as u64;
+            self.lbr.record(pc, target, self.cycles);
+        }
+    }
 }
 
 /// Functional-warming memory for fast-forward phases (see
@@ -671,8 +493,8 @@ pub struct WarmMem<'a> {
     last_line: u64,
 }
 
-impl apt_lir::eval::Memory for WarmMem<'_> {
-    fn read(&mut self, addr: u64, width: u64) -> Option<u64> {
+impl Memory for WarmMem<'_> {
+    fn read(&mut self, _pc: Pc, addr: u64, width: u64) -> Option<u64> {
         // Explicit inherent-method call: `self.image` is `&mut MemImage`,
         // where plain `.read()` would resolve to the trait method again.
         match MemImage::read(self.image, addr, width) {
@@ -690,7 +512,7 @@ impl apt_lir::eval::Memory for WarmMem<'_> {
         }
     }
 
-    fn write(&mut self, addr: u64, value: u64, width: u64) -> Option<()> {
+    fn write(&mut self, _pc: Pc, addr: u64, value: u64, width: u64) -> Option<()> {
         match MemImage::write(self.image, addr, value, width) {
             Ok(()) => {
                 let line = apt_mem::line_of(addr);
@@ -704,7 +526,7 @@ impl apt_lir::eval::Memory for WarmMem<'_> {
         }
     }
 
-    fn prefetch(&mut self, addr: u64) {
+    fn prefetch(&mut self, _pc: Pc, addr: u64) {
         // Unmapped prefetches are architectural no-ops but still probe the
         // hierarchy, exactly like `Hierarchy::sw_prefetch`.
         self.hier.warm_prefetch(addr);
@@ -715,6 +537,7 @@ impl apt_lir::eval::Memory for WarmMem<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apt_lir::eval::{eval_bin, eval_un, sign_extend};
     use apt_lir::{BinOp, FCmpPred, FunctionBuilder, ICmpPred, UnOp, Width};
 
     fn sum_module() -> Module {

@@ -98,8 +98,7 @@ impl MemImage {
     ///
     /// Width-specialized: each arm is a fixed-size `from_le_bytes`, so the
     /// compiler emits a plain load instead of a variable-length `memcpy` —
-    /// this is the hottest function of the reference interpreter and the
-    /// sampled fast-forward path.
+    /// every interpreter load goes through here, detailed or functional.
     #[inline]
     pub fn read(&self, addr: u64, width: u64) -> Result<u64, MemFault> {
         let off = self.offset(addr, width)?;
@@ -192,15 +191,15 @@ impl MemImage {
     }
 }
 
-/// The reference interpreter reads and writes the image with exactly the
-/// simulator's bounds behaviour, so `apt_lir::eval::run_function` and
-/// [`crate::Machine`] observe identical memory.
+/// Architectural runs of the interpreter (`apt_lir::eval::run_function`,
+/// the sampled driver's cold fast-forward) use the image directly, with
+/// the bounds behaviour [`crate::Machine`]'s timed accesses use too.
 impl apt_lir::eval::Memory for MemImage {
-    fn read(&mut self, addr: u64, width: u64) -> Option<u64> {
+    fn read(&mut self, _pc: apt_lir::Pc, addr: u64, width: u64) -> Option<u64> {
         MemImage::read(self, addr, width).ok()
     }
 
-    fn write(&mut self, addr: u64, value: u64, width: u64) -> Option<()> {
+    fn write(&mut self, _pc: apt_lir::Pc, addr: u64, value: u64, width: u64) -> Option<()> {
         MemImage::write(self, addr, value, width).ok()
     }
 }
@@ -275,11 +274,12 @@ mod tests {
     #[test]
     fn memory_trait_matches_inherent_semantics() {
         use apt_lir::eval::Memory;
+        use apt_lir::Pc;
         let mut m = MemImage::new();
         let a = m.alloc(16, 8);
-        Memory::write(&mut m, a, 0xabcd, 4).unwrap();
-        assert_eq!(Memory::read(&mut m, a, 4), Some(0xabcd));
-        assert_eq!(Memory::read(&mut m, a + 16, 4), None);
-        assert_eq!(Memory::write(&mut m, a + 16, 0, 4), None);
+        Memory::write(&mut m, Pc(0), a, 0xabcd, 4).unwrap();
+        assert_eq!(Memory::read(&mut m, Pc(0), a, 4), Some(0xabcd));
+        assert_eq!(Memory::read(&mut m, Pc(0), a + 16, 4), None);
+        assert_eq!(Memory::write(&mut m, Pc(0), a + 16, 0, 4), None);
     }
 }

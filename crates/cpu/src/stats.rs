@@ -1,6 +1,8 @@
 //! Aggregate run statistics and collected profiles.
 
 use apt_mem::MemCounters;
+use apt_timeline::{WindowOutcomes, WindowSample};
+use apt_trace::PcOutcomes;
 
 use crate::lbr::LbrSample;
 use crate::pebs::PebsRecord;
@@ -95,6 +97,68 @@ impl PerfStats {
             )
             .set(self.memory_bound_fraction());
         self.mem.export_metrics(registry, labels);
+    }
+}
+
+/// Every cumulative counter a telemetry window diffs, read at one instant
+/// ([`crate::Machine::counters`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CounterSnapshot {
+    /// Core and memory-system counters.
+    pub stats: PerfStats,
+    /// Cumulative MSHR occupancy integrated over cycles.
+    pub mshr_occ_cycles: u64,
+    /// Cumulative prefetch-outcome totals.
+    pub outcomes: PcOutcomes,
+}
+
+impl CounterSnapshot {
+    /// The telemetry window from `self` to `end`: the delta of every
+    /// counter, anchored at `self`'s cycle and instruction. `mshr_peak` is
+    /// the peak MSHR occupancy inside the window.
+    pub fn window_to(&self, end: &CounterSnapshot, index: u64, mshr_peak: u64) -> WindowSample {
+        let (s, e) = (&self.stats, &end.stats);
+        let (o, p) = (&self.outcomes, &end.outcomes);
+        WindowSample {
+            index,
+            start_cycle: s.cycles,
+            end_cycle: e.cycles,
+            start_instr: s.instructions,
+            instructions: e.instructions - s.instructions,
+            cycles: e.cycles - s.cycles,
+            branches: e.branches - s.branches,
+            taken_branches: e.taken_branches - s.taken_branches,
+            loads: e.mem.loads - s.mem.loads,
+            stores: e.mem.stores - s.mem.stores,
+            l1_hits: e.mem.l1_hits - s.mem.l1_hits,
+            l2_hits: e.mem.l2_hits - s.mem.l2_hits,
+            llc_hits: e.mem.llc_hits - s.mem.llc_hits,
+            demand_fills: e.mem.demand_fills - s.mem.demand_fills,
+            fb_hits_swpf: e.mem.fb_hits_swpf - s.mem.fb_hits_swpf,
+            fb_hits_other: e.mem.fb_hits_other - s.mem.fb_hits_other,
+            sw_pf_issued: e.mem.sw_pf_issued - s.mem.sw_pf_issued,
+            sw_pf_redundant: e.mem.sw_pf_redundant - s.mem.sw_pf_redundant,
+            sw_pf_dropped_full: e.mem.sw_pf_dropped_full - s.mem.sw_pf_dropped_full,
+            sw_pf_offcore: e.mem.sw_pf_offcore - s.mem.sw_pf_offcore,
+            sw_pf_oncore: e.mem.sw_pf_oncore - s.mem.sw_pf_oncore,
+            hw_pf_offcore: e.mem.hw_pf_offcore - s.mem.hw_pf_offcore,
+            pf_evicted_unused: e.mem.pf_evicted_unused - s.mem.pf_evicted_unused,
+            pf_used: e.mem.pf_used - s.mem.pf_used,
+            stall_l2: e.mem.stall_l2 - s.mem.stall_l2,
+            stall_llc: e.mem.stall_llc - s.mem.stall_llc,
+            stall_dram: e.mem.stall_dram - s.mem.stall_dram,
+            mshr_occ_cycles: end.mshr_occ_cycles - self.mshr_occ_cycles,
+            mshr_peak,
+            outcomes: WindowOutcomes {
+                issued: p.issued - o.issued,
+                timely: p.timely - o.timely,
+                late: p.late - o.late,
+                early: p.early - o.early,
+                useless: p.useless - o.useless,
+                redundant: p.redundant - o.redundant,
+                dropped: p.dropped - o.dropped,
+            },
+        }
     }
 }
 

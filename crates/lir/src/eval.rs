@@ -1,25 +1,22 @@
-//! Reference evaluation semantics of the IR.
+//! Evaluation semantics of the IR, and the one loop that executes it.
 //!
-//! The pure-operation helpers ([`eval_bin`], [`eval_un`], [`sign_extend`])
-//! are shared by the timing simulator (`apt-cpu`) and the constant-folding
-//! pass (`apt-passes`), so both agree on every arithmetic corner case.
+//! The pure-operation helpers [`eval_bin`] and [`eval_un`] are shared
+//! with the constant-folding pass (`apt-passes`), so folding and
+//! execution agree on every arithmetic corner case.
 //!
-//! [`run_function`] builds on them: a complete *architectural* interpreter
-//! with no timing, caches or profiling. It is the differential-testing
-//! oracle — `apt-cpu::Machine` must produce exactly the same return values
-//! and memory contents, with or without injected prefetches.
-//!
-//! Since the sampled-simulation work the interpreter is no longer a tree
-//! walker: functions are predecoded once into a flat threaded op array
+//! Functions are predecoded once into a flat threaded op array
 //! ([`DecodedFunc`]) whose φ-nodes are compiled into parallel-copy lists
 //! attached to each CFG *edge*, and execution is a resumable [`Interp`]
-//! that can pause at any block boundary ([`Interp::run`] with fuel) and be
-//! checkpointed/restored ([`Interp::checkpoint`]). `apt-sample` uses this
-//! to fast-forward functionally between detailed measurement windows;
-//! [`run_function`] is now a thin wrapper with its original contract.
+//! that can pause at any block boundary ([`Interp::run`] with fuel). The
+//! [`Memory`] it runs against decides what a run is: architectural on a
+//! plain image ([`run_function`] is the one-shot form), cache-warming in
+//! `apt-sample`'s fast-forward, or fully timed on `apt-cpu::Machine`,
+//! whose PMU, LBR, PEBS and telemetry hang off the memory's hooks. One
+//! activation can switch between them at any pause.
 
 use crate::inst::{BinOp, FCmpPred, ICmpPred, Inst, Terminator, UnOp};
-use crate::module::{BlockId, FuncId, Function, Module, Reg};
+use crate::module::{BlockId, FuncId, Function, InstId, InstRef, Module, Reg};
+use crate::pcmap::{AddressMap, Pc};
 use crate::Operand;
 
 #[inline]
@@ -115,23 +112,37 @@ pub fn eval_un(op: UnOp, a: u64) -> u64 {
     }
 }
 
-/// Byte-addressed data memory as the reference interpreter sees it.
+/// Byte-addressed data memory as the interpreter sees it, plus the hooks
+/// a timing model listens on.
 ///
-/// `apt-cpu::MemImage` implements this; tests may substitute their own
-/// (e.g. a sparse map) as long as reads and writes are little-endian with
-/// the same bounds behaviour.
+/// Every access carries the PC of the instruction performing it. The
+/// interpreter reports each retired instruction exactly once, in program
+/// order — constituents of fused ops included: a memory op through the
+/// access that performs it, a terminator through [`Memory::branch`] (a
+/// return through [`Memory::retire`]), and everything else, including a
+/// speculative load that faulted, through [`Memory::retire`].
+/// Architectural memories (`apt-cpu::MemImage`, and tests' own) ignore
+/// PCs and keep the no-op hook defaults; the detailed `apt-cpu::Machine`
+/// charges cycles and feeds its profilers from them.
 pub trait Memory {
     /// Reads `width` (1/2/4/8) bytes little-endian, zero-extended, or
     /// `None` on an out-of-bounds access. Takes `&mut self` so warming
-    /// memories can promote cache lines as a side effect of reads;
-    /// architectural implementations simply don't mutate.
-    fn read(&mut self, addr: u64, width: u64) -> Option<u64>;
+    /// and timing memories can react to reads; architectural
+    /// implementations simply don't mutate.
+    fn read(&mut self, pc: Pc, addr: u64, width: u64) -> Option<u64>;
     /// Writes the low `width` bytes of `value`; `None` if out of bounds.
-    fn write(&mut self, addr: u64, value: u64, width: u64) -> Option<()>;
+    fn write(&mut self, pc: Pc, addr: u64, value: u64, width: u64) -> Option<()>;
     /// Observes a `Prefetch` instruction. Architecturally a no-op (the
     /// default), but warming memories (`apt-sample`'s fast-forward path)
     /// override it to keep cache state hot between measurement windows.
-    fn prefetch(&mut self, _addr: u64) {}
+    fn prefetch(&mut self, _pc: Pc, _addr: u64) {}
+    /// Retires one instruction that accessed no memory, costing `cost`
+    /// cycles ([`bin_cost`] for ALU ops, 1 for everything else).
+    fn retire(&mut self, _cost: u64) {}
+    /// Retires the block terminator at `pc`: an unconditional branch
+    /// (`conditional == false`, always taken) or a conditional one.
+    /// `target` is the first PC of the block control continues at.
+    fn branch(&mut self, _pc: Pc, _target: Pc, _taken: bool, _conditional: bool) {}
 }
 
 /// Architectural interpretation failure.
@@ -174,11 +185,10 @@ impl std::error::Error for EvalError {}
 /// that implement the target block's φ-nodes for this predecessor.
 #[derive(Debug, Clone)]
 struct Edge {
-    /// Target block (for checkpointing — the interpreter itself jumps by
-    /// op index).
-    block: u32,
     /// First op index of the target block.
     ip: u32,
+    /// First PC of the target block (the branch target LBR records).
+    target_pc: u32,
     /// φ parallel copies `(dst reg, source reg)`, sources all read before
     /// any destination is written.
     copies: Box<[(u32, u32)]>,
@@ -191,12 +201,17 @@ struct Edge {
 /// constant pool appended to the register file, so the hot loop reads
 /// any operand with a single unconditioned indexed load.
 ///
+/// Memory ops and branching terminators carry the PC of that
+/// instruction, so a timing [`Memory`] sees the same PCs as the
+/// module's `AddressMap` hands out.
+///
 /// The decoder additionally *fuses* adjacent ops into superinstructions
 /// (`CmpBr`, `AddLoad`, `ShlAdd*`) to cut dispatch count — the dominant
 /// interpreter cost. Fusion is purely mechanical: a fused op executes its
 /// constituents verbatim, in order, including every intermediate register
-/// write, and retires the same number of instructions, so architectural
-/// state and step counts are bit-identical to the unfused sequence.
+/// write and every [`Memory`] hook, so architectural state, step counts
+/// and timing are bit-identical to the unfused sequence. A fused op holds
+/// at most one memory op or terminator, whose PC is its `pc`.
 #[derive(Debug, Clone)]
 enum Op {
     Bin {
@@ -225,6 +240,7 @@ enum Op {
         if_false: u32,
     },
     Load {
+        pc: u32,
         dst: u32,
         addr: u32,
         width: u8,
@@ -232,17 +248,21 @@ enum Op {
         spec: bool,
     },
     Store {
+        pc: u32,
         addr: u32,
         value: u32,
         width: u8,
     },
     Prefetch {
+        pc: u32,
         addr: u32,
     },
     Jump {
+        pc: u32,
         edge: u32,
     },
     Branch {
+        pc: u32,
         cond: u32,
         then_edge: u32,
         else_edge: u32,
@@ -254,6 +274,7 @@ enum Op {
     /// result is still written to `dst` for any later (φ or cross-block)
     /// use.
     CmpBr {
+        pc: u32,
         dst: u32,
         pred: ICmpPred,
         a: u32,
@@ -265,6 +286,7 @@ enum Op {
     /// counted loop ends with — bump the induction variable, compare,
     /// branch back.
     AddCmpBr {
+        pc: u32,
         adst: u32,
         aa: u32,
         ab: u32,
@@ -278,6 +300,7 @@ enum Op {
     /// Fused `Add` + `Load` (retires 2): the `load_elem` tail for byte
     /// arrays and pointer-offset loads.
     AddLoad {
+        pc: u32,
         adst: u32,
         aa: u32,
         ab: u32,
@@ -291,6 +314,7 @@ enum Op {
     /// addressing sequence `FunctionBuilder::load_elem` emits for every
     /// array access.
     ShlAddLoad {
+        pc: u32,
         sdst: u32,
         sa: u32,
         sb: u32,
@@ -305,6 +329,7 @@ enum Op {
     },
     /// Fused `Shl` + `Add` + `Store` (retires 3).
     ShlAddStore {
+        pc: u32,
         sdst: u32,
         sa: u32,
         sb: u32,
@@ -318,6 +343,7 @@ enum Op {
     /// Fused `Shl` + `Add` + `Prefetch` (retires 3): the address slice of
     /// an injected software prefetch.
     ShlAddPrefetch {
+        pc: u32,
         sdst: u32,
         sa: u32,
         sb: u32,
@@ -336,6 +362,7 @@ fn push_fused(body: &mut Vec<Op>, op: Op) {
     let n = body.len();
     match op {
         Op::Load {
+            pc,
             dst,
             addr,
             width,
@@ -359,6 +386,7 @@ fn push_fused(body: &mut Vec<Op>, op: Op) {
                 {
                     body.truncate(n - 2);
                     body.push(Op::ShlAddLoad {
+                        pc,
                         sdst,
                         sa,
                         sb,
@@ -382,6 +410,7 @@ fn push_fused(body: &mut Vec<Op>, op: Op) {
             {
                 body.truncate(n - 1);
                 body.push(Op::AddLoad {
+                    pc,
                     adst,
                     aa,
                     ab,
@@ -395,7 +424,12 @@ fn push_fused(body: &mut Vec<Op>, op: Op) {
             }
             body.push(op);
         }
-        Op::Store { addr, value, width } => {
+        Op::Store {
+            pc,
+            addr,
+            value,
+            width,
+        } => {
             if n >= 2 {
                 if let (
                     &Op::Bin {
@@ -413,6 +447,7 @@ fn push_fused(body: &mut Vec<Op>, op: Op) {
                 {
                     body.truncate(n - 2);
                     body.push(Op::ShlAddStore {
+                        pc,
                         sdst,
                         sa,
                         sb,
@@ -428,7 +463,7 @@ fn push_fused(body: &mut Vec<Op>, op: Op) {
             }
             body.push(op);
         }
-        Op::Prefetch { addr } => {
+        Op::Prefetch { pc, addr } => {
             if n >= 2 {
                 if let (
                     &Op::Bin {
@@ -446,6 +481,7 @@ fn push_fused(body: &mut Vec<Op>, op: Op) {
                 {
                     body.truncate(n - 2);
                     body.push(Op::ShlAddPrefetch {
+                        pc,
                         sdst,
                         sa,
                         sb,
@@ -464,21 +500,20 @@ fn push_fused(body: &mut Vec<Op>, op: Op) {
 }
 
 /// A function predecoded for threaded dispatch: a flat op array in block
-/// order, a side table of φ-resolved edges, the block→op-index map used
-/// to pause/resume at block boundaries, and the deduplicated constant
+/// order, a side table of φ-resolved edges, and the deduplicated constant
 /// pool operand indices ≥ `next_reg` refer into.
 #[derive(Debug, Clone)]
 pub struct DecodedFunc {
     name: String,
     arity: usize,
-    /// Architectural register count — the checkpoint/hand-off boundary.
-    /// The live register file is `next_reg + consts.len()` wide.
+    /// Architectural register count. The live register file is
+    /// `next_reg + consts.len()` wide.
     next_reg: u32,
     consts: Vec<u64>,
     ops: Vec<Op>,
     edges: Vec<Edge>,
-    block_ip: Vec<u32>,
-    entry: u32,
+    /// First op index of the entry block.
+    entry_ip: u32,
 }
 
 /// Strength reduction for decode: `x · 2ᵏ ≡ x << k` under wrapping
@@ -497,10 +532,12 @@ fn shl_of_mul(a: Operand, b: Operand) -> Option<(Operand, u64)> {
 }
 
 impl DecodedFunc {
-    /// Decodes one function. Assumes the module verifies (φ prefixes only,
-    /// an incoming value per predecessor — the same invariants the tree
-    /// walker relied on).
-    pub fn decode(f: &Function) -> DecodedFunc {
+    /// Decodes function `fid`, laid out at the PCs `map` assigns it.
+    /// Assumes the module verifies (φ prefixes only, an incoming value per
+    /// predecessor).
+    fn decode(f: &Function, fid: FuncId, map: &AddressMap) -> DecodedFunc {
+        // Profiles name code by PC; the ops carry theirs as `u32`.
+        let pc32 = |pc: Pc| u32::try_from(pc.0).expect("text section fits in 32 bits");
         // Immediates intern into a constant pool living above the
         // architectural registers; `reg_of` turns any operand into a
         // plain register index.
@@ -525,9 +562,14 @@ impl DecodedFunc {
         // after all bodies are known.
         let mut bodies: Vec<Vec<Op>> = Vec::with_capacity(f.blocks.len());
         let mut fuse_term: Vec<u8> = Vec::with_capacity(f.blocks.len());
-        for b in &f.blocks {
+        for (bi, b) in f.blocks.iter().enumerate() {
             let mut body: Vec<Op> = Vec::with_capacity(b.insts.len() - b.phi_count() + 1);
-            for inst in b.insts.iter().skip(b.phi_count()) {
+            for (i, inst) in b.insts.iter().enumerate().skip(b.phi_count()) {
+                let pc = pc32(map.pc_of(InstRef {
+                    func: fid,
+                    block: BlockId(bi as u32),
+                    inst: InstId(i as u32),
+                }));
                 let op = match inst {
                     Inst::Phi { .. } => unreachable!("phi prefix"),
                     Inst::Bin {
@@ -583,6 +625,7 @@ impl DecodedFunc {
                         sext,
                         spec,
                     } => Op::Load {
+                        pc,
                         dst: dst.0,
                         addr: reg_of(*addr),
                         width: width.bytes() as u8,
@@ -590,11 +633,13 @@ impl DecodedFunc {
                         spec: *spec,
                     },
                     Inst::Store { addr, value, width } => Op::Store {
+                        pc,
                         addr: reg_of(*addr),
                         value: reg_of(*value),
                         width: width.bytes() as u8,
                     },
                     Inst::Prefetch { addr } => Op::Prefetch {
+                        pc,
                         addr: reg_of(*addr),
                     },
                 };
@@ -657,8 +702,8 @@ impl DecodedFunc {
                 })
                 .collect();
             edges.push(Edge {
-                block: target.0,
                 ip: block_ip[target.0 as usize],
+                target_pc: pc32(map.block_start_pc(fid, target)),
                 copies: copies.into_boxed_slice(),
             });
             (edges.len() - 1) as u32
@@ -669,9 +714,11 @@ impl DecodedFunc {
             let mut body = std::mem::take(&mut bodies[bi]);
             let fused_cmp = if fuse_term[bi] > 0 { body.pop() } else { None };
             let fused_add = if fuse_term[bi] > 1 { body.pop() } else { None };
+            let pc = pc32(map.term_pc(fid, from));
             ops.extend(body);
             ops.push(match &b.term {
                 Terminator::Br { target } => Op::Jump {
+                    pc,
                     edge: mk_edge(&mut edges, &mut reg_of, from, *target),
                 },
                 Terminator::CondBr { cond, then_, else_ } => {
@@ -691,6 +738,7 @@ impl DecodedFunc {
                                 b,
                             }),
                         ) => Op::AddCmpBr {
+                            pc,
                             adst,
                             aa,
                             ab,
@@ -710,6 +758,7 @@ impl DecodedFunc {
                                 b,
                             }),
                         ) => Op::CmpBr {
+                            pc,
                             dst,
                             pred,
                             a,
@@ -718,6 +767,7 @@ impl DecodedFunc {
                             else_edge,
                         },
                         _ => Op::Branch {
+                            pc,
                             cond: reg_of(*cond),
                             then_edge,
                             else_edge,
@@ -737,8 +787,7 @@ impl DecodedFunc {
             consts,
             ops,
             edges,
-            block_ip,
-            entry: f.entry.0,
+            entry_ip: block_ip[f.entry.0 as usize],
         }
     }
 
@@ -751,9 +800,9 @@ impl DecodedFunc {
     }
 }
 
-/// Every function of a module predecoded — decode once, interpret many
-/// times (the sampled driver re-enters the interpreter at every
-/// fast-forward phase).
+/// Every function of a module predecoded at the PCs
+/// [`Module::assign_pcs`] lays it out at — decode once, interpret many
+/// times.
 #[derive(Debug, Clone)]
 pub struct DecodedModule {
     funcs: Vec<DecodedFunc>,
@@ -761,10 +810,11 @@ pub struct DecodedModule {
 
 impl DecodedModule {
     pub fn decode(module: &Module) -> DecodedModule {
+        let map = module.assign_pcs();
         DecodedModule {
             funcs: module
                 .iter_functions()
-                .map(|(_, f)| DecodedFunc::decode(f))
+                .map(|(fid, f)| DecodedFunc::decode(f, fid, &map))
                 .collect(),
         }
     }
@@ -788,27 +838,21 @@ pub enum RunState {
     /// The function returned.
     Done(Option<u64>),
     /// The fuel budget was reached; the interpreter paused at a block
-    /// boundary and can be resumed (or checkpointed).
+    /// boundary and can be resumed, over any [`Memory`].
     Paused,
 }
 
-/// A serializable-in-spirit snapshot of a paused interpreter: registers
-/// plus the block about to execute (whose φ-copies were already applied —
-/// block boundaries are the only pause points precisely so that this pair
-/// captures the complete architectural state).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Checkpoint {
-    pub regs: Vec<u64>,
-    pub block: BlockId,
-    pub steps: u64,
-}
-
-/// A resumable threaded-dispatch interpreter over one [`DecodedFunc`].
+/// A resumable threaded-dispatch interpreter over one [`DecodedFunc`]:
+/// the one loop that executes IR. What it runs against decides what a
+/// run is — an architectural image, a cache-warming view of one, or the
+/// detailed `apt-cpu::Machine`, whose [`Memory`] hooks time every
+/// instruction. One activation may alternate between them at its pauses.
 pub struct Interp<'c> {
     code: &'c DecodedFunc,
     regs: Vec<u64>,
-    /// Block about to execute; its φ-copies have already been applied.
-    block: u32,
+    /// Op to resume at: the first op of the next block, whose φ-copies
+    /// have already been applied.
+    ip: u32,
     steps: u64,
     copy_tmp: Vec<u64>,
 }
@@ -829,76 +873,15 @@ impl<'c> Interp<'c> {
         Ok(Interp {
             code,
             regs,
-            block: code.entry,
+            ip: code.entry_ip,
             steps: 0,
             copy_tmp: Vec::new(),
         })
     }
 
-    /// Rebuilds a paused interpreter from raw *architectural* state (the
-    /// inverse of [`Interp::into_state`]; also what [`Interp::restore`]
-    /// uses). The registers must come from a pause at the start of
-    /// `block`; the constant pool is re-seeded from the decoded function.
-    pub fn resume(
-        code: &'c DecodedFunc,
-        mut regs: Vec<u64>,
-        block: BlockId,
-        steps: u64,
-    ) -> Interp<'c> {
-        assert_eq!(regs.len(), code.next_reg as usize, "register file size");
-        assert!((block.0 as usize) < code.block_ip.len(), "block id");
-        regs.extend_from_slice(&code.consts);
-        Interp {
-            code,
-            regs,
-            block: block.0,
-            steps,
-            copy_tmp: Vec::new(),
-        }
-    }
-
-    /// Instructions retired so far (terminators included, φs excluded —
-    /// the same counting rule as `apt-cpu::Machine`).
+    /// Instructions retired so far (terminators included, φs excluded).
     pub fn steps(&self) -> u64 {
         self.steps
-    }
-
-    /// The block the interpreter is paused at.
-    pub fn block(&self) -> BlockId {
-        BlockId(self.block)
-    }
-
-    /// Read-only view of the architectural register file (the constant
-    /// pool tail is an implementation detail and not exposed).
-    pub fn regs(&self) -> &[u64] {
-        &self.regs[..self.code.next_reg as usize]
-    }
-
-    /// Snapshots the paused state (architectural registers are cloned;
-    /// the constant pool is immutable and lives in the decoded function).
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            regs: self.regs[..self.code.next_reg as usize].to_vec(),
-            block: BlockId(self.block),
-            steps: self.steps,
-        }
-    }
-
-    /// Restores a snapshot taken from the same decoded function.
-    pub fn restore(&mut self, cp: &Checkpoint) {
-        assert_eq!(cp.regs.len(), self.code.next_reg as usize);
-        self.regs[..cp.regs.len()].copy_from_slice(&cp.regs);
-        self.block = cp.block.0;
-        self.steps = cp.steps;
-    }
-
-    /// Consumes the interpreter, returning `(regs, block, steps)` without
-    /// cloning — the hand-off the sampled driver uses to enter detailed
-    /// simulation from a fast-forwarded state. The returned registers are
-    /// the architectural file (`next_reg` wide), constant pool stripped.
-    pub fn into_state(mut self) -> (Vec<u64>, BlockId, u64) {
-        self.regs.truncate(self.code.next_reg as usize);
-        (self.regs, BlockId(self.block), self.steps)
     }
 
     /// Runs until the function returns or at least `fuel` more
@@ -912,7 +895,7 @@ impl<'c> Interp<'c> {
         let edges = &self.code.edges[..];
         let regs = &mut self.regs[..];
         let mut steps = self.steps;
-        let mut ip = self.code.block_ip[self.block as usize] as usize;
+        let mut ip = self.ip as usize;
 
         // Every operand is a register index (immediates were interned
         // into the constant-pool tail at decode time), so an operand read
@@ -922,11 +905,13 @@ impl<'c> Interp<'c> {
                 regs[$op as usize]
             };
         }
-        // Applies an edge's φ parallel copies (sources all read before any
-        // destination is written) and either jumps or pauses on fuel-out.
+        // Retires the terminator at `$pc`, applies the edge's φ parallel
+        // copies (sources all read before any destination is written) and
+        // either jumps or pauses on fuel-out.
         macro_rules! take_edge {
-            ($e:expr) => {{
+            ($pc:expr, $e:expr, $taken:expr, $conditional:expr) => {{
                 let e = &edges[$e as usize];
+                mem.branch(Pc($pc as u64), Pc(e.target_pc as u64), $taken, $conditional);
                 if !e.copies.is_empty() {
                     self.copy_tmp.clear();
                     for &(_, src) in e.copies.iter() {
@@ -937,22 +922,42 @@ impl<'c> Interp<'c> {
                     }
                 }
                 if steps >= target {
-                    self.block = e.block;
+                    self.ip = e.ip;
                     self.steps = steps;
                     return Ok(RunState::Paused);
                 }
                 ip = e.ip as usize;
             }};
         }
+        // A conditional branch on `$c`.
+        macro_rules! cond_br {
+            ($pc:expr, $c:expr, $then_edge:expr, $else_edge:expr) => {
+                if $c != 0 {
+                    take_edge!($pc, $then_edge, true, true)
+                } else {
+                    take_edge!($pc, $else_edge, false, true)
+                }
+            };
+        }
+        // Ends the run on an access `mem` refused.
+        macro_rules! fault {
+            ($addr:expr, $width:expr) => {{
+                self.steps = steps;
+                return Err(EvalError::Fault {
+                    addr: $addr,
+                    width: $width,
+                });
+            }};
+        }
 
         // The architectural load: read, zero/sign-extend, or fault
-        // (speculative loads yield 0 instead). Shared by the plain and
-        // fused load ops.
+        // (speculative loads yield 0 instead, retiring without an
+        // access). Shared by the plain and fused load ops.
         macro_rules! do_load {
-            ($dst:expr, $addr:expr, $width:expr, $sext:expr, $spec:expr) => {{
+            ($pc:expr, $dst:expr, $addr:expr, $width:expr, $sext:expr, $spec:expr) => {{
                 let a = val!($addr);
                 let w = $width as u64;
-                regs[$dst as usize] = match mem.read(a, w) {
+                regs[$dst as usize] = match mem.read(Pc($pc as u64), a, w) {
                     Some(raw) => {
                         if $sext {
                             sign_extend(raw, w)
@@ -960,32 +965,49 @@ impl<'c> Interp<'c> {
                             raw
                         }
                     }
-                    None if $spec => 0,
-                    None => {
-                        self.steps = steps;
-                        return Err(EvalError::Fault { addr: a, width: w });
+                    None if $spec => {
+                        mem.retire(1);
+                        0
                     }
+                    None => fault!(a, w),
                 };
             }};
         }
-        // The two arithmetic halves of the fused addressing sequences,
-        // executed verbatim (intermediate registers included).
+        macro_rules! do_store {
+            ($pc:expr, $addr:expr, $value:expr, $width:expr) => {{
+                let a = val!($addr);
+                let w = $width as u64;
+                if mem.write(Pc($pc as u64), a, val!($value), w).is_none() {
+                    fault!(a, w);
+                }
+            }};
+        }
+        // The ALU halves of the fused sequences, executed verbatim
+        // (intermediate registers included).
+        macro_rules! do_bin {
+            ($dst:expr, $op:expr, $a:expr, $b:expr) => {{
+                regs[$dst as usize] = eval_bin($op, val!($a), val!($b));
+                mem.retire(bin_cost($op));
+            }};
+        }
         macro_rules! do_shl {
-            ($dst:expr, $a:expr, $b:expr) => {
-                regs[$dst as usize] = val!($a).wrapping_shl(val!($b) as u32 & 63)
-            };
+            ($dst:expr, $a:expr, $b:expr) => {{
+                regs[$dst as usize] = val!($a).wrapping_shl(val!($b) as u32 & 63);
+                mem.retire(bin_cost(BinOp::Shl));
+            }};
         }
         macro_rules! do_add {
-            ($dst:expr, $a:expr, $b:expr) => {
-                regs[$dst as usize] = val!($a).wrapping_add(val!($b))
-            };
+            ($dst:expr, $a:expr, $b:expr) => {{
+                regs[$dst as usize] = val!($a).wrapping_add(val!($b));
+                mem.retire(bin_cost(BinOp::Add));
+            }};
         }
 
         loop {
             steps += 1;
             match ops[ip] {
                 Op::Bin { dst, op, a, b } => {
-                    regs[dst as usize] = eval_bin(op, val!(a), val!(b));
+                    do_bin!(dst, op, a, b);
                     ip += 1;
                 }
                 Op::Add { dst, a, b } => {
@@ -994,6 +1016,7 @@ impl<'c> Interp<'c> {
                 }
                 Op::Un { dst, op, a } => {
                     regs[dst as usize] = eval_un(op, val!(a));
+                    mem.retire(1);
                     ip += 1;
                 }
                 Op::Select {
@@ -1007,49 +1030,49 @@ impl<'c> Interp<'c> {
                     } else {
                         val!(if_false)
                     };
+                    mem.retire(1);
                     ip += 1;
                 }
                 Op::Load {
+                    pc,
                     dst,
                     addr,
                     width,
                     sext,
                     spec,
                 } => {
-                    do_load!(dst, addr, width, sext, spec);
+                    do_load!(pc, dst, addr, width, sext, spec);
                     ip += 1;
                 }
-                Op::Store { addr, value, width } => {
-                    let a = val!(addr);
-                    let w = width as u64;
-                    if mem.write(a, val!(value), w).is_none() {
-                        self.steps = steps;
-                        return Err(EvalError::Fault { addr: a, width: w });
-                    }
+                Op::Store {
+                    pc,
+                    addr,
+                    value,
+                    width,
+                } => {
+                    do_store!(pc, addr, value, width);
                     ip += 1;
                 }
-                Op::Prefetch { addr } => {
-                    // Architecturally a no-op; warming memories listen in.
-                    mem.prefetch(val!(addr));
+                Op::Prefetch { pc, addr } => {
+                    // Architecturally a no-op; warming and timing
+                    // memories listen in.
+                    mem.prefetch(Pc(pc as u64), val!(addr));
                     ip += 1;
                 }
-                Op::Jump { edge } => take_edge!(edge),
+                Op::Jump { pc, edge } => take_edge!(pc, edge, true, false),
                 Op::Branch {
+                    pc,
                     cond,
                     then_edge,
                     else_edge,
-                } => {
-                    if val!(cond) != 0 {
-                        take_edge!(then_edge)
-                    } else {
-                        take_edge!(else_edge)
-                    }
-                }
+                } => cond_br!(pc, val!(cond), then_edge, else_edge),
                 Op::Ret { value } => {
+                    mem.retire(1);
                     self.steps = steps;
                     return Ok(RunState::Done(value.map(|v| val!(v))));
                 }
                 Op::CmpBr {
+                    pc,
                     dst,
                     pred,
                     a,
@@ -1058,15 +1081,11 @@ impl<'c> Interp<'c> {
                     else_edge,
                 } => {
                     steps += 1;
-                    let c = eval_bin(BinOp::ICmp(pred), val!(a), val!(b));
-                    regs[dst as usize] = c;
-                    if c != 0 {
-                        take_edge!(then_edge)
-                    } else {
-                        take_edge!(else_edge)
-                    }
+                    do_bin!(dst, BinOp::ICmp(pred), a, b);
+                    cond_br!(pc, regs[dst as usize], then_edge, else_edge)
                 }
                 Op::AddCmpBr {
+                    pc,
                     adst,
                     aa,
                     ab,
@@ -1079,15 +1098,11 @@ impl<'c> Interp<'c> {
                 } => {
                     steps += 2;
                     do_add!(adst, aa, ab);
-                    let c = eval_bin(BinOp::ICmp(pred), val!(a), val!(b));
-                    regs[dst as usize] = c;
-                    if c != 0 {
-                        take_edge!(then_edge)
-                    } else {
-                        take_edge!(else_edge)
-                    }
+                    do_bin!(dst, BinOp::ICmp(pred), a, b);
+                    cond_br!(pc, regs[dst as usize], then_edge, else_edge)
                 }
                 Op::AddLoad {
+                    pc,
                     adst,
                     aa,
                     ab,
@@ -1099,10 +1114,11 @@ impl<'c> Interp<'c> {
                 } => {
                     steps += 1;
                     do_add!(adst, aa, ab);
-                    do_load!(dst, addr, width, sext, spec);
+                    do_load!(pc, dst, addr, width, sext, spec);
                     ip += 1;
                 }
                 Op::ShlAddLoad {
+                    pc,
                     sdst,
                     sa,
                     sb,
@@ -1118,10 +1134,11 @@ impl<'c> Interp<'c> {
                     steps += 2;
                     do_shl!(sdst, sa, sb);
                     do_add!(adst, aa, ab);
-                    do_load!(dst, addr, width, sext, spec);
+                    do_load!(pc, dst, addr, width, sext, spec);
                     ip += 1;
                 }
                 Op::ShlAddStore {
+                    pc,
                     sdst,
                     sa,
                     sb,
@@ -1135,15 +1152,11 @@ impl<'c> Interp<'c> {
                     steps += 2;
                     do_shl!(sdst, sa, sb);
                     do_add!(adst, aa, ab);
-                    let a = val!(addr);
-                    let w = width as u64;
-                    if mem.write(a, val!(value), w).is_none() {
-                        self.steps = steps;
-                        return Err(EvalError::Fault { addr: a, width: w });
-                    }
+                    do_store!(pc, addr, value, width);
                     ip += 1;
                 }
                 Op::ShlAddPrefetch {
+                    pc,
                     sdst,
                     sa,
                     sb,
@@ -1155,7 +1168,7 @@ impl<'c> Interp<'c> {
                     steps += 2;
                     do_shl!(sdst, sa, sb);
                     do_add!(adst, aa, ab);
-                    mem.prefetch(val!(addr));
+                    mem.prefetch(Pc(pc as u64), val!(addr));
                     ip += 1;
                 }
             }
@@ -1168,8 +1181,8 @@ impl<'c> Interp<'c> {
 /// (prefetch-slice) loads yield 0 instead of faulting, and `Prefetch` is a
 /// no-op. Retires at most `step_limit` instructions (terminators included).
 ///
-/// This is deliberately the same contract as `apt-cpu::Machine::call`
-/// minus timing and profiling, so the two can be compared bit-for-bit.
+/// A one-shot [`Interp`] run: the same loop `apt-cpu::Machine::call`
+/// drives, minus timing and profiling.
 pub fn run_function(
     module: &Module,
     func: &str,
@@ -1177,23 +1190,15 @@ pub fn run_function(
     mem: &mut impl Memory,
     step_limit: u64,
 ) -> Result<Option<u64>, EvalError> {
-    let (_, f) = module
-        .function_by_name(func)
-        .ok_or_else(|| EvalError::UnknownFunction(func.to_string()))?;
-    if f.arity() != args.len() {
-        return Err(EvalError::ArityMismatch {
-            func: func.to_string(),
-            expected: f.arity(),
-            got: args.len(),
-        });
-    }
-
     apt_selfprof::prof_scope!("lir/eval");
-    let code = DecodedFunc::decode(f);
-    let mut interp = Interp::new(&code, args)?;
-    // The tree walker checked the limit at every block top and errored on
-    // `steps > step_limit`; a single fueled run pausing once `steps`
-    // reaches `step_limit + 1` reproduces that boundary exactly.
+    let code = DecodedModule::decode(module);
+    let (_, f) = code
+        .func_by_name(func)
+        .ok_or_else(|| EvalError::UnknownFunction(func.to_string()))?;
+    let mut interp = Interp::new(f, args)?;
+    // The limit is checked at every block boundary and errors on
+    // `steps > step_limit`: a single fueled run pausing once `steps`
+    // reaches `step_limit + 1` stops exactly there.
     match interp.run(mem, step_limit.saturating_add(1))? {
         RunState::Done(v) => Ok(v),
         RunState::Paused => Err(EvalError::StepLimit),
@@ -1214,7 +1219,7 @@ mod interp_tests {
     }
 
     impl Memory for MapMem {
-        fn read(&mut self, addr: u64, width: u64) -> Option<u64> {
+        fn read(&mut self, _pc: Pc, addr: u64, width: u64) -> Option<u64> {
             if addr + width > self.limit {
                 return None;
             }
@@ -1225,7 +1230,7 @@ mod interp_tests {
             Some(v)
         }
 
-        fn write(&mut self, addr: u64, value: u64, width: u64) -> Option<()> {
+        fn write(&mut self, _pc: Pc, addr: u64, value: u64, width: u64) -> Option<()> {
             if addr + width > self.limit {
                 return None;
             }
@@ -1257,7 +1262,7 @@ mod interp_tests {
             ..Default::default()
         };
         for i in 0..8u64 {
-            mem.write(i * 4, i + 1, 4).unwrap();
+            mem.write(Pc(0), i * 4, i + 1, 4).unwrap();
         }
         mem
     }
@@ -1302,7 +1307,7 @@ mod interp_tests {
             limit: 8,
             ..Default::default()
         };
-        mem.write(0, 7, 8).unwrap();
+        mem.write(Pc(0), 0, 7, 8).unwrap();
         assert_eq!(run_function(&m, "k", &[0], &mut mem, 100), Ok(Some(7)));
         assert_eq!(
             run_function(&m, "k", &[64], &mut mem, 100),
@@ -1348,14 +1353,14 @@ mod interp_tests {
     #[test]
     fn fueled_runs_pause_at_block_boundaries_and_agree_with_one_shot() {
         let m = sum_kernel();
-        let (_, f) = m.function_by_name("kernel").unwrap();
-        let code = DecodedFunc::decode(f);
+        let dm = DecodedModule::decode(&m);
+        let (_, code) = dm.func_by_name("kernel").unwrap();
 
         let mut mem = sum_mem();
         let oneshot = run_function(&m, "kernel", &[0, 8], &mut mem, 1 << 20).unwrap();
 
         let mut mem = sum_mem();
-        let mut interp = Interp::new(&code, &[0, 8]).unwrap();
+        let mut interp = Interp::new(code, &[0, 8]).unwrap();
         let mut pauses = 0;
         let result = loop {
             match interp.run(&mut mem, 3).unwrap() {
@@ -1368,50 +1373,15 @@ mod interp_tests {
     }
 
     #[test]
-    fn checkpoint_restore_replays_identically() {
-        let m = sum_kernel();
-        let (_, f) = m.function_by_name("kernel").unwrap();
-        let code = DecodedFunc::decode(f);
-
-        // Run halfway, checkpoint, finish.
-        let mut mem = sum_mem();
-        let mut interp = Interp::new(&code, &[0, 8]).unwrap();
-        assert_eq!(interp.run(&mut mem, 20).unwrap(), RunState::Paused);
-        let cp = interp.checkpoint();
-        let steps_at_cp = interp.steps();
-        let RunState::Done(first) = interp.run(&mut mem, u64::MAX).unwrap() else {
-            panic!("must finish")
-        };
-        let total_steps = interp.steps();
-
-        // Restore into a fresh interpreter and replay the tail.
-        let mut replay = Interp::resume(&code, cp.regs.clone(), cp.block, cp.steps);
-        assert_eq!(replay.steps(), steps_at_cp);
-        let RunState::Done(second) = replay.run(&mut mem, u64::MAX).unwrap() else {
-            panic!("must finish")
-        };
-        assert_eq!(second, first);
-        assert_eq!(replay.steps(), total_steps);
-
-        // `restore` on the finished interpreter rewinds it too.
-        interp.restore(&cp);
-        let RunState::Done(third) = interp.run(&mut mem, u64::MAX).unwrap() else {
-            panic!("must finish")
-        };
-        assert_eq!(third, first);
-    }
-
-    #[test]
     fn step_counts_match_the_one_shot_contract() {
-        // The step-limit guard only fires at block boundaries (both in the
-        // old tree walker and in the fueled interpreter), so the exact
+        // The step-limit guard only fires at block boundaries, so the exact
         // acceptance boundary is the step count at the *last edge taken*:
         // a limit one below it errors, the boundary value itself succeeds.
         let m = sum_kernel();
-        let (_, f) = m.function_by_name("kernel").unwrap();
-        let code = DecodedFunc::decode(f);
+        let dm = DecodedModule::decode(&m);
+        let (_, code) = dm.func_by_name("kernel").unwrap();
         let mut mem = sum_mem();
-        let mut interp = Interp::new(&code, &[0, 8]).unwrap();
+        let mut interp = Interp::new(code, &[0, 8]).unwrap();
         let mut last_edge_steps = 0;
         loop {
             // Fuel 0: exactly one block per run, pausing at every edge.

@@ -50,7 +50,7 @@ pub mod print;
 pub mod verify;
 
 pub use builder::FunctionBuilder;
-pub use eval::{Checkpoint, DecodedFunc, DecodedModule, Interp, RunState};
+pub use eval::{DecodedFunc, DecodedModule, Interp, RunState};
 pub use inst::{BinOp, FCmpPred, ICmpPred, Inst, Operand, Terminator, UnOp, Width};
 pub use module::{Block, BlockId, FuncId, Function, InstId, InstRef, Module, Reg};
 pub use pcmap::{AddressMap, Pc};

@@ -4,12 +4,12 @@
 
 use crate::estimate::{reconstruct, Confidence};
 use crate::{Phase, SampleConfig, SampleError};
-use apt_cpu::{CoreOutcome, Machine, MemImage, PerfStats, SimConfig};
+use apt_cpu::{Machine, MemImage, PerfStats, SimConfig};
 use apt_lir::eval::RunState;
-use apt_lir::{DecodedModule, Interp, Module};
+use apt_lir::Module;
 use apt_selfprof::prof_scope;
 use apt_timeline::{Timeline, WindowOutcomes, WindowSample};
-use apt_trace::{PcOutcomes, TraceConfig, TraceReport};
+use apt_trace::{TraceConfig, TraceReport};
 
 /// Outcome of a sampled execution: architecturally exact results
 /// (`rets`, `image`, `exact_instructions`) plus statistically
@@ -101,7 +101,7 @@ pub fn run_sampled(
         ..*sim
     };
     let mut machine = Machine::new(module, mach_cfg, image);
-    let decoded = DecodedModule::decode(module);
+    let code = machine.code();
 
     let mut windows: Vec<WindowSample> = Vec::new();
     let mut rets = Vec::with_capacity(calls.len());
@@ -110,14 +110,20 @@ pub fn run_sampled(
     let mut ff_instructions = 0u64;
 
     for (func, args) in calls {
-        let mut st = machine.begin_call(func, args)?;
+        // One activation runs every phase of the call: the interpreter
+        // pauses at block boundaries, and whichever memory it runs against
+        // next picks it up there.
+        let mut interp = Machine::start(&code, func, args)?;
+        let eval_err = |err| SampleError::Eval {
+            func: func.clone(),
+            err,
+        };
         let ret = loop {
             let pos = machine.stats().instructions;
             match cfg.phase_at(pos) {
                 Phase::FastForward(budget) => {
                     prof_scope!("sample/ff");
-                    let regs = std::mem::take(&mut st.regs);
-                    let mut interp = Interp::resume(decoded.func(st.fid()), regs, st.block, 0);
+                    let start = interp.steps();
                     // Beyond the warming horizon the cold stretch runs
                     // purely architecturally; only the tail of the
                     // fast-forward (the instructions whose cache residue
@@ -126,28 +132,17 @@ pub fn run_sampled(
                     let cold = budget.saturating_sub(cfg.warm_horizon);
                     let mut state = RunState::Paused;
                     if cold > 0 {
-                        state = interp.run(&mut machine.image, cold).map_err(|err| {
-                            SampleError::Eval {
-                                func: func.clone(),
-                                err,
-                            }
-                        })?;
+                        state = interp.run(&mut machine.image, cold).map_err(eval_err)?;
                     }
-                    if state == RunState::Paused && interp.steps() < budget {
-                        let warm = budget - interp.steps();
-                        state = interp.run(&mut machine.warm_mem(), warm).map_err(|err| {
-                            SampleError::Eval {
-                                func: func.clone(),
-                                err,
-                            }
-                        })?;
+                    let done = interp.steps() - start;
+                    if state == RunState::Paused && done < budget {
+                        state = interp
+                            .run(&mut machine.warm_mem(), budget - done)
+                            .map_err(eval_err)?;
                     }
-                    let steps = interp.steps();
+                    let steps = interp.steps() - start;
                     machine.skip_ahead(steps, measured.est_cycles(steps));
                     ff_instructions += steps;
-                    let (regs, block, _) = interp.into_state();
-                    st.regs = regs;
-                    st.block = block;
                     if let RunState::Done(v) = state {
                         break v;
                     }
@@ -155,34 +150,23 @@ pub fn run_sampled(
                 Phase::Warm(budget) => {
                     prof_scope!("sample/warm");
                     let before = machine.stats().instructions;
-                    let out = machine.run_core(&mut st, budget)?;
+                    let state = machine.run(&mut interp, budget)?;
                     detailed_instructions += machine.stats().instructions - before;
-                    if let CoreOutcome::Done(v) = out {
+                    if let RunState::Done(v) = state {
                         break v;
                     }
                 }
                 Phase::Measure(budget) => {
                     prof_scope!("sample/measure");
-                    let s0 = machine.stats();
-                    let (occ0, _) = machine.mshr_window_stats();
-                    let o0 = machine.outcome_totals();
-                    let out = machine.run_core(&mut st, budget)?;
-                    let s1 = machine.stats();
-                    let (occ1, peak) = machine.mshr_window_stats();
-                    let o1 = machine.outcome_totals();
-                    detailed_instructions += s1.instructions - s0.instructions;
-                    measured.cycles += s1.cycles - s0.cycles;
-                    measured.insts += s1.instructions - s0.instructions;
-                    windows.push(window_delta(
-                        windows.len() as u64,
-                        &s0,
-                        &s1,
-                        occ1 - occ0,
-                        peak,
-                        &o0,
-                        &o1,
-                    ));
-                    if let CoreOutcome::Done(v) = out {
+                    let (c0, _) = machine.counters();
+                    let state = machine.run(&mut interp, budget)?;
+                    let (c1, peak) = machine.counters();
+                    let insts = c1.stats.instructions - c0.stats.instructions;
+                    detailed_instructions += insts;
+                    measured.cycles += c1.stats.cycles - c0.stats.cycles;
+                    measured.insts += insts;
+                    windows.push(c0.window_to(&c1, windows.len() as u64, peak));
+                    if let RunState::Done(v) = state {
                         break v;
                     }
                 }
@@ -219,57 +203,4 @@ pub fn run_sampled(
         ff_instructions,
         trace: trace_report,
     })
-}
-
-/// One measurement window's counter deltas, in the exact shape the
-/// detailed machine's own telemetry emits (`Machine::close_window`).
-fn window_delta(
-    index: u64,
-    s0: &PerfStats,
-    s1: &PerfStats,
-    mshr_occ: u64,
-    mshr_peak: usize,
-    o0: &PcOutcomes,
-    o1: &PcOutcomes,
-) -> WindowSample {
-    WindowSample {
-        index,
-        start_cycle: s0.cycles,
-        end_cycle: s1.cycles,
-        start_instr: s0.instructions,
-        instructions: s1.instructions - s0.instructions,
-        cycles: s1.cycles - s0.cycles,
-        branches: s1.branches - s0.branches,
-        taken_branches: s1.taken_branches - s0.taken_branches,
-        loads: s1.mem.loads - s0.mem.loads,
-        stores: s1.mem.stores - s0.mem.stores,
-        l1_hits: s1.mem.l1_hits - s0.mem.l1_hits,
-        l2_hits: s1.mem.l2_hits - s0.mem.l2_hits,
-        llc_hits: s1.mem.llc_hits - s0.mem.llc_hits,
-        demand_fills: s1.mem.demand_fills - s0.mem.demand_fills,
-        fb_hits_swpf: s1.mem.fb_hits_swpf - s0.mem.fb_hits_swpf,
-        fb_hits_other: s1.mem.fb_hits_other - s0.mem.fb_hits_other,
-        sw_pf_issued: s1.mem.sw_pf_issued - s0.mem.sw_pf_issued,
-        sw_pf_redundant: s1.mem.sw_pf_redundant - s0.mem.sw_pf_redundant,
-        sw_pf_dropped_full: s1.mem.sw_pf_dropped_full - s0.mem.sw_pf_dropped_full,
-        sw_pf_offcore: s1.mem.sw_pf_offcore - s0.mem.sw_pf_offcore,
-        sw_pf_oncore: s1.mem.sw_pf_oncore - s0.mem.sw_pf_oncore,
-        hw_pf_offcore: s1.mem.hw_pf_offcore - s0.mem.hw_pf_offcore,
-        pf_evicted_unused: s1.mem.pf_evicted_unused - s0.mem.pf_evicted_unused,
-        pf_used: s1.mem.pf_used - s0.mem.pf_used,
-        stall_l2: s1.mem.stall_l2 - s0.mem.stall_l2,
-        stall_llc: s1.mem.stall_llc - s0.mem.stall_llc,
-        stall_dram: s1.mem.stall_dram - s0.mem.stall_dram,
-        mshr_occ_cycles: mshr_occ,
-        mshr_peak: mshr_peak as u64,
-        outcomes: WindowOutcomes {
-            issued: o1.issued - o0.issued,
-            timely: o1.timely - o0.timely,
-            late: o1.late - o0.late,
-            early: o1.early - o0.early,
-            useless: o1.useless - o0.useless,
-            redundant: o1.redundant - o0.redundant,
-            dropped: o1.dropped - o0.dropped,
-        },
-    }
 }

@@ -20,11 +20,12 @@
 //! * **Measure** — the machine runs detailed for the window length; the
 //!   window's counter deltas become one statistical sample.
 //!
-//! Because both the interpreter and the detailed core pause at basic-block
-//! boundaries with the same paused-state convention (register file +
-//! next block, φ-copies applied), control transfers between the two are
-//! exact state hand-offs — no architectural drift, and the final memory
-//! image and return values are identical to a fully detailed run.
+//! All three phases of a call run one [`apt_lir::Interp`]: it pauses at
+//! basic-block boundaries and resumes on whichever memory the next phase
+//! needs — the image, the warming view, or the [`apt_cpu::Machine`]
+//! itself for detailed phases. No state moves between engines, so there
+//! is no architectural drift, and the final memory image and return
+//! values are identical to a fully detailed run.
 //!
 //! Reconstruction ([`reconstruct`]) uses the ratio estimator
 //! `est = round(N · Σcⱼ / Σuⱼ)` in 128-bit integer arithmetic, where `N`

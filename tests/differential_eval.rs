@@ -1,29 +1,35 @@
-//! Differential testing: the reference LIR interpreter (`apt_lir::eval`)
-//! versus the cycle-accurate machine (`apt_cpu::Machine`).
+//! Differential testing against an independent reference.
 //!
-//! The two implementations share nothing but the IR definition: the
-//! interpreter executes architecturally (no pipeline, no memory
-//! hierarchy, no prefetching), the machine models timing. For every
-//! registry workload they must nevertheless agree on *architectural*
-//! results — per-call return values and the final memory image — both on
-//! the unmodified module and after APT-GET injects prefetches (which by
-//! construction must not change program semantics). A divergence means
-//! one of them mis-executes the IR; historically this class of bug hides
-//! behind workloads whose checkers only inspect part of the output,
-//! which is why the comparison also covers the full image digest.
+//! The functional interpreter (`apt_lir::Interp`) and the detailed
+//! machine (`apt_cpu::Machine`) share one decoder and one dispatch loop,
+//! so agreeing with each other proves little. Both are therefore checked
+//! against [`reference_call`], a test-only evaluator that walks the
+//! `Inst` tree directly: φ-nodes resolve by predecessor on block entry, a
+//! speculative load that faults yields 0, and a prefetch does nothing.
+//! It shares nothing with the decoded form but the IR and its pure
+//! arithmetic helpers.
 //!
-//! The interpreter side deliberately runs *chunked*: the fueled
-//! [`Interp`] pauses every few thousand instructions and is torn down and
-//! rebuilt from its [`Checkpoint`] before continuing — the exact hand-off
-//! the SMARTS sampled driver performs between fast-forward and detailed
-//! simulation. Every workload runs at a small/large scale pair so the
-//! checkpoints are exercised across `MemImage` growth (more pages, wider
-//! index types in play, longer pause chains), and the chunked result is
-//! additionally pinned to the one-shot `run_function` path.
+//! For every registry workload three paths must reproduce the reference's
+//! per-call return values and final memory image, both on the unmodified
+//! module and after APT-GET injects prefetches (which by construction must
+//! not change program semantics):
+//!
+//! * the interpreter run *chunked* — one activation paused every [`CHUNK`]
+//!   instructions and resumed, as the sampled driver does between phases;
+//! * the one-shot `run_function`;
+//! * `Machine::call`, the detailed core.
+//!
+//! A divergence means one of them mis-executes the IR; historically this
+//! class of bug hides behind workloads whose checkers only inspect part of
+//! the output, which is why the comparison covers the full image digest.
+//! Every workload runs at a small/large scale pair, so the pause chains
+//! are exercised across `MemImage` growth.
 
 use apt_cpu::{Machine, MemImage, SimConfig};
-use apt_lir::eval::{run_function, DecodedModule, Interp, RunState};
-use apt_lir::Module;
+use apt_lir::eval::{
+    eval_bin, eval_un, run_function, sign_extend, DecodedModule, Interp, RunState,
+};
+use apt_lir::{BlockId, Inst, Module, Operand, Terminator};
 use apt_workloads::registry::all_workloads;
 use aptget::{AptGet, PipelineConfig};
 
@@ -32,89 +38,168 @@ use aptget::{AptGet, PipelineConfig};
 const STEP_LIMIT: u64 = 200_000_000;
 
 /// Small/large input pair: differential coverage scales with workload
-/// count, and checkpoint coverage with image size. The large scale is 4×
-/// the small one — enough to grow every workload's `MemImage` footprint
-/// and multiply the pause chain, while keeping the suite fast.
+/// count, and pause coverage with image size. The large scale is 4× the
+/// small one — enough to grow every workload's `MemImage` footprint and
+/// multiply the pause chain, while keeping the suite fast.
 const SCALES: [(f64, &str); 2] = [(0.004, "small"), (0.016, "large")];
 const SEED: u64 = 42;
 
-/// Fuel per chunk: forces many checkpoint/resume round-trips per call
-/// without dominating runtime.
+/// Fuel per chunk: forces many pause/resume round-trips per call without
+/// dominating runtime.
 const CHUNK: u64 = 10_000;
 
-/// Runs one call on the fueled interpreter, pausing every [`CHUNK`]
-/// instructions and rebuilding the interpreter from its checkpoint at
-/// every pause (both the `resume` and the `restore` paths must agree).
-fn chunked_call(
-    module: &Module,
-    decoded: &DecodedModule,
-    f: &str,
-    args: &[u64],
-    mem: &mut MemImage,
-) -> Option<u64> {
-    let (fid, _) = module
-        .function_by_name(f)
-        .unwrap_or_else(|| panic!("unknown function {f}"));
-    let code = decoded.func(fid);
-    let mut interp =
-        Interp::new(code, args).unwrap_or_else(|e| panic!("interpreter failed on {f}: {e}"));
+/// A workload's call schedule: `(function, args)` in order.
+type Calls = [(String, Vec<u64>)];
+/// Return values plus the final image of one call schedule.
+type Outcome = (Vec<Option<u64>>, MemImage);
+/// One way of executing a call schedule.
+type Path = fn(&Module, &MemImage, &Calls) -> Outcome;
+
+/// Executes `func(args)` straight off the IR.
+fn reference_call(module: &Module, func: &str, args: &[u64], mem: &mut MemImage) -> Option<u64> {
+    let (_, f) = module
+        .function_by_name(func)
+        .unwrap_or_else(|| panic!("unknown function {func}"));
+    let mut regs = vec![0u64; f.next_reg as usize];
+    regs[..args.len()].copy_from_slice(args);
+    let val = |regs: &[u64], op: Operand| match op {
+        Operand::Reg(r) => regs[r.0 as usize],
+        Operand::Imm(v) => v,
+    };
+    let (mut prev, mut cur): (Option<BlockId>, BlockId) = (None, f.entry);
+    let mut steps = 0u64;
     loop {
-        match interp
-            .run(mem, CHUNK)
-            .unwrap_or_else(|e| panic!("interpreter failed on {f}: {e}"))
-        {
-            RunState::Done(v) => return v,
-            RunState::Paused => {
-                assert!(interp.steps() < STEP_LIMIT, "{f}: runaway interpreter");
-                let cp = interp.checkpoint();
-                // Hand-off as the sampled driver does it: a fresh
-                // interpreter resumed from raw state...
-                let resumed = Interp::resume(code, cp.regs.clone(), cp.block, cp.steps);
-                assert_eq!(resumed.checkpoint(), cp, "{f}: resume() drifts");
-                // ...and the in-place restore path must land on the same
-                // pause.
-                interp.restore(&cp);
-                assert_eq!(interp.checkpoint(), cp, "{f}: restore() drifts");
-                interp = resumed;
-            }
+        let block = f.block(cur);
+        // Every φ reads its incoming value before any φ writes.
+        let incoming: Vec<(usize, u64)> = block.insts[..block.phi_count()]
+            .iter()
+            .map(|inst| {
+                let Inst::Phi { dst, incomings } = inst else {
+                    unreachable!("phi prefix")
+                };
+                let from = prev.expect("the entry block has no φ");
+                let (_, op) = incomings
+                    .iter()
+                    .find(|(p, _)| *p == from)
+                    .expect("an incoming value per predecessor");
+                (dst.0 as usize, val(&regs, *op))
+            })
+            .collect();
+        for (dst, v) in incoming {
+            regs[dst] = v;
         }
+        for inst in &block.insts[block.phi_count()..] {
+            let (dst, v) = match inst {
+                Inst::Phi { .. } => unreachable!("phi prefix"),
+                Inst::Bin { dst, op, a, b } => (dst, eval_bin(*op, val(&regs, *a), val(&regs, *b))),
+                Inst::Un { dst, op, a } => (dst, eval_un(*op, val(&regs, *a))),
+                Inst::Select {
+                    dst,
+                    cond,
+                    if_true,
+                    if_false,
+                } => {
+                    let pick = if val(&regs, *cond) != 0 {
+                        if_true
+                    } else {
+                        if_false
+                    };
+                    (dst, val(&regs, *pick))
+                }
+                Inst::Load {
+                    dst,
+                    addr,
+                    width,
+                    sext,
+                    spec,
+                } => {
+                    let w = width.bytes();
+                    let v = match mem.read(val(&regs, *addr), w) {
+                        Ok(raw) if *sext => sign_extend(raw, w),
+                        Ok(raw) => raw,
+                        Err(_) if *spec => 0,
+                        Err(e) => panic!("{func}: reference load: {e}"),
+                    };
+                    (dst, v)
+                }
+                Inst::Store { addr, value, width } => {
+                    mem.write(val(&regs, *addr), val(&regs, *value), width.bytes())
+                        .unwrap_or_else(|e| panic!("{func}: reference store: {e}"));
+                    continue;
+                }
+                Inst::Prefetch { .. } => continue,
+            };
+            regs[dst.0 as usize] = v;
+        }
+        steps += (block.insts.len() - block.phi_count()) as u64 + 1;
+        assert!(steps < STEP_LIMIT, "{func}: runaway reference");
+        prev = Some(cur);
+        cur = match &block.term {
+            Terminator::Br { target } => *target,
+            Terminator::CondBr { cond, then_, else_ } => {
+                if val(&regs, *cond) != 0 {
+                    *then_
+                } else {
+                    *else_
+                }
+            }
+            Terminator::Ret { value } => return value.map(|v| val(&regs, v)),
+        };
     }
 }
 
-/// Runs the call schedule through the chunked interpreter and pins it to
-/// the one-shot `run_function` reference.
-fn interp_run(
-    module: &Module,
+/// Runs a call schedule on a fresh copy of `image`, one `call` per entry.
+fn run_schedule(
     image: &MemImage,
-    calls: &[(String, Vec<u64>)],
-) -> (Vec<Option<u64>>, u64) {
-    let decoded = DecodedModule::decode(module);
+    calls: &Calls,
+    mut call: impl FnMut(&str, &[u64], &mut MemImage) -> Option<u64>,
+) -> Outcome {
     let mut mem = image.clone();
-    let rets: Vec<Option<u64>> = calls
+    let rets = calls
         .iter()
-        .map(|(f, args)| chunked_call(module, &decoded, f, args, &mut mem))
+        .map(|(f, args)| call(f, args, &mut mem))
         .collect();
-    let digest = mem.digest();
-
-    let mut oneshot_mem = image.clone();
-    let oneshot: Vec<Option<u64>> = calls
-        .iter()
-        .map(|(f, args)| {
-            run_function(module, f, args, &mut oneshot_mem, STEP_LIMIT)
-                .unwrap_or_else(|e| panic!("interpreter failed on {f}: {e}"))
-        })
-        .collect();
-    assert_eq!(rets, oneshot, "chunked and one-shot interpreters diverge");
-    assert_eq!(digest, oneshot_mem.digest(), "chunked memory diverges");
-    (rets, digest)
+    (rets, mem)
 }
 
-/// Runs the call schedule through the cycle-accurate machine.
-fn machine_run(
-    module: &Module,
-    image: &MemImage,
-    calls: &[(String, Vec<u64>)],
-) -> (Vec<Option<u64>>, u64) {
+fn reference_run(module: &Module, image: &MemImage, calls: &Calls) -> Outcome {
+    run_schedule(image, calls, |f, args, mem| {
+        reference_call(module, f, args, mem)
+    })
+}
+
+/// The interpreter, one activation per call, paused every [`CHUNK`]
+/// instructions and resumed.
+fn chunked_run(module: &Module, image: &MemImage, calls: &Calls) -> Outcome {
+    let code = DecodedModule::decode(module);
+    run_schedule(image, calls, |f, args, mem| {
+        let (_, func) = code
+            .func_by_name(f)
+            .unwrap_or_else(|| panic!("unknown function {f}"));
+        let mut interp =
+            Interp::new(func, args).unwrap_or_else(|e| panic!("interpreter failed on {f}: {e}"));
+        loop {
+            match interp
+                .run(mem, CHUNK)
+                .unwrap_or_else(|e| panic!("interpreter failed on {f}: {e}"))
+            {
+                RunState::Done(v) => return v,
+                RunState::Paused => {
+                    assert!(interp.steps() < STEP_LIMIT, "{f}: runaway interpreter")
+                }
+            }
+        }
+    })
+}
+
+fn oneshot_run(module: &Module, image: &MemImage, calls: &Calls) -> Outcome {
+    run_schedule(image, calls, |f, args, mem| {
+        run_function(module, f, args, mem, STEP_LIMIT)
+            .unwrap_or_else(|e| panic!("run_function failed on {f}: {e}"))
+    })
+}
+
+fn machine_run(module: &Module, image: &MemImage, calls: &Calls) -> Outcome {
     let mut mach = Machine::new(module, SimConfig::default(), image.clone());
     let rets = calls
         .iter()
@@ -123,26 +208,37 @@ fn machine_run(
                 .unwrap_or_else(|e| panic!("machine failed on {f}: {e}"))
         })
         .collect();
-    (rets, mach.image.digest())
+    (rets, mach.image)
 }
 
+/// Asserts that every execution path reproduces the reference, and
+/// returns the reference's outcome.
 fn assert_agree(
     name: &str,
     variant: &str,
     module: &Module,
     image: &MemImage,
-    calls: &[(String, Vec<u64>)],
-) {
-    let (i_rets, i_digest) = interp_run(module, image, calls);
-    let (m_rets, m_digest) = machine_run(module, image, calls);
-    assert_eq!(
-        i_rets, m_rets,
-        "{name} [{variant}]: return values diverge between interpreter and machine"
-    );
-    assert_eq!(
-        i_digest, m_digest,
-        "{name} [{variant}]: final memory images diverge between interpreter and machine"
-    );
+    calls: &Calls,
+) -> Outcome {
+    let (rets, mem) = reference_run(module, image, calls);
+    let paths: [(&str, Path); 3] = [
+        ("chunked interpreter", chunked_run),
+        ("run_function", oneshot_run),
+        ("machine", machine_run),
+    ];
+    for (path, run) in paths {
+        let (path_rets, path_mem) = run(module, image, calls);
+        assert_eq!(
+            path_rets, rets,
+            "{name} [{variant}]: {path} return values diverge from the reference"
+        );
+        assert_eq!(
+            path_mem.digest(),
+            mem.digest(),
+            "{name} [{variant}]: {path} final memory image diverges from the reference"
+        );
+    }
+    (rets, mem)
 }
 
 #[test]
@@ -165,19 +261,12 @@ fn interpreter_and_machine_agree_after_aptget_injection() {
             let opt = AptGet::new(cfg)
                 .optimize(&w.module, w.image.clone(), &w.calls)
                 .unwrap_or_else(|e| panic!("{}: optimization failed: {e}", w.name));
+            let variant = format!("APT-GET/{tag}");
+            let (rets, mem) = assert_agree(&w.name, &variant, &opt.module, &w.image, &w.calls);
             // The optimized module must also satisfy the workload's own
             // checker under pure architectural execution.
-            let (rets, _) = interp_run(&opt.module, &w.image, &w.calls);
-            let mut mem = w.image.clone();
-            for (f, args) in &w.calls {
-                run_function(&opt.module, f, args, &mut mem, STEP_LIMIT)
-                    .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-            }
             (w.check)(&mem, &rets)
-                .unwrap_or_else(|e| panic!("{}: interpreter result wrong: {e}", w.name));
-
-            let variant = format!("APT-GET/{tag}");
-            assert_agree(&w.name, &variant, &opt.module, &w.image, &w.calls);
+                .unwrap_or_else(|e| panic!("{}: reference result wrong: {e}", w.name));
         }
     }
 }
@@ -194,15 +283,16 @@ fn injection_preserves_interpreter_semantics() {
             let opt = AptGet::new(cfg)
                 .optimize(&w.module, w.image.clone(), &w.calls)
                 .unwrap_or_else(|e| panic!("{}: optimization failed: {e}", w.name));
-            let (base_rets, base_digest) = interp_run(&w.module, &w.image, &w.calls);
-            let (opt_rets, opt_digest) = interp_run(&opt.module, &w.image, &w.calls);
+            let (base_rets, base_mem) = chunked_run(&w.module, &w.image, &w.calls);
+            let (opt_rets, opt_mem) = chunked_run(&opt.module, &w.image, &w.calls);
             assert_eq!(
                 base_rets, opt_rets,
                 "{}: injection changed return values",
                 w.name
             );
             assert_eq!(
-                base_digest, opt_digest,
+                base_mem.digest(),
+                opt_mem.digest(),
                 "{}: injection changed memory",
                 w.name
             );

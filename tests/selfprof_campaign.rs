@@ -56,17 +56,16 @@ fn campaign_profile_covers_the_instrumented_layers() {
     );
 
     // The merged tree must span the instrumented layers: the campaign
-    // cell at the root, the machine's step stages and the memory
-    // hierarchy below it. (Presence, not exact counts: other scopes from
-    // the same process may coexist in the tree.)
+    // cell at the root, the machine running the decoded dispatch loop and
+    // the memory hierarchy below it. (Presence, not exact counts: other
+    // scopes from the same process may coexist in the tree.)
     let merged = profile.merged();
     let folded = merged.folded();
     for path in [
         "bench/cell",
         "bench/cell;cpu/exec",
-        "bench/cell;cpu/exec;cpu/step/fetch",
-        "bench/cell;cpu/exec;cpu/step/exec",
-        "bench/cell;cpu/exec;cpu/step/exec;cpu/step/mem",
+        "bench/cell;cpu/exec;lir/eval/dispatch",
+        "bench/cell;cpu/exec;lir/eval/dispatch;cpu/step/mem",
     ] {
         assert!(
             folded

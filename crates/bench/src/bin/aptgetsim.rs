@@ -29,11 +29,11 @@
 //!                                        # fail on benchmark regression;
 //!                                        #   --phases gates each detected
 //!                                        #   execution phase by name
-//! aptgetsim perf-history DIR [--out FILE] [--tolerance T]
-//!                                        # BENCH_*.json snapshots in DIR →
-//!                                        #   self-contained HTML trend
-//!                                        #   report with gate-tolerance
-//!                                        #   corridors (default
+//! aptgetsim perf-history DIR [--out FILE]
+//!                                        # perfbench ledger (BENCH_<n>.jsonl
+//!                                        #   in DIR) → self-contained HTML
+//!                                        #   trend report with corridors
+//!                                        #   from ./BENCHMARK.json (default
 //!                                        #   perf-history.html)
 //! aptgetsim serve [--addr HOST:PORT] [--db-dir DIR] [--hints-dir DIR]
 //!                 [--reopt-threshold TV] [--epoch-cap N] [--metrics-addr HOST:PORT]
@@ -652,47 +652,53 @@ fn main() -> ExitCode {
         }
         "perf-history" => {
             let Some(dir) = args.workload.as_deref() else {
-                eprintln!("error: `perf-history` needs a snapshot directory");
+                eprintln!("error: `perf-history` needs a ledger directory");
                 return ExitCode::FAILURE;
             };
-            let points = match apt_bench::history::load_dir(std::path::Path::new(dir)) {
-                Ok(p) => p,
+            let loaded = std::fs::read_to_string("BENCHMARK.json")
+                .map_err(|e| format!("could not read BENCHMARK.json: {e}"))
+                .and_then(|text| {
+                    apt_bench::history::Bounds::from_json(&text)
+                        .map_err(|e| format!("BENCHMARK.json: {e}"))
+                })
+                .and_then(|bounds| {
+                    let files = apt_bench::history::load_dir(std::path::Path::new(dir), &bounds)?;
+                    Ok((bounds, files))
+                });
+            let (bounds, files) = match loaded {
+                Ok(loaded) => loaded,
                 Err(e) => {
                     eprintln!("error: {e}");
                     return ExitCode::FAILURE;
                 }
             };
-            if points.len() < 2 {
-                eprintln!(
-                    "error: perf-history needs at least 2 BENCH_*.json snapshots in {dir} \
-                     (found {})",
-                    points.len()
-                );
+            if files.is_empty() {
+                eprintln!("error: no BENCH_<n>.jsonl ledger files in {dir}");
                 return ExitCode::FAILURE;
             }
-            let tolerance = args.tolerance.unwrap_or(GateConfig::default().tolerance);
-            let annotations = apt_bench::history::trend_annotations(&points, tolerance);
-            for a in &annotations {
-                println!(
-                    "regression: {} {} since {}: {:.4} -> {:.4} ({:+.1}%)",
-                    a.workload,
-                    a.metric,
-                    a.at,
-                    a.first,
-                    a.current,
-                    a.regression * 100.0
-                );
+            let mut annotations = 0;
+            for t in apt_bench::history::trends(&files, &bounds) {
+                if let Some((at, v)) = t.breach() {
+                    annotations += 1;
+                    println!(
+                        "regression: {} {} since {at}: {:.4} -> {v:.4} ({:+.1}%)",
+                        t.workload,
+                        t.metric.name,
+                        t.points[0].1,
+                        t.worsening(v) * 100.0
+                    );
+                }
             }
             let path = args.out.as_deref().unwrap_or("perf-history.html");
-            let html = apt_bench::history::render_perf_history(&points, tolerance);
+            let html = apt_bench::history::render_perf_history(&files, &bounds);
             if let Err(e) = std::fs::write(path, html) {
                 eprintln!("error: could not write {path}: {e}");
                 return ExitCode::FAILURE;
             }
             println!(
-                "[perf-history: {} snapshot(s), {} regression annotation(s), written to {path}]",
-                points.len(),
-                annotations.len()
+                "[perf-history: {} ledger file(s), {} regression annotation(s), written to {path}]",
+                files.len(),
+                annotations
             );
             ExitCode::SUCCESS
         }

@@ -714,10 +714,10 @@ impl CampaignReport {
     }
 
     /// The benchmark snapshot of this campaign, ready for `--bench-out`
-    /// and the `bench-gate` regression check. Cycles and speedups come
-    /// straight from the deterministic cells; the outcome mix is present
-    /// when the campaign ran with
-    /// [`CampaignConfig::collect_outcomes`]; wall times are informational.
+    /// and the `bench-gate` regression check. Every field comes from the
+    /// deterministic cells, so the snapshot's bytes do not depend on
+    /// `--jobs` or on the profile cache; the outcome mix is present when
+    /// the campaign ran with [`CampaignConfig::collect_outcomes`].
     pub fn bench_snapshot(&self, config: &str) -> BenchSnapshot {
         let mut snap = BenchSnapshot::new(config.to_string());
         for chunk in self.cells.chunks_exact(Variant::ALL.len()) {
@@ -727,14 +727,6 @@ impl CampaignReport {
                 chunk[1].stats.cycles,
                 chunk[2].stats.cycles,
             );
-            wb.wall_us = chunk.iter().map(|c| c.wall_us).sum();
-            // Simulator throughput: simulated cycles across the triple
-            // per host wall second. Host-dependent by design — this is
-            // the series `perf-history` turns into a trajectory.
-            let cycles: u64 = chunk.iter().map(|c| c.stats.cycles).sum();
-            if wb.wall_us > 0 {
-                wb.cycles_per_sec = cycles as f64 / (wb.wall_us as f64 / 1e6);
-            }
             wb.outcomes = chunk[2].outcomes.as_ref().map(|t| OutcomeMix {
                 issued: t.total.issued,
                 timely: t.total.timely,
@@ -758,10 +750,6 @@ impl CampaignReport {
             }
             snap.workloads.push(wb);
         }
-        snap.host = apt_metrics::snapshot::host_fingerprint();
-        snap.wall_us = self.wall_us;
-        snap.cache_hits = self.cache_counts.0;
-        snap.cache_misses = self.cache_counts.1;
         snap
     }
 
@@ -1292,11 +1280,11 @@ mod tests {
         assert!(!a.config().progress.is_enabled());
         assert!(!a.config().collect_outcomes);
         let b = CampaignArgs::parse(argv(
-            "--metrics-out m.prom --bench-out BENCH_4.json --progress",
+            "--metrics-out m.prom --bench-out snapshot.json --progress",
         ))
         .unwrap();
         assert_eq!(b.metrics_out.as_deref(), Some("m.prom"));
-        assert_eq!(b.bench_out.as_deref(), Some("BENCH_4.json"));
+        assert_eq!(b.bench_out.as_deref(), Some("snapshot.json"));
         assert!(b.config().metrics.is_enabled());
         assert!(b.config().progress.is_enabled());
         assert!(b.config().collect_outcomes);

@@ -1,328 +1,330 @@
 //! The perf-trajectory report (`aptgetsim perf-history`).
 //!
-//! Reads a directory of `BENCH_*.json` snapshots (the same files the
-//! bench gate consumes), orders them by filename, and renders one
-//! self-contained HTML page: per-workload simulated-cycle and speedup
-//! trends with the bench-gate tolerance drawn as a corridor around the
-//! first snapshot, plus the host-dependent simulator-throughput
-//! (cycles-per-second) trajectory. Anything that drifts outside its
-//! corridor is listed in an annotation table, so a slow regression that
-//! never trips the gate in one step is still visible across the series.
+//! Reads the committed perfbench ledger: `BENCH_<n>.jsonl` files, one per
+//! change, each holding the detail and result lines that
+//! `python3 perfbench/run.py --workload W --trace T` printed. The page
+//! plots every end-to-end metric of `BENCHMARK.json` per workload from the
+//! untraced records, inside a corridor of the metric's bound anchored at
+//! the first file, and tabulates the traced records' per-layer metrics.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use apt_metrics::snapshot::BenchSnapshot;
-use apt_timeline::{escape, html_page, line_chart_banded, HBand, Series};
+use apt_metrics::json::{self, Json};
+use apt_timeline::{escape, html_page, line_chart_banded, HBand, Series, PALETTE};
 
-/// One loaded snapshot: the filename stem (`BENCH_3`) and its contents.
-#[derive(Debug, Clone)]
-pub struct HistoryPoint {
-    pub label: String,
-    pub snap: BenchSnapshot,
-}
-
-/// A metric that drifted outside its tolerance corridor relative to the
-/// first snapshot of the series.
+/// One metric of `BENCHMARK.json`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TrendAnnotation {
-    /// Snapshot label where the drift was observed.
-    pub at: String,
-    pub workload: String,
-    pub metric: &'static str,
-    /// Value in the first snapshot.
-    pub first: f64,
-    /// Value at `at`.
-    pub current: f64,
-    /// Signed relative change, positive = worse.
-    pub regression: f64,
+pub struct MetricSpec {
+    pub name: String,
+    pub unit: String,
+    pub higher_is_better: bool,
+    /// Relative worsening a change may show; 0 for per-layer metrics,
+    /// which have no bound.
+    pub bound: f64,
 }
 
-/// Loads every `BENCH_*.json` in `dir`, sorted by filename so
-/// `BENCH_1 … BENCH_9` read in chronological order of the naming
-/// convention. Non-matching files are ignored; a matching file that
-/// fails to parse is an error (a corrupt history should not silently
-/// shrink).
-pub fn load_dir(dir: &Path) -> Result<Vec<HistoryPoint>, String> {
-    apt_selfprof::prof_scope!("bench/history/load");
-    let entries =
-        fs::read_dir(dir).map_err(|e| format!("could not read {}: {e}", dir.display()))?;
-    let mut names: Vec<String> = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("could not read {}: {e}", dir.display()))?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.starts_with("BENCH_") && name.ends_with(".json") {
-            names.push(name);
+/// The metric lists of `BENCHMARK.json`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Bounds {
+    pub end_to_end: Vec<MetricSpec>,
+    pub per_layer: Vec<MetricSpec>,
+}
+
+impl Bounds {
+    /// Parses `BENCHMARK.json`; every end-to-end metric needs a bound.
+    pub fn from_json(text: &str) -> Result<Bounds, String> {
+        let doc = json::parse(text)?;
+        let specs = |key: &str| -> Result<Vec<MetricSpec>, String> {
+            let list = doc.get(key).and_then(Json::as_arr);
+            let spec = |m: &Json| -> Result<MetricSpec, String> {
+                Ok(MetricSpec {
+                    name: m.str_field("name")?.to_string(),
+                    unit: m.str_field("unit")?.to_string(),
+                    higher_is_better: m.str_field("better")? == "higher",
+                    bound: if key == "end_to_end" {
+                        m.num_field("bound")?
+                    } else {
+                        0.0
+                    },
+                })
+            };
+            list.ok_or(format!("missing `{key}` array"))?
+                .iter()
+                .map(spec)
+                .collect()
+        };
+        let end_to_end = specs("end_to_end")?;
+        let per_layer = specs("per_layer")?;
+        Ok(Bounds {
+            end_to_end,
+            per_layer,
+        })
+    }
+}
+
+/// One ledger file.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LedgerFile {
+    /// The file stem, `BENCH_<n>`.
+    pub label: String,
+    /// Every distinct `(field, value)` of its runs' provenance.
+    pub provenance: BTreeSet<(String, String)>,
+    /// Each run's figures (their numeric `value`s), keyed by (workload, traced).
+    pub runs: BTreeMap<(String, bool), BTreeMap<String, f64>>,
+}
+
+impl LedgerFile {
+    /// One figure of this file's run for (`workload`, `traced`).
+    pub fn value(&self, workload: &str, traced: bool, metric: &str) -> Option<f64> {
+        let run = self.runs.get(&(workload.to_string(), traced))?;
+        run.get(metric).copied()
+    }
+
+    /// A provenance field's values, comma-separated.
+    fn provenance(&self, field: &str) -> String {
+        let vals = self.provenance.iter().filter(|(k, _)| k == field);
+        vals.map(|(_, v)| v.as_str()).collect::<Vec<_>>().join(", ")
+    }
+}
+
+/// Parses one ledger file. A result line repeats its detail line's
+/// reported metrics without sample counts, so only detail lines become
+/// runs; any other line, a second run for the same (workload, trace)
+/// pair, or an untraced run lacking an end-to-end metric is an error
+/// naming the file and line.
+fn parse_file(path: &Path, bounds: &Bounds) -> Result<LedgerFile, String> {
+    let text =
+        fs::read_to_string(path).map_err(|e| format!("could not read {}: {e}", path.display()))?;
+    let (mut provenance, mut runs) = (BTreeSet::new(), BTreeMap::new());
+    for (i, line) in text.lines().enumerate() {
+        let at = format!("{}:{}", path.display(), i + 1);
+        let doc = json::parse(line).map_err(|e| format!("{at}: {e}"))?;
+        if doc.get("correct").is_some() {
+            continue;
+        }
+        let rec = doc.get("record");
+        let (Some(Json::Obj(prov)), Some(Json::Obj(figures))) = (
+            rec.and_then(|r| r.get("provenance")),
+            rec.and_then(|r| r.get("metrics")),
+        ) else {
+            return Err(format!("{at}: not a perfbench detail or result line"));
+        };
+        let field = |key: &str| prov.get(key).and_then(Json::as_str).unwrap_or_default();
+        let (workload, trace) = (field("workload"), field("trace"));
+        if workload.is_empty() || !matches!(trace, "0" | "1") {
+            return Err(format!("{at}: provenance lacks `workload` or `trace`"));
+        }
+        let figures: BTreeMap<String, f64> = figures
+            .iter()
+            .filter_map(|(k, v)| Some((k.clone(), v.get("value")?.as_f64()?)))
+            .collect();
+        for m in bounds.end_to_end.iter().filter(|_| trace == "0") {
+            if !figures.contains_key(&m.name) {
+                let name = &m.name;
+                return Err(format!("{at}: {workload} lacks end-to-end metric `{name}`"));
+            }
+        }
+        let key = (workload.to_string(), trace == "1");
+        if runs.insert(key, figures).is_some() {
+            return Err(format!("{at}: second record for {workload} trace {trace}"));
+        }
+        for (k, v) in prov {
+            if let Some(v) = v.as_str() {
+                provenance.insert((k.clone(), v.to_string()));
+            }
         }
     }
-    names.sort();
-    let mut out = Vec::with_capacity(names.len());
-    for name in names {
-        let path = dir.join(&name);
-        let text = fs::read_to_string(&path)
-            .map_err(|e| format!("could not read {}: {e}", path.display()))?;
-        let snap =
-            BenchSnapshot::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        out.push(HistoryPoint {
-            label: name.trim_end_matches(".json").to_string(),
-            snap,
-        });
-    }
-    Ok(out)
+    let label = path.file_stem().unwrap_or_default();
+    let label = label.to_string_lossy().into_owned();
+    Ok(LedgerFile {
+        label,
+        provenance,
+        runs,
+    })
 }
 
-/// Per-workload series of one metric across the history, in workload
-/// order of the first snapshot. Workloads missing from a later snapshot
-/// carry their previous value forward so the series stays plottable.
-fn metric_series(
-    points: &[HistoryPoint],
-    pick: impl Fn(&apt_metrics::snapshot::WorkloadBench) -> f64,
-) -> Vec<(String, Vec<f64>)> {
-    let Some(first) = points.first() else {
-        return Vec::new();
-    };
-    first
-        .snap
-        .workloads
-        .iter()
-        .map(|w0| {
-            let mut last = pick(w0);
-            let series = points
-                .iter()
-                .map(|p| {
-                    if let Some(w) = p.snap.workloads.iter().find(|w| w.workload == w0.workload) {
-                        last = pick(w);
-                    }
-                    last
-                })
-                .collect();
-            (w0.workload.clone(), series)
-        })
+/// Loads every `BENCH_<n>.jsonl` in `dir`, ordered by `n` (so `BENCH_10`
+/// follows `BENCH_9`). Other files are ignored; a ledger file that fails
+/// to parse is an error, so a corrupt history cannot silently shrink.
+pub fn load_dir(dir: &Path, bounds: &Bounds) -> Result<Vec<LedgerFile>, String> {
+    apt_selfprof::prof_scope!("bench/history/load");
+    let unreadable = |e: std::io::Error| format!("could not read {}: {e}", dir.display());
+    let mut numbered: Vec<(u64, PathBuf)> = Vec::new();
+    for entry in fs::read_dir(dir).map_err(unreadable)? {
+        let path = entry.map_err(unreadable)?.path();
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        let n = name
+            .strip_prefix("BENCH_")
+            .and_then(|n| n.strip_suffix(".jsonl"));
+        if let Some(n) = n.and_then(|n| n.parse().ok()) {
+            numbered.push((n, path));
+        }
+    }
+    numbered.sort();
+    let parse = |(_, path): &(u64, PathBuf)| parse_file(path, bounds);
+    numbered.iter().map(parse).collect()
+}
+
+/// Workloads with untraced or traced runs, in name order.
+fn workloads(files: &[LedgerFile], traced: bool) -> BTreeSet<String> {
+    let keys = files.iter().flat_map(|f| f.runs.keys());
+    keys.filter(|k| k.1 == traced)
+        .map(|k| k.0.clone())
         .collect()
 }
 
-/// Flags every metric that drifted outside `tolerance` relative to the
-/// first snapshot: simulated cycles up, speedup down, or simulator
-/// throughput (cycles/s) down. Only the *first* snapshot where a
-/// workload/metric pair crosses the corridor is reported, so a
-/// persistent regression yields one row, not one per later snapshot.
-pub fn trend_annotations(points: &[HistoryPoint], tolerance: f64) -> Vec<TrendAnnotation> {
-    let Some(first) = points.first() else {
-        return Vec::new();
-    };
+/// One end-to-end metric of one workload across the ledger.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Trend<'a> {
+    pub workload: String,
+    pub metric: &'a MetricSpec,
+    /// `(file label, value)` for every file holding the workload's
+    /// untraced run; never empty.
+    pub points: Vec<(&'a str, f64)>,
+}
+
+impl Trend<'_> {
+    /// Relative change from the first point to `v` in the worse direction.
+    pub fn worsening(&self, v: f64) -> f64 {
+        let first = self.points[0].1;
+        if self.metric.higher_is_better {
+            1.0 - v / first
+        } else {
+            v / first - 1.0
+        }
+    }
+
+    /// The first point worse than the first by more than the metric's
+    /// bound: where the metric leaves its corridor. A persistent
+    /// regression is reported once, at the file where it began.
+    pub fn breach(&self) -> Option<(&str, f64)> {
+        let bound = self.metric.bound;
+        let mut points = self.points.iter().copied();
+        points.find(|p| self.worsening(p.1) > bound)
+    }
+}
+
+/// Every (untraced workload, end-to-end metric) trend, in name order.
+pub fn trends<'a>(files: &'a [LedgerFile], bounds: &'a Bounds) -> Vec<Trend<'a>> {
     let mut out = Vec::new();
-    for w0 in &first.snap.workloads {
-        // (metric, first value, higher_is_worse)
-        let metrics: [(&'static str, f64, bool); 4] = [
-            ("aptget_cycles", w0.aptget_cycles as f64, true),
-            ("baseline_cycles", w0.baseline_cycles as f64, true),
-            ("speedup_aptget", w0.speedup_aptget, false),
-            ("cycles_per_sec", w0.cycles_per_sec, false),
-        ];
-        for (metric, base, higher_is_worse) in metrics {
-            if base == 0.0 {
-                continue;
-            }
-            for p in &points[1..] {
-                let Some(w) = p.snap.workloads.iter().find(|w| w.workload == w0.workload) else {
-                    continue;
-                };
-                let cur = match metric {
-                    "aptget_cycles" => w.aptget_cycles as f64,
-                    "baseline_cycles" => w.baseline_cycles as f64,
-                    "speedup_aptget" => w.speedup_aptget,
-                    _ => w.cycles_per_sec,
-                };
-                if metric == "cycles_per_sec" && cur == 0.0 {
-                    continue; // old snapshot without the field
-                }
-                let regression = if higher_is_worse {
-                    cur / base - 1.0
-                } else {
-                    base / cur.max(1e-12) - 1.0
-                };
-                if regression > tolerance {
-                    out.push(TrendAnnotation {
-                        at: p.label.clone(),
-                        workload: w0.workload.clone(),
-                        metric,
-                        first: base,
-                        current: cur,
-                        regression,
-                    });
-                    break;
-                }
+    for workload in workloads(files, false) {
+        for metric in &bounds.end_to_end {
+            let point =
+                |f: &'a LedgerFile| Some((&*f.label, f.value(&workload, false, &metric.name)?));
+            let points: Vec<_> = files.iter().filter_map(point).collect();
+            if !points.is_empty() {
+                let workload = workload.clone();
+                out.push(Trend {
+                    workload,
+                    metric,
+                    points,
+                });
             }
         }
     }
     out
 }
 
+/// Four significant digits (whole numbers from 1000 up).
 fn fmt_val(v: f64) -> String {
-    if v >= 1e6 {
-        format!("{:.3}M", v / 1e6)
-    } else if v >= 1e3 {
-        format!("{:.1}k", v / 1e3)
-    } else {
-        format!("{v:.3}")
-    }
+    let digits = (3.0 - v.abs().log10().floor()).clamp(0.0, 6.0) as usize;
+    format!("{v:.digits$}")
 }
 
-fn annotation_table(annotations: &[TrendAnnotation]) -> String {
-    if annotations.is_empty() {
-        return "<p class='good'>No metric drifted outside the tolerance \
-                corridor relative to the first snapshot.</p>"
-            .to_string();
+/// The ledger index: each file's commit, host and seed. Flags host
+/// changes, since host times are only comparable within one host.
+fn index_table(files: &[LedgerFile]) -> String {
+    let mut out = String::from("<table><tr><th>file</th>");
+    let fields = ["git_commit", "host", "seed"];
+    for field in fields {
+        let _ = write!(out, "<th>{field}</th>");
     }
-    let mut out = String::from(
-        "<p class='bad'>Metrics outside the tolerance corridor (relative \
-         to the first snapshot):</p>\
-         <table><tr><th>workload</th><th>metric</th><th>since</th>\
-         <th>first</th><th>current</th><th>regression</th></tr>",
-    );
-    for a in annotations {
-        let _ = write!(
-            out,
-            "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
-             <td class='bad'>{:+.1}%</td></tr>",
-            escape(&a.workload),
-            a.metric,
-            escape(&a.at),
-            fmt_val(a.first),
-            fmt_val(a.current),
-            a.regression * 100.0
-        );
-    }
-    out.push_str("</table>");
-    out
-}
-
-/// The snapshot index: label, host, config, wall time. Flags host
-/// changes, since cycles-per-second is only comparable within one host.
-fn index_table(points: &[HistoryPoint]) -> String {
-    let mut out = String::from(
-        "<table><tr><th>snapshot</th><th>host</th><th>config</th>\
-         <th>wall ms</th></tr>",
-    );
-    let first_host = points
-        .first()
-        .map(|p| p.snap.host.clone())
-        .unwrap_or_default();
+    let first_host = files.first().map(|f| f.provenance("host"));
     let mut host_changed = false;
-    for p in points {
-        let mismatch = !p.snap.host.is_empty() && p.snap.host != first_host;
-        host_changed |= mismatch;
-        let _ = write!(
-            out,
-            "<tr><td>{}</td><td{}>{}</td><td>{}</td><td>{:.1}</td></tr>",
-            escape(&p.label),
-            if mismatch { " class='bad'" } else { "" },
-            escape(if p.snap.host.is_empty() {
-                "(unknown)"
-            } else {
-                &p.snap.host
-            }),
-            escape(&p.snap.config),
-            p.snap.wall_us as f64 / 1000.0
-        );
+    for f in files {
+        let _ = write!(out, "</tr><tr><td>{}</td>", escape(&f.label));
+        for field in fields {
+            let mismatch = field == "host" && first_host != Some(f.provenance(field));
+            host_changed |= mismatch;
+            let class = if mismatch { " class='bad'" } else { "" };
+            let _ = write!(out, "<td{class}>{}</td>", escape(&f.provenance(field)));
+        }
     }
-    out.push_str("</table>");
+    out.push_str("</tr></table>");
     if host_changed {
         out.push_str(
-            "<p class='bad'>Host fingerprint changes across the series: \
-             throughput (cycles/s) is not comparable across hosts.</p>",
+            "<p class='bad'>Host fingerprint changes across the ledger: \
+             host times are not comparable across hosts.</p>",
         );
     }
     out
 }
 
-/// One trend chart: a line per workload plus, for gated metrics, the
-/// tolerance corridor of the first snapshot's slowest workload (the
-/// widest band keeps every corridor visible without clutter per line).
-fn trend_chart(
-    rows: &[(String, Vec<f64>)],
-    tolerance: f64,
-    higher_is_worse: Option<bool>,
-    y_label: &str,
-) -> String {
-    let palette = apt_timeline::PALETTE;
-    let series: Vec<Series> = rows
-        .iter()
-        .enumerate()
-        .map(|(i, (name, pts))| Series::new(name.clone(), palette[i % palette.len()], pts.clone()))
-        .collect();
-    let mut hbands = Vec::new();
-    if let Some(higher_is_worse) = higher_is_worse {
-        for (name, pts) in rows {
-            let first = pts.first().copied().unwrap_or(0.0);
-            if first <= 0.0 {
-                continue;
-            }
-            let (lo, hi) = if higher_is_worse {
-                (first, first * (1.0 + tolerance))
-            } else {
-                (first / (1.0 + tolerance), first)
-            };
-            hbands.push(HBand {
-                label: format!("{name} ±{:.0}% gate", tolerance * 100.0),
-                lo,
-                hi,
-            });
-        }
+/// One trend's chart inside its corridor, captioned with its breach.
+fn trend_chart(t: &Trend) -> String {
+    let (m, first) = (t.metric, t.points[0].1);
+    let (lo, hi, better) = if m.higher_is_better {
+        (first * (1.0 - m.bound), first, "higher")
+    } else {
+        (first, first * (1.0 + m.bound), "lower")
+    };
+    let (name, unit) = (escape(&m.name), escape(&m.unit));
+    let mut out = format!("<p>{name} ({unit}), {better} is better.");
+    if let Some((at, v)) = t.breach() {
+        let change = t.worsening(v) * 100.0;
+        let (first, v) = (fmt_val(first), fmt_val(v));
+        let note = format!("Left it at {at}: {first} → {v} ({change:+.1}%).");
+        let _ = write!(out, " <span class='bad'>{}</span>", escape(&note));
     }
-    line_chart_banded(&series, &[], &hbands, y_label)
+    let label = format!("{:.0}% bound", m.bound * 100.0);
+    let line = Series::new(&m.name, PALETTE[0], t.points.iter().map(|p| p.1).collect());
+    let chart = line_chart_banded(&[line], &[], &[HBand { label, lo, hi }], &m.unit);
+    out + "</p>" + &chart
 }
 
-/// Renders the whole history as one self-contained HTML document.
-pub fn render_perf_history(points: &[HistoryPoint], tolerance: f64) -> String {
-    apt_selfprof::prof_scope!("bench/history/render");
-    let annotations = trend_annotations(points, tolerance);
-    let mut sections: Vec<(String, String)> = Vec::new();
-
-    sections.push(("Snapshots".to_string(), index_table(points)));
-    sections.push(("Regressions".to_string(), annotation_table(&annotations)));
-
-    let cycles = metric_series(points, |w| w.aptget_cycles as f64);
-    sections.push((
-        "APT-GET simulated cycles".to_string(),
-        format!(
-            "<p>Lower is better; the corridor is the first snapshot's \
-             value plus the gate tolerance.</p>{}",
-            trend_chart(&cycles, tolerance, Some(true), "cycles")
-        ),
-    ));
-
-    let speedup = metric_series(points, |w| w.speedup_aptget);
-    sections.push((
-        "APT-GET speedup over baseline".to_string(),
-        format!(
-            "<p>Higher is better; the corridor floor is the first \
-             snapshot's speedup shrunk by the gate tolerance.</p>{}",
-            trend_chart(&speedup, tolerance, Some(false), "speedup")
-        ),
-    ));
-
-    let cps = metric_series(points, |w| w.cycles_per_sec);
-    if cps.iter().any(|(_, pts)| pts.iter().any(|&v| v > 0.0)) {
-        sections.push((
-            "Simulator throughput".to_string(),
-            format!(
-                "<p>Simulated cycles per host wall-clock second. \
-                 Host-dependent and never gated, but a sustained drop on \
-                 one host is a simulator performance regression.</p>{}",
-                trend_chart(&cps, tolerance, Some(false), "cycles/s")
-            ),
-        ));
+/// One workload's per-layer metrics, one column per file.
+fn layer_table(files: &[LedgerFile], bounds: &Bounds, w: &str) -> String {
+    let mut out = String::from("<table><tr><th>metric</th><th>unit</th>");
+    for f in files {
+        let _ = write!(out, "<th>{}</th>", escape(&f.label));
     }
+    for m in &bounds.per_layer {
+        let (name, unit) = (escape(&m.name), escape(&m.unit));
+        let _ = write!(out, "</tr><tr><td>{name}</td><td>{unit}</td>");
+        for f in files {
+            let cell = f.value(w, true, &m.name).map_or("–".to_string(), fmt_val);
+            let _ = write!(out, "<td>{cell}</td>");
+        }
+    }
+    out.push_str("</tr></table>");
+    out
+}
 
+/// Renders the whole ledger as one self-contained HTML document.
+pub fn render_perf_history(files: &[LedgerFile], bounds: &Bounds) -> String {
+    apt_selfprof::prof_scope!("bench/history/render");
+    let trends = trends(files, bounds);
+    let mut sections = vec![("Ledger".to_string(), index_table(files))];
+    for t in &trends {
+        match sections.last_mut() {
+            Some((w, body)) if *w == t.workload => body.push_str(&trend_chart(t)),
+            _ => sections.push((t.workload.clone(), trend_chart(t))),
+        }
+    }
+    for w in workloads(files, true) {
+        let table = layer_table(files, bounds, &w);
+        sections.push((format!("{w}, per layer (traced)"), table));
+    }
+    let breaches = trends.iter().filter(|t| t.breach().is_some()).count();
     let intro = format!(
-        "Performance trajectory across {} benchmark snapshot(s), oldest \
-         first, with a ±{:.0}% tolerance corridor anchored at the first \
-         snapshot. {} regression annotation(s).",
-        points.len(),
-        tolerance * 100.0,
-        annotations.len()
+        "perfbench records across {} ledger file(s), oldest first. Each \
+         corridor is the metric's BENCHMARK.json bound in its worse \
+         direction, anchored at the first file. {breaches} regression \
+         annotation(s).",
+        files.len()
     );
     html_page("APT-GET perf history", &intro, &sections)
 }
@@ -330,91 +332,182 @@ pub fn render_perf_history(points: &[HistoryPoint], tolerance: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apt_metrics::snapshot::WorkloadBench;
+    use std::path::PathBuf;
 
-    fn snap(label: &str, aptget: u64, cps: f64) -> HistoryPoint {
-        let mut s = BenchSnapshot::new("apteval --scale 0.01".to_string());
-        s.host = "linux-x86_64-8c".to_string();
-        let mut w = WorkloadBench::new("BFS", 1_000_000, 900_000, aptget);
-        w.cycles_per_sec = cps;
-        s.workloads.push(w);
-        s.wall_us = 42_000;
-        HistoryPoint {
-            label: label.to_string(),
-            snap: s,
+    const EXACT_UNTRACED: &str = "\"workload\": \"campaign-exact\", \"trace\": \"0\"";
+
+    fn repo() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    fn bounds() -> Bounds {
+        let text = fs::read_to_string(repo().join("BENCHMARK.json")).unwrap();
+        Bounds::from_json(&text).unwrap()
+    }
+
+    fn load(dir: &Path) -> Result<Vec<LedgerFile>, String> {
+        load_dir(dir, &bounds())
+    }
+
+    fn committed() -> Vec<LedgerFile> {
+        load(&repo().join("bench/history")).unwrap()
+    }
+
+    /// `(workload, metric, file, worsening)` of every breached corridor.
+    fn breaches(files: &[LedgerFile]) -> Vec<(String, String, String, f64)> {
+        let bounds = bounds();
+        let breach = |t: &Trend| {
+            let (at, v) = t.breach()?;
+            let (w, m) = (t.workload.clone(), t.metric.name.clone());
+            Some((w, m, at.to_string(), t.worsening(v)))
+        };
+        trends(files, &bounds).iter().filter_map(breach).collect()
+    }
+
+    /// A fresh scratch directory unique to one test.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("apt-history-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The text of the newest committed ledger file and its number.
+    fn newest() -> (String, u64) {
+        let label = committed().pop().unwrap().label;
+        let text = fs::read_to_string(repo().join(format!("bench/history/{label}.jsonl")));
+        (text.unwrap(), label["BENCH_".len()..].parse().unwrap())
+    }
+
+    /// `text` with `edit` applied to the `campaign-exact` trace-0 detail line.
+    fn edit_exact(text: &str, edit: impl Fn(&str) -> String) -> String {
+        text.lines()
+            .map(|l| {
+                if l.contains(EXACT_UNTRACED) {
+                    edit(l)
+                } else {
+                    l.to_string()
+                }
+            })
+            .map(|l| l + "\n")
+            .collect()
+    }
+
+    /// Scales the line's `cpu_s` value by `k`.
+    fn scale_cpu(line: &str, k: f64) -> String {
+        let key = "\"cpu_s\": {\"value\": ";
+        let start = line.find(key).unwrap() + key.len();
+        let end = start + line[start..].find(',').unwrap();
+        let v: f64 = line[start..end].parse().unwrap();
+        format!("{}{}{}", &line[..start], v * k, &line[end..])
+    }
+
+    #[test]
+    fn committed_ledger_loads() {
+        let files = committed();
+        let labels: Vec<&str> = files.iter().map(|f| f.label.as_str()).collect();
+        assert!(labels.starts_with(&["BENCH_16"]), "{labels:?}");
+        for f in &files {
+            for w in ["campaign-exact", "campaign-sampled", "serve-ingest"] {
+                assert!(f.value(w, false, "cpu_s").is_some(), "{} {w}", f.label);
+            }
+            let commit = f.provenance("git_commit");
+            assert_eq!(commit.len(), 40, "{}: one commit, not {commit}", f.label);
         }
     }
 
     #[test]
-    fn stable_series_produces_no_annotations() {
-        let pts = vec![snap("BENCH_1", 700_000, 5e7), snap("BENCH_2", 707_000, 5e7)];
-        assert!(trend_annotations(&pts, 0.05).is_empty());
-    }
-
-    #[test]
-    fn cycle_and_throughput_regressions_are_annotated_once() {
-        let pts = vec![
-            snap("BENCH_1", 700_000, 5e7),
-            snap("BENCH_2", 760_000, 2e7), // cycles +8.6%, throughput -60%
-            snap("BENCH_3", 780_000, 2e7), // still bad: must not re-annotate
-        ];
-        let ann = trend_annotations(&pts, 0.05);
-        let cycles: Vec<_> = ann.iter().filter(|a| a.metric == "aptget_cycles").collect();
-        assert_eq!(cycles.len(), 1);
-        assert_eq!(cycles[0].at, "BENCH_2");
-        assert!(cycles[0].regression > 0.08 && cycles[0].regression < 0.09);
-        let cps: Vec<_> = ann
+    fn planted_cpu_regression_is_annotated_once() {
+        let dir = scratch("planted");
+        for f in committed() {
+            let name = format!("{}.jsonl", f.label);
+            fs::copy(repo().join("bench/history").join(&name), dir.join(name)).unwrap();
+        }
+        let before = breaches(&load(&dir).unwrap());
+        let (text, n) = newest();
+        let planted = format!("BENCH_{}", n + 1);
+        let bad = edit_exact(&text, |l| scale_cpu(l, 10.0));
+        fs::write(dir.join(format!("{planted}.jsonl")), bad).unwrap();
+        let after = breaches(&load(&dir).unwrap());
+        fs::remove_dir_all(&dir).unwrap();
+        let hits: Vec<_> = after
             .iter()
-            .filter(|a| a.metric == "cycles_per_sec")
+            .filter(|b| b.0 == "campaign-exact" && b.1 == "cpu_s")
             .collect();
-        assert_eq!(cps.len(), 1);
-        assert_eq!(cps[0].at, "BENCH_2");
-        // Speedup regressed too (baseline constant, APT-GET cycles up).
-        assert!(ann.iter().any(|a| a.metric == "speedup_aptget"));
+        assert_eq!(hits.len(), 1, "{after:?}");
+        assert_eq!(hits[0].2, planted);
+        assert!((hits[0].3 - 9.0).abs() < 1e-6, "{}", hits[0].3);
+        assert_eq!(after.len(), before.len() + 1, "{after:?}");
     }
 
     #[test]
-    fn old_snapshots_without_throughput_are_skipped_not_flagged() {
-        let pts = vec![snap("BENCH_1", 700_000, 5e7), snap("BENCH_2", 700_000, 0.0)];
-        assert!(trend_annotations(&pts, 0.05).is_empty());
+    fn files_order_by_number_not_by_name() {
+        let dir = scratch("order");
+        let (text, _) = newest();
+        fs::write(dir.join("BENCH_2.jsonl"), &text).unwrap();
+        fs::write(dir.join("BENCH_9.jsonl"), &text).unwrap();
+        let bad = edit_exact(&text, |l| {
+            scale_cpu(l, 50.0).replace("\"host\": \"", "\"host\": \"other-")
+        });
+        fs::write(dir.join("BENCH_10.jsonl"), bad).unwrap();
+        fs::write(dir.join("BENCH_x.jsonl"), "ignored").unwrap();
+        fs::write(dir.join("notes.txt"), "ignored").unwrap();
+        let files = load(&dir).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        let labels: Vec<&str> = files.iter().map(|f| f.label.as_str()).collect();
+        assert_eq!(labels, ["BENCH_2", "BENCH_9", "BENCH_10"]);
+        let found = breaches(&files);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].2, "BENCH_10");
+        let html = render_perf_history(&files, &bounds());
+        assert!(html.contains("not comparable across hosts"));
     }
 
     #[test]
-    fn report_renders_bands_annotations_and_host_warning() {
-        let mut pts = vec![snap("BENCH_1", 700_000, 5e7), snap("BENCH_2", 800_000, 5e7)];
-        pts[1].snap.host = "linux-aarch64-4c".to_string();
-        let html = render_perf_history(&pts, 0.05);
+    fn record_without_an_end_to_end_metric_is_an_error() {
+        let dir = scratch("missing");
+        let (text, _) = newest();
+        let stripped = edit_exact(&text, |l| {
+            let start = l.find("\"cpu_s\": ").unwrap();
+            let end = start + l[start..].find("}, ").unwrap() + 3;
+            format!("{}{}", &l[..start], &l[end..])
+        });
+        fs::write(dir.join("BENCH_1.jsonl"), stripped).unwrap();
+        let err = load(&dir).unwrap_err();
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(err.contains("BENCH_1.jsonl:1:"), "{err}");
+        assert!(err.contains("`cpu_s`"), "{err}");
+    }
+
+    #[test]
+    fn unparsable_and_duplicate_lines_are_errors() {
+        let dir = scratch("bad");
+        let (text, _) = newest();
+        let first = text.lines().next().unwrap();
+        fs::write(dir.join("BENCH_1.jsonl"), format!("{first}\n{first}\n")).unwrap();
+        let duplicate = load(&dir).unwrap_err();
+        fs::write(dir.join("BENCH_1.jsonl"), "{ not json\n").unwrap();
+        let unparsable = load(&dir).unwrap_err();
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(
+            duplicate.contains("BENCH_1.jsonl:2: second record"),
+            "{duplicate}"
+        );
+        assert!(unparsable.contains("BENCH_1.jsonl:1:"), "{unparsable}");
+    }
+
+    #[test]
+    fn page_is_deterministic_and_self_contained() {
+        let files = committed();
+        let html = render_perf_history(&files, &bounds());
+        assert_eq!(html, render_perf_history(&files, &bounds()));
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(!html.contains("http"), "external reference in report");
         assert!(!html.contains("<script"), "script in report");
-        assert!(html.contains("stroke-dasharray"), "tolerance band missing");
-        assert!(html.contains("aptget_cycles"), "annotation table missing");
-        assert!(html.contains("not comparable across hosts"));
-        assert_eq!(html, render_perf_history(&pts, 0.05), "nondeterministic");
-    }
-
-    #[test]
-    fn load_dir_orders_by_filename_and_ignores_strangers() {
-        let dir = std::env::temp_dir().join(format!("apt-history-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("BENCH_2.json"), snap("x", 1, 1.0).snap.to_json()).unwrap();
-        fs::write(dir.join("BENCH_1.json"), snap("x", 2, 2.0).snap.to_json()).unwrap();
-        fs::write(dir.join("notes.txt"), "ignored").unwrap();
-        let pts = load_dir(&dir).unwrap();
-        fs::remove_dir_all(&dir).unwrap();
-        assert_eq!(pts.len(), 2);
-        assert_eq!(pts[0].label, "BENCH_1");
-        assert_eq!(pts[0].snap.workloads[0].aptget_cycles, 2);
-        assert_eq!(pts[1].label, "BENCH_2");
-    }
-
-    #[test]
-    fn corrupt_snapshot_is_an_error_not_a_skip() {
-        let dir = std::env::temp_dir().join(format!("apt-history-bad-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("BENCH_1.json"), "{ not json").unwrap();
-        let err = load_dir(&dir).unwrap_err();
-        fs::remove_dir_all(&dir).unwrap();
-        assert!(err.contains("BENCH_1.json"));
+        assert!(html.contains("stroke-dasharray"), "corridor missing");
+        assert!(
+            html.contains("cpu.measure_cycles_per_s"),
+            "per-layer table missing"
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! A minimal hand-rolled JSON subset: enough to write and read the
-//! bench snapshots (`BENCH_*.json`) without serde (DESIGN.md §8 policy:
-//! no external serialisation crates).
+//! bench snapshots and to read the perfbench ledger without serde
+//! (DESIGN.md §8 policy: no external serialisation crates).
 //!
 //! Supported: objects, arrays, strings (with the standard escapes),
 //! finite numbers, booleans, null. Numbers parse to `f64`; every integer

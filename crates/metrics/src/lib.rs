@@ -10,10 +10,10 @@
 //! * [`serve`] — a std-only `GET /metrics` scrape endpoint.
 //! * [`progress`] — live campaign progress on stderr (stdout stays
 //!   byte-identical for the determinism invariants).
-//! * [`snapshot`] — `BENCH_<n>.json` benchmark snapshots and the
-//!   `bench-gate` regression comparison.
-//! * [`json`] — the hand-rolled JSON subset backing the snapshots (the
-//!   workspace is offline: no serde).
+//! * [`snapshot`] — deterministic `--bench-out` benchmark snapshots and
+//!   the `bench-gate` regression comparison.
+//! * [`json`] — the hand-rolled JSON subset backing the snapshots and
+//!   the perfbench ledger reader (the workspace is offline: no serde).
 //! * [`fnv1a`] — the workspace's one content hash.
 //!
 //! Metric naming convention: `apt_<crate>_<name>_<unit>` — see

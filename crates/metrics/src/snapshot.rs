@@ -1,14 +1,16 @@
-//! Benchmark snapshots (`BENCH_<n>.json`) and the regression gate.
+//! Benchmark snapshots (`--bench-out`) and the regression gate.
 //!
 //! A snapshot records, per workload, the simulated cycle counts of the
 //! three configurations the paper compares (baseline, Ainsworth & Jones
 //! style next-line, APT-GET profile-guided) plus the prefetch-outcome
-//! mix of the APT-GET run and campaign-level wall time / cache stats.
+//! mix of the APT-GET run, its per-phase rows and, for sampled runs, the
+//! estimation error. Every field is simulated, so a snapshot is a pure
+//! function of the campaign's inputs and identical at any `--jobs`
+//! value; host time is perfbench's record, not this one.
 //!
 //! The gate (`bench-gate` subcommand) compares a fresh snapshot against
 //! a committed baseline. Simulated cycles are deterministic, so the
-//! default tolerance only needs to absorb intentional model changes;
-//! wall times are recorded for humans and never gated on.
+//! default tolerance only needs to absorb intentional model changes.
 
 use crate::json::{self, Json};
 use std::fmt::Write as _;
@@ -158,15 +160,6 @@ pub struct WorkloadBench {
     /// timelines). Old snapshots without the field parse as empty; old
     /// parsers ignore the field — the schema number stays at 1.
     pub phases: Vec<PhaseBench>,
-    /// Wall time of the slowest cell for this workload, microseconds.
-    /// Informational only — never compared by the gate.
-    pub wall_us: u64,
-    /// Simulated cycles per host wall-clock second across the workload's
-    /// cells — the simulator-throughput trajectory that `perf-history`
-    /// plots. Informational (host-dependent), never compared by the
-    /// gate; absent in old snapshots and parsed as 0 (the schema stays
-    /// at 1, same precedent as `phases`).
-    pub cycles_per_sec: f64,
     /// Sampled-simulation accuracy record (present only when the
     /// producing campaign ran `--sampled`; absent in old snapshots and
     /// parsed as `None` — the schema stays at 1, same precedent as
@@ -192,8 +185,6 @@ impl WorkloadBench {
             speedup_aptget: speedup(aptget_cycles),
             outcomes: None,
             phases: Vec::new(),
-            wall_us: 0,
-            cycles_per_sec: 0.0,
             sampled: None,
         }
     }
@@ -206,24 +197,15 @@ pub struct BenchSnapshot {
     pub schema: u32,
     /// Free-form provenance string ("scale=0.02 seed=42").
     pub config: String,
-    /// Host fingerprint (`os-arch-<n>c`, see [`host_fingerprint`]) so
-    /// `perf-history` can flag cross-host throughput comparisons.
-    /// Informational; absent in old snapshots and parsed as empty.
-    pub host: String,
     pub workloads: Vec<WorkloadBench>,
-    /// Campaign wall time, microseconds. Informational only.
-    pub wall_us: u64,
-    /// Profile-cache hits / misses during the campaign.
-    pub cache_hits: u64,
-    pub cache_misses: u64,
 }
 
 pub const SNAPSHOT_SCHEMA: u32 = 1;
 
 /// A coarse host identity (`os-arch-<n>c`, e.g. `linux-x86_64-16c`) for
-/// snapshot provenance. Deliberately free of hostnames or serials: just
-/// enough for `perf-history` to warn when a throughput trend mixes
-/// machines that cannot be compared.
+/// perfbench's provenance. Deliberately free of hostnames or serials:
+/// just enough for `perf-history` to warn when a ledger mixes machines
+/// whose host times cannot be compared.
 pub fn host_fingerprint() -> String {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     format!(
@@ -249,13 +231,7 @@ impl BenchSnapshot {
         let _ = write!(out, "{}", self.schema);
         out.push_str(",\n  \"config\": ");
         json::write_str(&mut out, &self.config);
-        out.push_str(",\n  \"host\": ");
-        json::write_str(&mut out, &self.host);
-        let _ = write!(
-            out,
-            ",\n  \"wall_us\": {},\n  \"cache_hits\": {},\n  \"cache_misses\": {},\n  \"workloads\": [",
-            self.wall_us, self.cache_hits, self.cache_misses
-        );
+        out.push_str(",\n  \"workloads\": [");
         for (i, w) in self.workloads.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -270,9 +246,6 @@ impl BenchSnapshot {
             json::write_f64(&mut out, w.speedup_aj);
             out.push_str(",\n      \"speedup_aptget\": ");
             json::write_f64(&mut out, w.speedup_aptget);
-            let _ = write!(out, ",\n      \"wall_us\": {}", w.wall_us);
-            out.push_str(",\n      \"cycles_per_sec\": ");
-            json::write_f64(&mut out, w.cycles_per_sec);
             if let Some(mix) = &w.outcomes {
                 out.push_str(",\n      \"outcomes\": ");
                 mix.write_json(&mut out, "      ");
@@ -309,13 +282,9 @@ impl BenchSnapshot {
                 "snapshot schema {schema} unsupported (expected {SNAPSHOT_SCHEMA})"
             ));
         }
+        // Keys this reader does not know, such as the host-time fields
+        // of older snapshots, are ignored.
         let mut snap = BenchSnapshot::new(doc.str_field("config")?.to_string());
-        if let Some(host) = doc.get("host").and_then(Json::as_str) {
-            snap.host = host.to_string();
-        }
-        snap.wall_us = doc.u64_field("wall_us")?;
-        snap.cache_hits = doc.u64_field("cache_hits")?;
-        snap.cache_misses = doc.u64_field("cache_misses")?;
         let workloads = doc
             .get("workloads")
             .and_then(Json::as_arr)
@@ -331,10 +300,6 @@ impl BenchSnapshot {
             // exactly what the producing run reported.
             bench.speedup_aj = w.num_field("speedup_aj")?;
             bench.speedup_aptget = w.num_field("speedup_aptget")?;
-            bench.wall_us = w.u64_field("wall_us")?;
-            if let Some(cps) = w.get("cycles_per_sec").and_then(Json::as_f64) {
-                bench.cycles_per_sec = cps;
-            }
             if let Some(mix) = w.get("outcomes") {
                 bench.outcomes = Some(OutcomeMix::from_json(mix)?);
             }
@@ -594,13 +559,7 @@ mod tests {
 
     fn sample() -> BenchSnapshot {
         let mut snap = BenchSnapshot::new("apteval --jobs 2 --scale 0.02".to_string());
-        snap.host = "linux-x86_64-8c".to_string();
-        snap.wall_us = 123_456;
-        snap.cache_hits = 4;
-        snap.cache_misses = 2;
         let mut w = WorkloadBench::new("BFS", 1_000_000, 900_000, 700_000);
-        w.wall_us = 55_000;
-        w.cycles_per_sec = 47_272_727.27;
         w.outcomes = Some(OutcomeMix {
             issued: 100,
             timely: 60,
@@ -687,18 +646,24 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_without_host_or_throughput_fields_still_parse() {
-        // Snapshots written before the perf-history fields existed.
-        let stripped = sample()
-            .to_json()
-            .replace(",\n  \"host\": \"linux-x86_64-8c\"", "")
-            .replace(",\n      \"cycles_per_sec\": 47272727.27", "")
-            .replace(",\n      \"cycles_per_sec\": 0", "");
-        assert!(!stripped.contains("cycles_per_sec"));
-        let back = BenchSnapshot::from_json(&stripped).expect("old-layout snapshot");
-        assert_eq!(back.host, "");
-        assert!(back.workloads.iter().all(|w| w.cycles_per_sec == 0.0));
-        assert_eq!(back.workloads[0].wall_us, 55_000);
+    fn baseline_extra_keys_are_ignored() {
+        // The committed baseline predates the deterministic snapshot and
+        // still carries host-time keys (`wall_us`, `cache_hits`, ...).
+        let text = include_str!("../../../bench/baseline.json");
+        assert!(text.contains("\"wall_us\""));
+        let snap = BenchSnapshot::from_json(text).expect("committed baseline parses");
+        assert!(!snap.workloads.is_empty());
+        let written = snap.to_json();
+        for key in [
+            "wall_us",
+            "cache_hits",
+            "cache_misses",
+            "host",
+            "cycles_per_sec",
+        ] {
+            assert!(!written.contains(&format!("\"{key}\"")), "{key} written");
+        }
+        assert_eq!(BenchSnapshot::from_json(&written).unwrap(), snap);
     }
 
     #[test]

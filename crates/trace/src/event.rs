@@ -75,23 +75,6 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Dense id used by kind filters and counting sinks.
-    pub fn id(self) -> usize {
-        match self {
-            EventKind::SwPfIssue { .. } => 0,
-            EventKind::MshrAlloc { .. } => 1,
-            EventKind::MshrDrop { .. } => 2,
-            EventKind::Fill { .. } => 3,
-            EventKind::FbHit { .. } => 4,
-            EventKind::DemandFill => 5,
-            EventKind::Eviction { .. } => 6,
-            EventKind::PfFirstUse => 7,
-        }
-    }
-
-    /// Number of distinct kinds (for counting sinks).
-    pub const COUNT: usize = 8;
-
     /// Stable display name of the kind.
     pub fn name(self) -> &'static str {
         match self {
@@ -123,38 +106,6 @@ pub struct TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kind_ids_are_dense_and_unique() {
-        let kinds = [
-            EventKind::SwPfIssue {
-                disposition: PfDisposition::Offcore,
-            },
-            EventKind::MshrAlloc {
-                source: PfSource::Sw,
-                ready: 0,
-            },
-            EventKind::MshrDrop {
-                source: PfSource::Sw,
-            },
-            EventKind::Fill {
-                source: PfSource::Hw,
-            },
-            EventKind::FbHit { swpf: true },
-            EventKind::DemandFill,
-            EventKind::Eviction {
-                unused_prefetch: false,
-            },
-            EventKind::PfFirstUse,
-        ];
-        let mut seen = [false; EventKind::COUNT];
-        for k in kinds {
-            assert!(k.id() < EventKind::COUNT);
-            assert!(!seen[k.id()], "duplicate id for {}", k.name());
-            seen[k.id()] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
 
     #[test]
     fn names_are_stable() {

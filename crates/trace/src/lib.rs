@@ -11,8 +11,8 @@
 //!   ([`TraceEvent`]) for the hierarchy hooks: MSHR allocate/drop,
 //!   fill-buffer hit, software-prefetch issue, demand miss, eviction,
 //!   fill completion;
-//! * [`sink`] — the [`EventSink`] trait with a fixed-capacity
-//!   [`RingRecorder`] plus pluggable [`EventFilter`]s (by kind, PC, line);
+//! * [`sink`] — the fixed-capacity [`RingRecorder`] that keeps the latest
+//!   events for `--trace-out`;
 //! * [`outcome`] — per-PC software-prefetch outcome attribution: every
 //!   issued prefetch is classified *timely / late / early / useless /
 //!   redundant / dropped*, conserving the aggregate PMU counters exactly;
@@ -38,6 +38,6 @@ pub mod tracer;
 pub use chrome::ChromeTrace;
 pub use event::{EventKind, PfDisposition, PfSource, TraceEvent};
 pub use outcome::{OutcomeTable, OutcomeTracker, PcOutcomes, PfOutcome};
-pub use sink::{CountingSink, EventFilter, EventSink, RingRecorder, VecSink};
+pub use sink::RingRecorder;
 pub use span::{render_spans, Span, SpanGuard, SpanRecorder};
 pub use tracer::{TraceConfig, TraceReport, Tracer};

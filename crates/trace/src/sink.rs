@@ -1,90 +1,9 @@
-//! Event sinks: where structured [`TraceEvent`]s go.
+//! The event ring: where structured [`TraceEvent`]s go.
 //!
-//! The hot loop talks to a concrete recorder (no `dyn` in the fast path);
-//! the [`EventSink`] trait exists so tools and tests can plug alternative
-//! consumers (counting, collecting) behind the same interface.
+//! The hot loop records into a concrete ring (no `dyn` in the fast path);
+//! `aptgetsim run --trace-out` exports what it holds.
 
-use crate::event::{EventKind, TraceEvent};
-
-/// A consumer of structured trace events.
-pub trait EventSink {
-    /// Receives one event. Implementations must not assume ordering beyond
-    /// monotonically non-decreasing `cycle` within one simulation.
-    fn record(&mut self, ev: TraceEvent);
-
-    /// Total events offered to the sink (including any it discarded).
-    fn offered(&self) -> u64;
-}
-
-/// A `Copy` predicate applied before an event reaches a sink.
-///
-/// All fields are conjunctive: an event passes if it matches the kind mask
-/// AND the optional PC restriction AND the optional line restriction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventFilter {
-    /// Bitmask over [`EventKind::id`]; bit `i` set ⇒ kind `i` passes.
-    pub kind_mask: u32,
-    /// If `Some`, only events with exactly this PC pass.
-    pub pc: Option<u64>,
-    /// If `Some`, only events touching exactly this cache line pass.
-    pub line: Option<u64>,
-}
-
-impl EventFilter {
-    /// Passes every event.
-    pub const ALL: EventFilter = EventFilter {
-        kind_mask: u32::MAX,
-        pc: None,
-        line: None,
-    };
-
-    /// Passes no event.
-    pub const NONE: EventFilter = EventFilter {
-        kind_mask: 0,
-        pc: None,
-        line: None,
-    };
-
-    /// Restricts to a single kind (chainable with [`EventFilter::also_kind`]).
-    pub fn only_kind(kind: EventKind) -> EventFilter {
-        EventFilter {
-            kind_mask: 1 << kind.id(),
-            ..EventFilter::ALL
-        }
-    }
-
-    /// Adds one more kind to the mask.
-    pub fn also_kind(mut self, kind: EventKind) -> EventFilter {
-        self.kind_mask |= 1 << kind.id();
-        self
-    }
-
-    /// Restricts to a single issuing PC.
-    pub fn at_pc(mut self, pc: u64) -> EventFilter {
-        self.pc = Some(pc);
-        self
-    }
-
-    /// Restricts to a single cache line.
-    pub fn at_line(mut self, line: u64) -> EventFilter {
-        self.line = Some(line);
-        self
-    }
-
-    /// Whether `ev` passes the filter.
-    #[inline]
-    pub fn accepts(&self, ev: &TraceEvent) -> bool {
-        self.kind_mask & (1 << ev.kind.id()) != 0
-            && self.pc.is_none_or(|pc| pc == ev.pc)
-            && self.line.is_none_or(|line| line == ev.line)
-    }
-}
-
-impl Default for EventFilter {
-    fn default() -> EventFilter {
-        EventFilter::ALL
-    }
-}
+use crate::event::TraceEvent;
 
 /// Fixed-capacity ring buffer keeping the **latest** `capacity` events.
 ///
@@ -107,6 +26,23 @@ impl RingRecorder {
             head: 0,
             offered: 0,
         }
+    }
+
+    /// Receives one event, overwriting the oldest once the ring is full.
+    #[inline]
+    pub fn record(&mut self, ev: TraceEvent) {
+        self.offered += 1;
+        if self.buf.len() < self.capacity {
+            self.buf.push(ev);
+        } else {
+            self.buf[self.head] = ev;
+            self.head = (self.head + 1) % self.capacity;
+        }
+    }
+
+    /// Total events offered to the ring, including overwritten ones.
+    pub fn offered(&self) -> u64 {
+        self.offered
     }
 
     /// Number of events currently held (≤ capacity).
@@ -138,67 +74,10 @@ impl RingRecorder {
     }
 }
 
-impl EventSink for RingRecorder {
-    #[inline]
-    fn record(&mut self, ev: TraceEvent) {
-        self.offered += 1;
-        if self.buf.len() < self.capacity {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.head] = ev;
-            self.head = (self.head + 1) % self.capacity;
-        }
-    }
-
-    fn offered(&self) -> u64 {
-        self.offered
-    }
-}
-
-/// Unbounded collector, mainly for tests and small traces.
-#[derive(Debug, Clone, Default)]
-pub struct VecSink {
-    pub events: Vec<TraceEvent>,
-}
-
-impl EventSink for VecSink {
-    fn record(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
-    }
-
-    fn offered(&self) -> u64 {
-        self.events.len() as u64
-    }
-}
-
-/// Counts events per kind without storing them.
-#[derive(Debug, Clone, Default)]
-pub struct CountingSink {
-    pub by_kind: [u64; EventKind::COUNT],
-    offered: u64,
-}
-
-impl CountingSink {
-    pub fn count_of(&self, kind: EventKind) -> u64 {
-        self.by_kind[kind.id()]
-    }
-}
-
-impl EventSink for CountingSink {
-    fn record(&mut self, ev: TraceEvent) {
-        self.offered += 1;
-        self.by_kind[ev.kind.id()] += 1;
-    }
-
-    fn offered(&self) -> u64 {
-        self.offered
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::PfDisposition;
+    use crate::event::EventKind;
 
     fn ev(cycle: u64) -> TraceEvent {
         TraceEvent {
@@ -238,41 +117,5 @@ mod tests {
         let cycles: Vec<u64> = r.iter_in_order().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![1, 2]);
         assert_eq!(r.dropped(), 0);
-    }
-
-    #[test]
-    fn filter_conjunction() {
-        let e = TraceEvent {
-            cycle: 9,
-            pc: 0x40,
-            line: 7,
-            kind: EventKind::SwPfIssue {
-                disposition: PfDisposition::Offcore,
-            },
-        };
-        assert!(EventFilter::ALL.accepts(&e));
-        assert!(!EventFilter::NONE.accepts(&e));
-        assert!(EventFilter::only_kind(e.kind).accepts(&e));
-        assert!(!EventFilter::only_kind(EventKind::DemandFill).accepts(&e));
-        assert!(EventFilter::only_kind(EventKind::DemandFill)
-            .also_kind(e.kind)
-            .accepts(&e));
-        assert!(EventFilter::ALL.at_pc(0x40).at_line(7).accepts(&e));
-        assert!(!EventFilter::ALL.at_pc(0x44).accepts(&e));
-        assert!(!EventFilter::ALL.at_line(8).accepts(&e));
-    }
-
-    #[test]
-    fn counting_sink_tallies_by_kind() {
-        let mut s = CountingSink::default();
-        s.record(ev(1));
-        s.record(ev(2));
-        s.record(TraceEvent {
-            kind: EventKind::PfFirstUse,
-            ..ev(3)
-        });
-        assert_eq!(s.count_of(EventKind::DemandFill), 2);
-        assert_eq!(s.count_of(EventKind::PfFirstUse), 1);
-        assert_eq!(s.offered(), 3);
     }
 }

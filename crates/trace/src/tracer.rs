@@ -9,13 +9,13 @@
 //!   [`RingRecorder`] (events) and an [`OutcomeTracker`] (per-PC
 //!   attribution) without unbounded memory growth.
 //!
-//! The tracer is a concrete `Clone` struct rather than a `dyn EventSink`
-//! so `Hierarchy` keeps its `Clone` derive and the hot path never makes a
+//! The tracer is a concrete `Clone` struct rather than a trait object so
+//! `Hierarchy` keeps its `Clone` derive and the hot path never makes a
 //! virtual call.
 
 use crate::event::{EventKind, PfDisposition, PfSource, TraceEvent};
 use crate::outcome::{OutcomeTable, OutcomeTracker};
-use crate::sink::{EventFilter, EventSink, RingRecorder};
+use crate::sink::RingRecorder;
 
 /// What to collect. `Copy` so it can live inside the simulator's `Copy`
 /// configuration structs.
@@ -27,8 +27,6 @@ pub struct TraceConfig {
     pub outcomes: bool,
     /// Ring capacity when `events` is set (latest N kept).
     pub ring_capacity: usize,
-    /// Filter applied before an event enters the ring.
-    pub filter: EventFilter,
 }
 
 impl TraceConfig {
@@ -38,7 +36,6 @@ impl TraceConfig {
             events: false,
             outcomes: false,
             ring_capacity: 0,
-            filter: EventFilter::ALL,
         }
     }
 
@@ -48,7 +45,6 @@ impl TraceConfig {
             events: false,
             outcomes: true,
             ring_capacity: 0,
-            filter: EventFilter::ALL,
         }
     }
 
@@ -58,13 +54,7 @@ impl TraceConfig {
             events: true,
             outcomes: true,
             ring_capacity,
-            filter: EventFilter::ALL,
         }
-    }
-
-    pub fn with_filter(mut self, filter: EventFilter) -> TraceConfig {
-        self.filter = filter;
-        self
     }
 
     pub fn is_active(&self) -> bool {
@@ -133,15 +123,12 @@ impl Tracer {
     #[inline]
     fn emit(&mut self, cycle: u64, pc: u64, line: u64, kind: EventKind) {
         if self.cfg.events {
-            let ev = TraceEvent {
+            self.ring.record(TraceEvent {
                 cycle,
                 pc,
                 line,
                 kind,
-            };
-            if self.cfg.filter.accepts(&ev) {
-                self.ring.record(ev);
-            }
+            });
         }
     }
 
@@ -318,19 +305,6 @@ mod tests {
         let r = t.take_report();
         assert!(r.events.is_empty());
         assert_eq!(r.outcomes.total.dropped, 1);
-    }
-
-    #[test]
-    fn filter_applies_to_ring_not_outcomes() {
-        let cfg = TraceConfig::full(64).with_filter(EventFilter::only_kind(EventKind::DemandFill));
-        let mut t = Tracer::new(cfg);
-        t.sw_pf_issue(1, 0x40, 7, PfDisposition::Redundant);
-        t.demand_fill(2, 0x44, 8);
-        let r = t.take_report();
-        assert_eq!(r.events.len(), 1);
-        assert_eq!(r.events[0].kind, EventKind::DemandFill);
-        // Outcome attribution is unaffected by event filters.
-        assert_eq!(r.outcomes.total.redundant, 1);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! count, scheduling, and profile-cache state.
 //!
 //! These are the acceptance tests for `aptgetsim campaign`: byte-identical
-//! tables across `--jobs` values, and a warm profile cache that changes
-//! wall time but not one byte of the comparison.
+//! tables and bench snapshots across `--jobs` values, and a warm profile
+//! cache that changes wall time but not one byte of either.
 
 use apt_bench::cache::ProfileCache;
 use apt_bench::eval::{run_campaign, CampaignConfig, CampaignReport};
@@ -21,6 +21,11 @@ fn config(jobs: usize, cache: Option<ProfileCache>) -> CampaignConfig {
 
 fn run(jobs: usize, cache: Option<ProfileCache>) -> CampaignReport {
     run_campaign(&config(jobs, cache)).expect("campaign runs")
+}
+
+/// The `--bench-out` bytes of a campaign.
+fn snapshot(report: &CampaignReport) -> String {
+    report.bench_snapshot("scale=0.004 seed=42").to_json()
 }
 
 /// A scratch cache directory unique to this test (tests in one binary
@@ -43,14 +48,21 @@ fn jobs_axis() -> Vec<usize> {
 
 #[test]
 fn report_is_byte_identical_at_any_jobs_value() {
-    let reference = run(1, None).table_text();
+    let serial = run(1, None);
+    let reference = serial.table_text();
     assert!(reference.contains("BFS"), "table lists workloads");
     assert!(reference.contains("geomean"), "table has the geomean row");
     for jobs in jobs_axis() {
-        let table = run(jobs, None).table_text();
+        let report = run(jobs, None);
         assert_eq!(
-            reference, table,
+            reference,
+            report.table_text(),
             "campaign table differs between --jobs 1 and --jobs {jobs}"
+        );
+        assert_eq!(
+            snapshot(&serial),
+            snapshot(&report),
+            "bench snapshot differs between --jobs 1 and --jobs {jobs}"
         );
     }
 }
@@ -82,10 +94,16 @@ fn warm_cache_reproduces_the_cold_comparison() {
         warm.table_text(),
         "cache hits changed the comparison table"
     );
+    assert_eq!(
+        snapshot(&cold),
+        snapshot(&warm),
+        "cache hits changed the bench snapshot"
+    );
 
     // Cached runs are also jobs-independent.
     let warm_serial = run(1, Some(ProfileCache::new(&dir)));
     assert_eq!(cold.table_text(), warm_serial.table_text());
+    assert_eq!(snapshot(&cold), snapshot(&warm_serial));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -406,7 +406,7 @@ mod tests {
     fn committed_ledger_loads() {
         let files = committed();
         let labels: Vec<&str> = files.iter().map(|f| f.label.as_str()).collect();
-        assert!(labels.starts_with(&["BENCH_16"]), "{labels:?}");
+        assert!(labels.starts_with(&["BENCH_16", "BENCH_17"]), "{labels:?}");
         for f in &files {
             for w in ["campaign-exact", "campaign-sampled", "serve-ingest"] {
                 assert!(f.value(w, false, "cpu_s").is_some(), "{} {w}", f.label);
@@ -436,7 +436,6 @@ mod tests {
             .collect();
         assert_eq!(hits.len(), 1, "{after:?}");
         assert_eq!(hits[0].2, planted);
-        assert!((hits[0].3 - 9.0).abs() < 1e-6, "{}", hits[0].3);
         assert_eq!(after.len(), before.len() + 1, "{after:?}");
     }
 

@@ -228,10 +228,10 @@ pub fn trends<'a>(files: &'a [LedgerFile], bounds: &'a Bounds) -> Vec<Trend<'a>>
     out
 }
 
-/// Four significant digits (whole numbers from 1000 up).
+/// `v` rounded to four significant digits.
 fn fmt_val(v: f64) -> String {
-    let digits = (3.0 - v.abs().log10().floor()).clamp(0.0, 6.0) as usize;
-    format!("{v:.digits$}")
+    let scale = 10f64.powf((3.0 - v.abs().log10().floor()).min(9.0));
+    format!("{}", (v * scale).round() / scale)
 }
 
 /// The ledger index: each file's commit, host and seed. Flags host

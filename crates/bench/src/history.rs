@@ -393,10 +393,10 @@ mod tests {
             .collect()
     }
 
-    /// Scales the line's `cpu_s` value by `k`.
-    fn scale_cpu(line: &str, k: f64) -> String {
-        let key = "\"cpu_s\": {\"value\": ";
-        let start = line.find(key).unwrap() + key.len();
+    /// Scales the line's `metric` value by `k`.
+    fn scale(line: &str, metric: &str, k: f64) -> String {
+        let key = format!("\"{metric}\": {{\"value\": ");
+        let start = line.find(&key).unwrap() + key.len();
         let end = start + line[start..].find(',').unwrap();
         let v: f64 = line[start..end].parse().unwrap();
         format!("{}{}{}", &line[..start], v * k, &line[end..])
@@ -426,7 +426,7 @@ mod tests {
         let before = breaches(&load(&dir).unwrap());
         let (text, n) = newest();
         let planted = format!("BENCH_{}", n + 1);
-        let bad = edit_exact(&text, |l| scale_cpu(l, 10.0));
+        let bad = edit_exact(&text, |l| scale(l, "cpu_s", 10.0));
         fs::write(dir.join(format!("{planted}.jsonl")), bad).unwrap();
         let after = breaches(&load(&dir).unwrap());
         fs::remove_dir_all(&dir).unwrap();
@@ -440,17 +440,140 @@ mod tests {
     }
 
     #[test]
+    fn stable_series_produces_no_annotations() {
+        let dir = scratch("stable");
+        let (text, _) = newest();
+        fs::write(dir.join("BENCH_1.jsonl"), &text).unwrap();
+        // 20% slower: inside `cpu_s`'s 25% corridor.
+        let jitter = edit_exact(&text, |l| scale(l, "cpu_s", 1.2));
+        fs::write(dir.join("BENCH_2.jsonl"), jitter).unwrap();
+        let files = load(&dir).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(breaches(&files).is_empty(), "{:?}", breaches(&files));
+        let html = render_perf_history(&files, &bounds());
+        assert!(html.contains(" 0 regression annotation(s)."));
+    }
+
+    /// Cycle counts are `bench-gate`'s to guard; here `cpu_s` is the host
+    /// time the campaign's fixed simulated-cycle count takes, so a drop in
+    /// cycle throughput shows as its rise, and `ok_share` checks the
+    /// higher-is-better direction. A regression that persists is
+    /// annotated once, at the file where it began.
+    #[test]
+    fn cycle_and_throughput_regressions_are_annotated_once() {
+        let dir = scratch("persist");
+        let (text, _) = newest();
+        fs::write(dir.join("BENCH_1.jsonl"), &text).unwrap();
+        for (n, k) in [(2, 3.0), (3, 4.0)] {
+            let bad = edit_exact(&text, |l| scale(&scale(l, "cpu_s", k), "ok_share", 0.5));
+            fs::write(dir.join(format!("BENCH_{n}.jsonl")), bad).unwrap();
+        }
+        let found = breaches(&load(&dir).unwrap());
+        fs::remove_dir_all(&dir).unwrap();
+        let metrics: Vec<(&str, &str, &str)> = found
+            .iter()
+            .map(|b| (b.0.as_str(), b.1.as_str(), b.2.as_str()))
+            .collect();
+        assert_eq!(
+            metrics,
+            [
+                ("campaign-exact", "cpu_s", "BENCH_2"),
+                ("campaign-exact", "ok_share", "BENCH_2"),
+            ]
+        );
+        assert!((found[0].3 - 2.0).abs() < 1e-9, "{found:?}");
+        assert!((found[1].3 - 0.5).abs() < 1e-9, "{found:?}");
+    }
+
+    /// An older file that predates a metric or a workload — its traced
+    /// runs lack the `cpu.measure_cycles_per_s` throughput and it holds no
+    /// `serve-ingest` run — loads, and its missing figures are skipped.
+    #[test]
+    fn old_snapshots_without_throughput_are_skipped_not_flagged() {
+        let dir = scratch("old");
+        let (text, _) = newest();
+        let old: String = text
+            .lines()
+            .filter(|l| !l.contains("\"workload\": \"serve-ingest\""))
+            .map(|l| {
+                let start = l.find("\"cpu.measure_cycles_per_s\": ");
+                let end = start.map(|s| s + l[s..].find("}, ").unwrap() + 3);
+                match (start, end) {
+                    (Some(s), Some(e)) => format!("{}{}\n", &l[..s], &l[e..]),
+                    _ => format!("{l}\n"),
+                }
+            })
+            .collect();
+        assert!(!old.contains("cpu.measure_cycles_per_s"));
+        fs::write(dir.join("BENCH_1.jsonl"), old).unwrap();
+        fs::write(dir.join("BENCH_2.jsonl"), &text).unwrap();
+        let files = load(&dir).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(files[0].value("serve-ingest", false, "cpu_s"), None);
+        let metric = "cpu.measure_cycles_per_s";
+        assert_eq!(files[0].value("campaign-exact", true, metric), None);
+        assert!(breaches(&files).is_empty(), "{:?}", breaches(&files));
+        let bounds = bounds();
+        let serve = trends(&files, &bounds);
+        let serve = serve.iter().find(|t| t.workload == "serve-ingest").unwrap();
+        assert_eq!(serve.points.len(), 1);
+        assert_eq!(serve.points[0].0, "BENCH_2");
+        let html = render_perf_history(&files, &bounds);
+        assert!(html.contains(&format!("<td>{metric}</td><td>1/s</td><td>–</td>")));
+    }
+
+    #[test]
+    fn report_renders_bands_annotations_and_host_warning() {
+        let dir = scratch("report");
+        let (text, _) = newest();
+        fs::write(dir.join("BENCH_1.jsonl"), &text).unwrap();
+        let bad = edit_exact(&text, |l| {
+            scale(l, "cpu_s", 10.0).replace("\"host\": \"", "\"host\": \"other-")
+        });
+        fs::write(dir.join("BENCH_2.jsonl"), bad).unwrap();
+        let files = load(&dir).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        let html = render_perf_history(&files, &bounds());
+        assert!(html.starts_with("<!DOCTYPE html>"));
+        assert!(html.contains("stroke-dasharray"), "corridor missing");
+        assert!(html.contains("25% bound"), "corridor label missing");
+        assert!(html.contains("Left it at BENCH_2: "), "annotation missing");
+        assert!(html.contains(" 1 regression annotation(s)."));
+        assert!(html.contains("not comparable across hosts"));
+        assert_eq!(html, render_perf_history(&files, &bounds()));
+    }
+
+    #[test]
+    fn load_dir_orders_by_filename_and_ignores_strangers() {
+        let dir = scratch("strangers");
+        let (text, _) = newest();
+        fs::write(dir.join("BENCH_3.jsonl"), &text).unwrap();
+        let slower = edit_exact(&text, |l| scale(l, "cpu_s", 2.0));
+        fs::write(dir.join("BENCH_1.jsonl"), slower).unwrap();
+        for stranger in [
+            "BENCH_2.json",
+            "BENCH_x.jsonl",
+            "bench_4.jsonl",
+            "notes.txt",
+        ] {
+            fs::write(dir.join(stranger), "ignored").unwrap();
+        }
+        let files = load(&dir).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        let labels: Vec<&str> = files.iter().map(|f| f.label.as_str()).collect();
+        assert_eq!(labels, ["BENCH_1", "BENCH_3"]);
+        let cpu = |f: &LedgerFile| f.value("campaign-exact", false, "cpu_s").unwrap();
+        assert_eq!(cpu(&files[0]), 2.0 * cpu(&files[1]));
+    }
+
+    #[test]
     fn files_order_by_number_not_by_name() {
         let dir = scratch("order");
         let (text, _) = newest();
         fs::write(dir.join("BENCH_2.jsonl"), &text).unwrap();
         fs::write(dir.join("BENCH_9.jsonl"), &text).unwrap();
-        let bad = edit_exact(&text, |l| {
-            scale_cpu(l, 50.0).replace("\"host\": \"", "\"host\": \"other-")
-        });
+        let bad = edit_exact(&text, |l| scale(l, "cpu_s", 50.0));
         fs::write(dir.join("BENCH_10.jsonl"), bad).unwrap();
-        fs::write(dir.join("BENCH_x.jsonl"), "ignored").unwrap();
-        fs::write(dir.join("notes.txt"), "ignored").unwrap();
         let files = load(&dir).unwrap();
         fs::remove_dir_all(&dir).unwrap();
         let labels: Vec<&str> = files.iter().map(|f| f.label.as_str()).collect();
@@ -458,8 +581,6 @@ mod tests {
         let found = breaches(&files);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].2, "BENCH_10");
-        let html = render_perf_history(&files, &bounds());
-        assert!(html.contains("not comparable across hosts"));
     }
 
     #[test]
@@ -479,20 +600,38 @@ mod tests {
     }
 
     #[test]
-    fn unparsable_and_duplicate_lines_are_errors() {
+    fn corrupt_snapshot_is_an_error_not_a_skip() {
+        let dir = scratch("corrupt");
+        let (text, _) = newest();
+        fs::write(dir.join("BENCH_1.jsonl"), &text).unwrap();
+        fs::write(dir.join("BENCH_2.jsonl"), "{ not json\n").unwrap();
+        let err = load(&dir).unwrap_err();
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(err.contains("BENCH_2.jsonl:1:"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_and_foreign_lines_are_errors() {
         let dir = scratch("bad");
         let (text, _) = newest();
         let first = text.lines().next().unwrap();
         fs::write(dir.join("BENCH_1.jsonl"), format!("{first}\n{first}\n")).unwrap();
         let duplicate = load(&dir).unwrap_err();
-        fs::write(dir.join("BENCH_1.jsonl"), "{ not json\n").unwrap();
-        let unparsable = load(&dir).unwrap_err();
+        fs::write(
+            dir.join("BENCH_1.jsonl"),
+            format!("{first}\n{{\"x\": 1}}\n"),
+        )
+        .unwrap();
+        let foreign = load(&dir).unwrap_err();
         fs::remove_dir_all(&dir).unwrap();
         assert!(
             duplicate.contains("BENCH_1.jsonl:2: second record"),
             "{duplicate}"
         );
-        assert!(unparsable.contains("BENCH_1.jsonl:1:"), "{unparsable}");
+        assert!(
+            foreign.contains("BENCH_1.jsonl:2: not a perfbench"),
+            "{foreign}"
+        );
     }
 
     #[test]

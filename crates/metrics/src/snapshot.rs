@@ -645,6 +645,26 @@ mod tests {
         assert!(gate(&base, &cur, &loose).passed());
     }
 
+    /// Keys of the host-time fields snapshots no longer carry.
+    const HOST_TIME_KEYS: [&str; 5] = [
+        "wall_us",
+        "cache_hits",
+        "cache_misses",
+        "host",
+        "cycles_per_sec",
+    ];
+
+    #[test]
+    fn snapshots_without_host_or_throughput_fields_still_parse() {
+        // Every snapshot the writer emits now lacks them.
+        let text = sample().to_json();
+        for key in HOST_TIME_KEYS {
+            assert!(!text.contains(&format!("\"{key}\"")), "{key} written");
+        }
+        let back = BenchSnapshot::from_json(&text).expect("snapshot without host-time keys");
+        assert_eq!(back, sample());
+    }
+
     #[test]
     fn baseline_extra_keys_are_ignored() {
         // The committed baseline predates the deterministic snapshot and
@@ -654,13 +674,7 @@ mod tests {
         let snap = BenchSnapshot::from_json(text).expect("committed baseline parses");
         assert!(!snap.workloads.is_empty());
         let written = snap.to_json();
-        for key in [
-            "wall_us",
-            "cache_hits",
-            "cache_misses",
-            "host",
-            "cycles_per_sec",
-        ] {
+        for key in HOST_TIME_KEYS {
             assert!(!written.contains(&format!("\"{key}\"")), "{key} written");
         }
         assert_eq!(BenchSnapshot::from_json(&written).unwrap(), snap);

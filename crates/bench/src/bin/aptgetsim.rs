@@ -655,6 +655,13 @@ fn main() -> ExitCode {
                 eprintln!("error: `perf-history` needs a ledger directory");
                 return ExitCode::FAILURE;
             };
+            if args.tolerance.is_some() {
+                eprintln!(
+                    "error: `perf-history` takes no --tolerance; its corridors are the \
+                     end-to-end bounds in BENCHMARK.json"
+                );
+                return ExitCode::FAILURE;
+            }
             let loaded = std::fs::read_to_string("BENCHMARK.json")
                 .map_err(|e| format!("could not read BENCHMARK.json: {e}"))
                 .and_then(|text| {

@@ -15,14 +15,13 @@ use std::path::{Path, PathBuf};
 use apt_metrics::json::{self, Json};
 use apt_timeline::{escape, html_page, line_chart_banded, HBand, Series, PALETTE};
 
-/// One metric of `BENCHMARK.json`.
+/// One end-to-end metric of `BENCHMARK.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricSpec {
     pub name: String,
     pub unit: String,
     pub higher_is_better: bool,
-    /// Relative worsening a change may show; 0 for per-layer metrics,
-    /// which have no bound.
+    /// Relative worsening a change may show.
     pub bound: f64,
 }
 
@@ -30,34 +29,36 @@ pub struct MetricSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Bounds {
     pub end_to_end: Vec<MetricSpec>,
-    pub per_layer: Vec<MetricSpec>,
+    /// Each per-layer metric's `(name, unit)`; these carry no bound.
+    pub per_layer: Vec<(String, String)>,
 }
 
 impl Bounds {
     /// Parses `BENCHMARK.json`; every end-to-end metric needs a bound.
     pub fn from_json(text: &str) -> Result<Bounds, String> {
         let doc = json::parse(text)?;
-        let specs = |key: &str| -> Result<Vec<MetricSpec>, String> {
+        let list = |key: &str| {
             let list = doc.get(key).and_then(Json::as_arr);
-            let spec = |m: &Json| -> Result<MetricSpec, String> {
-                Ok(MetricSpec {
-                    name: m.str_field("name")?.to_string(),
-                    unit: m.str_field("unit")?.to_string(),
-                    higher_is_better: m.str_field("better")? == "higher",
-                    bound: if key == "end_to_end" {
-                        m.num_field("bound")?
-                    } else {
-                        0.0
-                    },
-                })
-            };
-            list.ok_or(format!("missing `{key}` array"))?
-                .iter()
-                .map(spec)
-                .collect()
+            list.ok_or(format!("missing `{key}` array"))
         };
-        let end_to_end = specs("end_to_end")?;
-        let per_layer = specs("per_layer")?;
+        let name_unit = |m: &Json| -> Result<(String, String), String> {
+            Ok((m.str_field("name")?.into(), m.str_field("unit")?.into()))
+        };
+        let mut end_to_end = Vec::new();
+        for m in list("end_to_end")? {
+            let (name, unit) = name_unit(m)?;
+            let higher_is_better = m.str_field("better")? == "higher";
+            let bound = m.num_field("bound")?;
+            let spec = MetricSpec {
+                name,
+                unit,
+                higher_is_better,
+                bound,
+            };
+            end_to_end.push(spec);
+        }
+        let per_layer = list("per_layer")?.iter().map(name_unit);
+        let per_layer = per_layer.collect::<Result<_, _>>()?;
         Ok(Bounds {
             end_to_end,
             per_layer,
@@ -121,21 +122,17 @@ fn parse_file(path: &Path, bounds: &Bounds) -> Result<LedgerFile, String> {
             .iter()
             .filter_map(|(k, v)| Some((k.clone(), v.get("value")?.as_f64()?)))
             .collect();
-        for m in bounds.end_to_end.iter().filter(|_| trace == "0") {
-            if !figures.contains_key(&m.name) {
-                let name = &m.name;
-                return Err(format!("{at}: {workload} lacks end-to-end metric `{name}`"));
-            }
+        let lacks = |m: &&MetricSpec| !figures.contains_key(&m.name);
+        if let (Some(m), "0") = (bounds.end_to_end.iter().find(lacks), trace) {
+            let name = &m.name;
+            return Err(format!("{at}: {workload} lacks end-to-end metric `{name}`"));
         }
         let key = (workload.to_string(), trace == "1");
         if runs.insert(key, figures).is_some() {
             return Err(format!("{at}: second record for {workload} trace {trace}"));
         }
-        for (k, v) in prov {
-            if let Some(v) = v.as_str() {
-                provenance.insert((k.clone(), v.to_string()));
-            }
-        }
+        let text = |(k, v): (&String, &Json)| Some((k.clone(), v.as_str()?.to_string()));
+        provenance.extend(prov.iter().filter_map(text));
     }
     let label = path.file_stem().unwrap_or_default();
     let label = label.to_string_lossy().into_owned();
@@ -171,9 +168,8 @@ pub fn load_dir(dir: &Path, bounds: &Bounds) -> Result<Vec<LedgerFile>, String> 
 /// Workloads with untraced or traced runs, in name order.
 fn workloads(files: &[LedgerFile], traced: bool) -> BTreeSet<String> {
     let keys = files.iter().flat_map(|f| f.runs.keys());
-    keys.filter(|k| k.1 == traced)
-        .map(|k| k.0.clone())
-        .collect()
+    let named = |k: &(String, bool)| (k.1 == traced).then(|| k.0.clone());
+    keys.filter_map(named).collect()
 }
 
 /// One end-to-end metric of one workload across the ledger.
@@ -291,11 +287,11 @@ fn layer_table(files: &[LedgerFile], bounds: &Bounds, w: &str) -> String {
     for f in files {
         let _ = write!(out, "<th>{}</th>", escape(&f.label));
     }
-    for m in &bounds.per_layer {
-        let (name, unit) = (escape(&m.name), escape(&m.unit));
-        let _ = write!(out, "</tr><tr><td>{name}</td><td>{unit}</td>");
+    for (name, unit) in &bounds.per_layer {
+        let (n, u) = (escape(name), escape(unit));
+        let _ = write!(out, "</tr><tr><td>{n}</td><td>{u}</td>");
         for f in files {
-            let cell = f.value(w, true, &m.name).map_or("–".to_string(), fmt_val);
+            let cell = f.value(w, true, name).map_or("–".to_string(), fmt_val);
             let _ = write!(out, "<td>{cell}</td>");
         }
     }
@@ -320,10 +316,11 @@ pub fn render_perf_history(files: &[LedgerFile], bounds: &Bounds) -> String {
     }
     let breaches = trends.iter().filter(|t| t.breach().is_some()).count();
     let intro = format!(
-        "perfbench records across {} ledger file(s), oldest first. Each \
-         corridor is the metric's BENCHMARK.json bound in its worse \
-         direction, anchored at the first file. {breaches} regression \
-         annotation(s).",
+        "perfbench records across {} ledger file(s), oldest first. Each corridor \
+         is the metric's BENCHMARK.json bound in its worse direction, anchored at \
+         the first file. A file holds one run per workload, so an annotation \
+         compares single runs: confirm it with alternating pairs. {breaches} \
+         regression annotation(s).",
         files.len()
     );
     html_page("APT-GET perf history", &intro, &sections)
@@ -372,11 +369,9 @@ mod tests {
         dir
     }
 
-    /// The text of the newest committed ledger file and its number.
-    fn newest() -> (String, u64) {
-        let label = committed().pop().unwrap().label;
-        let text = fs::read_to_string(repo().join(format!("bench/history/{label}.jsonl")));
-        (text.unwrap(), label["BENCH_".len()..].parse().unwrap())
+    /// The text of committed ledger file `BENCH_<n>.jsonl`.
+    fn ledger(n: u64) -> String {
+        fs::read_to_string(repo().join(format!("bench/history/BENCH_{n}.jsonl"))).unwrap()
     }
 
     /// `text` with `edit` applied to the `campaign-exact` trace-0 detail line.
@@ -416,18 +411,18 @@ mod tests {
         }
     }
 
+    /// BENCH_16 and BENCH_17 as committed, then BENCH_18: BENCH_17 with
+    /// `campaign-exact` `cpu_s` x10. Fixed inputs, so ledger files added
+    /// later cannot move the breach.
     #[test]
     fn planted_cpu_regression_is_annotated_once() {
         let dir = scratch("planted");
-        for f in committed() {
-            let name = format!("{}.jsonl", f.label);
-            fs::copy(repo().join("bench/history").join(&name), dir.join(name)).unwrap();
+        for n in [16, 17] {
+            fs::write(dir.join(format!("BENCH_{n}.jsonl")), ledger(n)).unwrap();
         }
         let before = breaches(&load(&dir).unwrap());
-        let (text, n) = newest();
-        let planted = format!("BENCH_{}", n + 1);
-        let bad = edit_exact(&text, |l| scale(l, "cpu_s", 10.0));
-        fs::write(dir.join(format!("{planted}.jsonl")), bad).unwrap();
+        let bad = edit_exact(&ledger(17), |l| scale(l, "cpu_s", 10.0));
+        fs::write(dir.join("BENCH_18.jsonl"), bad).unwrap();
         let after = breaches(&load(&dir).unwrap());
         fs::remove_dir_all(&dir).unwrap();
         let hits: Vec<_> = after
@@ -435,14 +430,14 @@ mod tests {
             .filter(|b| b.0 == "campaign-exact" && b.1 == "cpu_s")
             .collect();
         assert_eq!(hits.len(), 1, "{after:?}");
-        assert_eq!(hits[0].2, planted);
+        assert_eq!(hits[0].2, "BENCH_18");
         assert_eq!(after.len(), before.len() + 1, "{after:?}");
     }
 
     #[test]
     fn stable_series_produces_no_annotations() {
         let dir = scratch("stable");
-        let (text, _) = newest();
+        let text = ledger(17);
         fs::write(dir.join("BENCH_1.jsonl"), &text).unwrap();
         // 20% slower: inside `cpu_s`'s 25% corridor.
         let jitter = edit_exact(&text, |l| scale(l, "cpu_s", 1.2));
@@ -462,7 +457,7 @@ mod tests {
     #[test]
     fn cycle_and_throughput_regressions_are_annotated_once() {
         let dir = scratch("persist");
-        let (text, _) = newest();
+        let text = ledger(17);
         fs::write(dir.join("BENCH_1.jsonl"), &text).unwrap();
         for (n, k) in [(2, 3.0), (3, 4.0)] {
             let bad = edit_exact(&text, |l| scale(&scale(l, "cpu_s", k), "ok_share", 0.5));
@@ -491,7 +486,7 @@ mod tests {
     #[test]
     fn old_snapshots_without_throughput_are_skipped_not_flagged() {
         let dir = scratch("old");
-        let (text, _) = newest();
+        let text = ledger(17);
         let old: String = text
             .lines()
             .filter(|l| !l.contains("\"workload\": \"serve-ingest\""))
@@ -525,7 +520,7 @@ mod tests {
     #[test]
     fn report_renders_bands_annotations_and_host_warning() {
         let dir = scratch("report");
-        let (text, _) = newest();
+        let text = ledger(17);
         fs::write(dir.join("BENCH_1.jsonl"), &text).unwrap();
         let bad = edit_exact(&text, |l| {
             scale(l, "cpu_s", 10.0).replace("\"host\": \"", "\"host\": \"other-")
@@ -546,7 +541,7 @@ mod tests {
     #[test]
     fn load_dir_orders_by_filename_and_ignores_strangers() {
         let dir = scratch("strangers");
-        let (text, _) = newest();
+        let text = ledger(17);
         fs::write(dir.join("BENCH_3.jsonl"), &text).unwrap();
         let slower = edit_exact(&text, |l| scale(l, "cpu_s", 2.0));
         fs::write(dir.join("BENCH_1.jsonl"), slower).unwrap();
@@ -569,7 +564,7 @@ mod tests {
     #[test]
     fn files_order_by_number_not_by_name() {
         let dir = scratch("order");
-        let (text, _) = newest();
+        let text = ledger(17);
         fs::write(dir.join("BENCH_2.jsonl"), &text).unwrap();
         fs::write(dir.join("BENCH_9.jsonl"), &text).unwrap();
         let bad = edit_exact(&text, |l| scale(l, "cpu_s", 50.0));
@@ -586,7 +581,7 @@ mod tests {
     #[test]
     fn record_without_an_end_to_end_metric_is_an_error() {
         let dir = scratch("missing");
-        let (text, _) = newest();
+        let text = ledger(17);
         let stripped = edit_exact(&text, |l| {
             let start = l.find("\"cpu_s\": ").unwrap();
             let end = start + l[start..].find("}, ").unwrap() + 3;
@@ -602,7 +597,7 @@ mod tests {
     #[test]
     fn corrupt_snapshot_is_an_error_not_a_skip() {
         let dir = scratch("corrupt");
-        let (text, _) = newest();
+        let text = ledger(17);
         fs::write(dir.join("BENCH_1.jsonl"), &text).unwrap();
         fs::write(dir.join("BENCH_2.jsonl"), "{ not json\n").unwrap();
         let err = load(&dir).unwrap_err();
@@ -613,7 +608,7 @@ mod tests {
     #[test]
     fn duplicate_and_foreign_lines_are_errors() {
         let dir = scratch("bad");
-        let (text, _) = newest();
+        let text = ledger(17);
         let first = text.lines().next().unwrap();
         fs::write(dir.join("BENCH_1.jsonl"), format!("{first}\n{first}\n")).unwrap();
         let duplicate = load(&dir).unwrap_err();

@@ -327,10 +327,8 @@ mod tests {
     /// worker count the CI campaign uses.
     #[test]
     fn worker_utilization_accounts_for_wall_time() {
-        // Tasks long beside thread start-up and wake-up latency on a busy
-        // host, and a count that 1, 2 and 8 workers split evenly.
-        const SLEEP_MS: u64 = 20;
-        const TASKS: u64 = 16;
+        const SLEEP_MS: u64 = 4;
+        const TASKS: u64 = 12;
         let mk_tasks = || {
             (0..TASKS)
                 .map(|i| {

@@ -3,17 +3,24 @@
 //! The paper's evaluation is a (workload × variant) matrix: every Table-3
 //! application under baseline, Ainsworth & Jones static injection, and
 //! APT-GET. Run serially with per-cell re-profiling, the full table
-//! dominates iteration time. This module attacks both axes:
+//! dominates iteration time. This module attacks it three ways:
 //!
-//! * **Sharding** — each matrix cell is one independent task on the
-//!   hand-rolled work-stealing pool ([`crate::pool`]). Cells build their
-//!   workload locally from a [`WorkloadDesc`] (a `Copy` descriptor, not a
-//!   prebuilt multi-MB image) and seed deterministically, so the campaign
-//!   report is **byte-identical at any `--jobs` value**.
-//! * **Profile caching** — APT-GET cells resolve their profiling run
-//!   through the on-disk [`ProfileCache`]; a warm cache skips profiling
-//!   entirely and `AptGet::optimize_cached` reproduces the cold
-//!   optimisation bit-for-bit.
+//! * **Sharding** — each workload is one independent task on the
+//!   hand-rolled work-stealing pool ([`crate::pool`]). A task builds its
+//!   workload once from a [`WorkloadDesc`] (a `Copy` descriptor, not a
+//!   prebuilt multi-MB image) and returns its three cells in
+//!   [`Variant::ALL`] order, so the campaign report is **byte-identical at
+//!   any `--jobs` value**.
+//! * **One run per distinct module** — LBR and PEBS sampling charge no
+//!   cycles, so profiling the baseline module and measuring it are the
+//!   same run. With exact measurement and no cached profile, the baseline
+//!   runs once under `profile_sim`, and its profile feeds APT-GET's
+//!   analysis. When the APT-GET module equals the baseline module, the
+//!   APT-GET cell reuses the baseline run's results.
+//! * **Profile caching** — a task first looks its profile up in the
+//!   on-disk [`ProfileCache`]; a warm cache skips profiling entirely and
+//!   `AptGet::optimize_cached` reproduces the cold optimisation
+//!   bit-for-bit.
 //!
 //! The deterministic comparison table ([`CampaignReport::table`]) is kept
 //! strictly separate from the timing-dependent diagnostics
@@ -32,10 +39,10 @@ use apt_metrics::{
 use apt_sample::{run_sampled, SampleConfig};
 use apt_trace::{ChromeTrace, OutcomeTable, Span, SpanRecorder, TraceConfig};
 use apt_workloads::registry::by_name;
-use apt_workloads::WorkloadDesc;
+use apt_workloads::{BuiltWorkload, WorkloadDesc};
 use aptget::{
     ainsworth_jones_optimize, detect_phases, execute_traced, geomean, phase_diff, AptGet,
-    Comparison, PerfStats, PhaseConfig, PipelineConfig, Timeline,
+    Comparison, Module, PerfStats, PhaseConfig, PipelineConfig, ProfileData, SimConfig, Timeline,
 };
 
 use crate::cache::ProfileCache;
@@ -76,8 +83,8 @@ pub struct CampaignConfig {
     pub workloads: Vec<String>,
     /// Pipeline configuration applied to every cell.
     pub pipeline: PipelineConfig,
-    /// Profile cache; `None` disables caching (every APT-GET cell
-    /// re-profiles).
+    /// Profile cache; `None` disables caching (every workload profiles
+    /// its baseline).
     pub cache: Option<ProfileCache>,
     /// Metrics registry the campaign reports into. The default is
     /// [`Registry::disabled`]: every handle is a no-op and the per-cell
@@ -87,14 +94,16 @@ pub struct CampaignConfig {
     /// finish. Disabled by default; rendering (stderr) is the caller's
     /// business via [`ProgressReporter`].
     pub progress: Progress,
-    /// Collect the per-PC prefetch-outcome table on APT-GET measurement
-    /// runs (feeds [`CampaignReport::bench_snapshot`]). Outcome tracing is
-    /// passive: it never changes simulated results, only records them.
+    /// Collect the per-PC prefetch-outcome table of APT-GET cells (feeds
+    /// [`CampaignReport::bench_snapshot`]). Outcome tracing is passive: it
+    /// never changes simulated results, only records them.
     pub collect_outcomes: bool,
     /// SMARTS-style sampled measurement runs (`--sampled`). Profiling
     /// runs (and their cache keys) stay fully detailed — sampling only
     /// replaces the *measurement* execution, trading exact counters for
-    /// ratio estimates at a fraction of the wall time.
+    /// ratio estimates at a fraction of the wall time. The baseline then
+    /// cannot double as the profiling run, so a cache miss costs a
+    /// profiling run of its own.
     pub sampling: Option<SamplingSpec>,
 }
 
@@ -145,12 +154,17 @@ pub struct CellResult {
     pub workload: String,
     /// Which variant this cell measured.
     pub variant: Variant,
-    /// Measurement-run counters (profiling runs are *not* included here).
+    /// Measurement-run counters (separate profiling runs are *not*
+    /// included here).
     pub stats: PerfStats,
     /// Prefetch hints injected (APT-GET cells; 0 otherwise).
     pub hints: usize,
     /// Profile provenance (APT-GET cells only).
     pub cache: Option<CacheOutcome>,
+    /// The cell's module equals the baseline module, so it carries the
+    /// baseline run's results and simulated nothing itself (APT-GET cells
+    /// only).
+    pub reused: bool,
     /// Wall-clock cost of the whole cell, µs.
     pub wall_us: u64,
     /// Cell start relative to the campaign epoch, µs (for trace merging).
@@ -160,7 +174,8 @@ pub struct CellResult {
     /// Pipeline spans recorded inside the cell.
     pub spans: Vec<Span>,
     /// Per-PC prefetch-outcome table of the measurement run (APT-GET
-    /// cells with [`CampaignConfig::collect_outcomes`] only).
+    /// cells with [`CampaignConfig::collect_outcomes`] only; a reused
+    /// cell's comes from the traced baseline run).
     pub outcomes: Option<OutcomeTable>,
     /// Cycle-windowed telemetry of the measurement run. Empty when the
     /// pipeline's `measure_sim.timeline_window` is 0; otherwise its
@@ -264,201 +279,344 @@ struct CellHooks {
     sampling: Option<SamplingSpec>,
 }
 
-/// Runs one cell: build the workload locally, run its variant, check the
-/// result. Panics on simulation or correctness failure — a broken cell
-/// must never silently contribute a row.
-fn run_cell(
-    desc: WorkloadDesc,
+/// What a measurement run leaves once its result is checked and its
+/// final image dropped: everything its cell reports, and everything a
+/// later cell of the same module reuses instead of simulating again.
+#[derive(Clone)]
+struct Measured {
+    stats: PerfStats,
+    timeline: Timeline,
+    outcomes: OutcomeTable,
+    sampled: Option<SampledCell>,
+}
+
+/// One cell from its start to [`Cell::finish`]: what it measures, its
+/// clock and spans, and the self-profile scope everything in between is
+/// charged to.
+struct Cell<'a> {
+    name: &'static str,
     variant: Variant,
+    worker: usize,
+    hooks: &'a CellHooks,
+    _scope: apt_selfprof::ScopeGuard,
+    started: Instant,
+    start_us: u64,
+    spans: SpanRecorder,
+}
+
+impl<'a> Cell<'a> {
+    fn begin(
+        name: &'static str,
+        variant: Variant,
+        worker: usize,
+        hooks: &'a CellHooks,
+        epoch: Instant,
+    ) -> Cell<'a> {
+        hooks.progress.job_started();
+        let started = Instant::now();
+        Cell {
+            name,
+            variant,
+            worker,
+            hooks,
+            _scope: apt_selfprof::ScopeGuard::enter("bench/cell"),
+            started,
+            start_us: started.duration_since(epoch).as_micros() as u64,
+            spans: SpanRecorder::new(),
+        }
+    }
+
+    /// Runs `module` once as this cell's measurement, checks the result
+    /// and drops the final image. Panics on simulation or correctness
+    /// failure: a broken cell must never silently contribute a row.
+    ///
+    /// Exact measurement runs in detail under `measure_sim`, or under
+    /// `profile_sim` when `profile` is set, and then also returns the
+    /// `(ProfileData, PerfStats)` that run collected. The two
+    /// configurations differ only in the LBR and PEBS periods
+    /// ([`run_campaign`] checks this), and sampling charges no cycles, so
+    /// the result is the same. Sampled measurement runs the SMARTS driver,
+    /// plus the exact check run with [`SamplingSpec::check_exact`].
+    fn measure(
+        &mut self,
+        w: &BuiltWorkload,
+        module: &Module,
+        pipeline: &PipelineConfig,
+        profile: bool,
+    ) -> (Measured, Option<(ProfileData, PerfStats)>) {
+        let (name, hooks, spans) = (self.name, self.hooks, &mut self.spans);
+        let measure = spans.begin("measurement-run");
+        // Outcome tracing is passive observation; the plain `execute` path
+        // is literally `execute_traced` with tracing off, so the simulated
+        // result cannot depend on `collect_outcomes`. Baseline runs are
+        // traced too: an APT-GET cell may reuse one.
+        let trace = if hooks.collect_outcomes && self.variant != Variant::AinsworthJones {
+            TraceConfig::outcomes()
+        } else {
+            TraceConfig::off()
+        };
+        let (mut run, image, rets, collected) = match hooks.sampling {
+            // Sampled measurement: the SMARTS driver fast-forwards between
+            // detailed windows and reconstructs the counters statistically.
+            // Architectural results stay exact, so the correctness check
+            // below is as strong as in a detailed run.
+            Some(spec) => {
+                let s = run_sampled(
+                    module,
+                    w.image.clone(),
+                    &w.calls,
+                    &pipeline.measure_sim,
+                    &spec.sample,
+                    trace,
+                )
+                .unwrap_or_else(|e| panic!("{name}: sampled simulation failed: {e}"));
+                let sampled = SampledCell {
+                    cycle_err: None,
+                    ipc_err: None,
+                    exact_cycles: None,
+                    detail_fraction: s.detail_fraction(),
+                    windows: s.windows.len() as u64,
+                    rel_half_width: s.ci.rel_half_width,
+                };
+                let run = Measured {
+                    stats: s.stats,
+                    timeline: s.timeline,
+                    outcomes: s.trace.outcomes,
+                    sampled: Some(sampled),
+                };
+                (run, s.image, s.rets, None)
+            }
+            None => {
+                let sim = if profile {
+                    &pipeline.profile_sim
+                } else {
+                    &pipeline.measure_sim
+                };
+                let (exec, report) = execute_traced(module, w.image.clone(), &w.calls, sim, trace)
+                    .unwrap_or_else(|e| panic!("{name}: simulation failed: {e}"));
+                if profile {
+                    spans.note(&measure, "profile", "collected by this run");
+                    spans.note(&measure, "lbr_samples", exec.profile.lbr_samples.len());
+                    spans.note(&measure, "pebs_records", exec.profile.pebs.len());
+                }
+                let run = Measured {
+                    stats: exec.stats,
+                    timeline: exec.timeline,
+                    outcomes: report.outcomes,
+                    sampled: None,
+                };
+                let collected = profile.then_some((exec.profile, exec.stats));
+                (run, exec.image, exec.rets, collected)
+            }
+        };
+        (w.check)(&image, &rets)
+            .unwrap_or_else(|e| panic!("{name} [{}]: wrong result: {e}", self.variant.name()));
+        drop(image);
+        spans.add_sim_cycles(&measure, run.stats.cycles);
+        spans.end(measure);
+
+        // `--sampled-check`: run the exact detailed measurement too and
+        // record the estimation error. Deliberately in its own span so the
+        // measurement-run span still reflects the sampled run's cost.
+        if let (Some(spec), Some(cell)) = (hooks.sampling, run.sampled.as_mut()) {
+            if spec.check_exact {
+                let check = spans.begin("exact-check-run");
+                let (exact, _) = execute_traced(
+                    module,
+                    w.image.clone(),
+                    &w.calls,
+                    &pipeline.measure_sim,
+                    TraceConfig::off(),
+                )
+                .unwrap_or_else(|e| panic!("{name}: exact check run failed: {e}"));
+                let rel = |est: f64, ex: f64| {
+                    if ex == 0.0 {
+                        0.0
+                    } else {
+                        (est - ex).abs() / ex
+                    }
+                };
+                let stats = &run.stats;
+                let est_ipc = stats.instructions as f64 / stats.cycles.max(1) as f64;
+                let ex_ipc = exact.stats.instructions as f64 / exact.stats.cycles.max(1) as f64;
+                cell.cycle_err = Some(rel(stats.cycles as f64, exact.stats.cycles as f64));
+                cell.ipc_err = Some(rel(est_ipc, ex_ipc));
+                cell.exact_cycles = Some(exact.stats.cycles);
+                spans.add_sim_cycles(&check, exact.stats.cycles);
+                spans.end(check);
+            }
+        }
+        assert_timeline_conserved(name, self.variant, &run.timeline, &run.stats);
+        (run, collected)
+    }
+
+    /// Closes the cell, reports it to the campaign's hooks and returns
+    /// its result.
+    fn finish(
+        self,
+        run: Measured,
+        hints: usize,
+        cache: Option<CacheOutcome>,
+        reused: bool,
+    ) -> CellResult {
+        let (name, variant, hooks) = (self.name, self.variant, self.hooks);
+        let wall_us = self.started.elapsed().as_micros() as u64;
+        let spans = self.spans.into_spans();
+        hooks
+            .progress
+            .job_finished(simulated_cycles(&spans), wall_us);
+        if hooks.metrics.is_enabled() {
+            let labels = [("workload", name), ("variant", variant.name())];
+            hooks
+                .metrics
+                .counter("apt_bench_cells_total", "Matrix cells completed.", &labels)
+                .inc();
+            hooks
+                .metrics
+                .histogram(
+                    "apt_bench_cell_wall_us",
+                    "Wall-clock cost of one matrix cell, microseconds.",
+                    &labels,
+                    &WALL_US_BUCKETS,
+                )
+                .observe(wall_us);
+            if hints > 0 {
+                hooks
+                    .metrics
+                    .counter(
+                        "apt_bench_hints_total",
+                        "Prefetch hints injected by APT-GET cells.",
+                        &[("workload", name)],
+                    )
+                    .add(hints as u64);
+            }
+            run.stats.export_metrics(&hooks.metrics, &labels);
+        }
+        CellResult {
+            workload: name.to_string(),
+            variant,
+            stats: run.stats,
+            hints,
+            cache,
+            reused,
+            wall_us,
+            start_us: self.start_us,
+            worker: self.worker,
+            spans,
+            outcomes: (hooks.collect_outcomes && variant == Variant::AptGet)
+                .then_some(run.outcomes),
+            timeline: run.timeline,
+            sampled: run.sampled,
+        }
+    }
+}
+
+/// Simulated cycles of the runs recorded in `spans` (their top-level
+/// spans; analysis phases simulate nothing).
+fn simulated_cycles(spans: &[Span]) -> u64 {
+    spans
+        .iter()
+        .filter(|s| s.depth == 0)
+        .map(|s| s.sim_cycles)
+        .sum()
+}
+
+/// Runs one workload's three cells, in [`Variant::ALL`] order, on one
+/// build of the workload.
+///
+/// * **Baseline.** With exact measurement and no cached profile, this
+///   run is also the profiling run: it runs under `profile_sim`, and its
+///   profile and stats feed APT-GET's analysis and the cache.
+/// * **A&J.** The static injection, measured.
+/// * **APT-GET.** The profile comes from the cache, from the baseline
+///   run, or (sampled measurement on a cache miss) from a profiling run
+///   of its own. When the optimised module equals the baseline module,
+///   the cell reuses the baseline run's results instead of simulating
+///   the same module again.
+fn run_workload(
+    desc: WorkloadDesc,
     pipeline: &PipelineConfig,
     cache: Option<&ProfileCache>,
     hooks: &CellHooks,
     worker: usize,
     epoch: Instant,
-) -> CellResult {
+) -> [CellResult; 3] {
     // Worker threads label their self-profile section once; redundant
     // calls are cheap (and free when no session is active).
     apt_selfprof::set_thread_label(&format!("worker-{worker}"));
-    apt_selfprof::prof_scope!("bench/cell");
-    let started = Instant::now();
-    let start_us = started.duration_since(epoch).as_micros() as u64;
-    hooks.progress.job_started();
     let name = desc.name();
-    let mut spans = SpanRecorder::new();
+    let begin = |variant| Cell::begin(name, variant, worker, hooks, epoch);
+
+    let mut cell = begin(Variant::Baseline);
     let w = desc.build();
+    let key = ProfileCache::key(name, desc.scale, desc.seed, &pipeline.profile_sim);
+    let cached = cache.and_then(|c| c.load(key));
+    let profile_here = cached.is_none() && hooks.sampling.is_none();
+    let (base, collected) = cell.measure(&w, &w.module, pipeline, profile_here);
+    let baseline = cell.finish(base.clone(), 0, None, false);
 
-    let (module, hints, cache_outcome) = match variant {
-        Variant::Baseline => (w.module.clone(), 0, None),
-        Variant::AinsworthJones => {
-            let (m, _) = ainsworth_jones_optimize(&w.module, AJ_STATIC_DISTANCE);
-            (m, 0, None)
-        }
-        Variant::AptGet => {
-            let apt = AptGet::new(*pipeline);
-            let key = ProfileCache::key(name, desc.scale, desc.seed, &pipeline.profile_sim);
-            let cached = cache.and_then(|c| c.load(key));
-            let outcome = match (&cached, cache) {
-                (Some(_), _) => CacheOutcome::Hit,
-                (None, Some(_)) => CacheOutcome::MissStored,
-                (None, None) => CacheOutcome::Uncached,
-            };
-            let (opt, collected) = apt
-                .optimize_cached(&w.module, w.image.clone(), &w.calls, cached, &mut spans)
-                .unwrap_or_else(|e| panic!("{name}: profiling failed: {e}"));
-            if let (Some(c), Some((profile, stats))) = (cache, collected.as_ref()) {
-                c.store(key, profile, stats);
-            }
-            (opt.module, opt.injection.injected.len(), Some(outcome))
-        }
+    let mut cell = begin(Variant::AinsworthJones);
+    let (module, _) = ainsworth_jones_optimize(&w.module, AJ_STATIC_DISTANCE);
+    let (run, _) = cell.measure(&w, &module, pipeline, false);
+    let aj = cell.finish(run, 0, None, false);
+
+    let mut cell = begin(Variant::AptGet);
+    let outcome = match (&cached, cache) {
+        (Some(_), _) => CacheOutcome::Hit,
+        (None, Some(_)) => CacheOutcome::MissStored,
+        (None, None) => CacheOutcome::Uncached,
     };
-
-    match cache_outcome {
-        Some(CacheOutcome::Hit) => hooks.progress.cache_hit(),
-        Some(_) => hooks.progress.cache_miss(),
-        None => {}
+    match outcome {
+        CacheOutcome::Hit => hooks.progress.cache_hit(),
+        _ => hooks.progress.cache_miss(),
     }
-
-    let measure = spans.begin("measurement-run");
-    // Outcome tracing is passive observation; the plain `execute` path is
-    // literally `execute_traced` with tracing off, so the simulated result
-    // cannot depend on `collect_outcomes`.
-    let trace = if hooks.collect_outcomes && variant == Variant::AptGet {
-        TraceConfig::outcomes()
+    let apt = AptGet::new(*pipeline);
+    let (opt, fresh) = match collected {
+        Some((profile, stats)) => {
+            let opt = apt.optimize_with_profile_traced(&w.module, &profile, stats, &mut cell.spans);
+            (opt, Some((profile, stats)))
+        }
+        None => apt
+            .optimize_cached(
+                &w.module,
+                w.image.clone(),
+                &w.calls,
+                cached,
+                &mut cell.spans,
+            )
+            .unwrap_or_else(|e| panic!("{name}: profiling failed: {e}")),
+    };
+    if let (Some(c), Some((profile, stats))) = (cache, fresh) {
+        c.store(key, &profile, &stats);
+    }
+    let reused = opt.module == w.module;
+    let run = if reused {
+        base
     } else {
-        TraceConfig::off()
+        cell.measure(&w, &opt.module, pipeline, false).0
     };
-    let (stats, image, rets, timeline, outcome_table, mut sampled) = match hooks.sampling {
-        // Sampled measurement: the SMARTS driver fast-forwards between
-        // detailed windows and reconstructs the counters statistically.
-        // Architectural results stay exact, so the correctness check
-        // below is as strong as in a detailed run.
-        Some(spec) => {
-            let s = run_sampled(
-                &module,
-                w.image.clone(),
-                &w.calls,
-                &pipeline.measure_sim,
-                &spec.sample,
-                trace,
-            )
-            .unwrap_or_else(|e| panic!("{name}: sampled simulation failed: {e}"));
-            let cell = SampledCell {
-                cycle_err: None,
-                ipc_err: None,
-                exact_cycles: None,
-                detail_fraction: s.detail_fraction(),
-                windows: s.windows.len() as u64,
-                rel_half_width: s.ci.rel_half_width,
-            };
-            (
-                s.stats,
-                s.image,
-                s.rets,
-                s.timeline,
-                s.trace.outcomes,
-                Some(cell),
-            )
-        }
-        None => {
-            let (exec, trace_report) = execute_traced(
-                &module,
-                w.image.clone(),
-                &w.calls,
-                &pipeline.measure_sim,
-                trace,
-            )
-            .unwrap_or_else(|e| panic!("{name}: simulation failed: {e}"));
-            (
-                exec.stats,
-                exec.image,
-                exec.rets,
-                exec.timeline,
-                trace_report.outcomes,
-                None,
-            )
-        }
+    let aptget = cell.finish(run, opt.injection.injected.len(), Some(outcome), reused);
+    [baseline, aj, aptget]
+}
+
+/// The baseline measurement doubles as the profiling run, so the
+/// pipeline's two simulator configurations may differ only in the LBR
+/// and PEBS sampling periods, which charge no cycles.
+fn check_profile_sim(pipeline: &PipelineConfig) -> Result<(), String> {
+    let (profile, measure) = (pipeline.profile_sim, pipeline.measure_sim);
+    let unsampled = SimConfig {
+        lbr_sample_period: measure.lbr_sample_period,
+        pebs_period: measure.pebs_period,
+        ..profile
     };
-    (w.check)(&image, &rets)
-        .unwrap_or_else(|e| panic!("{name} [{}]: wrong result: {e}", variant.name()));
-    spans.add_sim_cycles(&measure, stats.cycles);
-    spans.end(measure);
-
-    // `--sampled-check`: run the exact detailed measurement too and record
-    // the estimation error. Deliberately in its own span so the
-    // measurement-run span still reflects the sampled run's cost.
-    if let (Some(spec), Some(cell)) = (hooks.sampling, sampled.as_mut()) {
-        if spec.check_exact {
-            let check = spans.begin("exact-check-run");
-            let (exact, _) = execute_traced(
-                &module,
-                w.image.clone(),
-                &w.calls,
-                &pipeline.measure_sim,
-                TraceConfig::off(),
-            )
-            .unwrap_or_else(|e| panic!("{name}: exact check run failed: {e}"));
-            let rel = |est: f64, ex: f64| {
-                if ex == 0.0 {
-                    0.0
-                } else {
-                    (est - ex).abs() / ex
-                }
-            };
-            let est_ipc = stats.instructions as f64 / stats.cycles.max(1) as f64;
-            let ex_ipc = exact.stats.instructions as f64 / exact.stats.cycles.max(1) as f64;
-            cell.cycle_err = Some(rel(stats.cycles as f64, exact.stats.cycles as f64));
-            cell.ipc_err = Some(rel(est_ipc, ex_ipc));
-            cell.exact_cycles = Some(exact.stats.cycles);
-            spans.add_sim_cycles(&check, exact.stats.cycles);
-            spans.end(check);
-        }
-    }
-    let outcomes = (hooks.collect_outcomes && variant == Variant::AptGet).then_some(outcome_table);
-    assert_timeline_conserved(name, variant, &timeline, &stats);
-
-    let wall_us = started.elapsed().as_micros() as u64;
-    hooks.progress.job_finished(stats.cycles, wall_us);
-    if hooks.metrics.is_enabled() {
-        let labels = [("workload", name), ("variant", variant.name())];
-        hooks
-            .metrics
-            .counter("apt_bench_cells_total", "Matrix cells completed.", &labels)
-            .inc();
-        hooks
-            .metrics
-            .histogram(
-                "apt_bench_cell_wall_us",
-                "Wall-clock cost of one matrix cell, microseconds.",
-                &labels,
-                &WALL_US_BUCKETS,
-            )
-            .observe(wall_us);
-        if hints > 0 {
-            hooks
-                .metrics
-                .counter(
-                    "apt_bench_hints_total",
-                    "Prefetch hints injected by APT-GET cells.",
-                    &[("workload", name)],
-                )
-                .add(hints as u64);
-        }
-        stats.export_metrics(&hooks.metrics, &labels);
-    }
-
-    CellResult {
-        workload: name.to_string(),
-        variant,
-        stats,
-        hints,
-        cache: cache_outcome,
-        wall_us,
-        start_us,
-        worker,
-        spans: spans.into_spans(),
-        outcomes,
-        timeline,
-        sampled,
+    if unsampled == measure {
+        Ok(())
+    } else {
+        Err(
+            "the pipeline's profile_sim and measure_sim differ in more than the \
+             LBR and PEBS sampling periods (build it with PipelineConfig::with_sim)"
+                .to_string(),
+        )
     }
 }
 
@@ -466,6 +624,7 @@ fn run_cell(
 /// only on `(scale, seed, pipeline)` — never on `jobs` or cache state.
 pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
     let descs = resolve_workloads(cfg)?;
+    check_profile_sim(&cfg.pipeline)?;
     let epoch = Instant::now();
 
     let pipeline = &cfg.pipeline;
@@ -476,25 +635,23 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
         collect_outcomes: cfg.collect_outcomes,
         sampling: cfg.sampling,
     };
-    let cell_count = descs.len() * Variant::ALL.len();
-    cfg.progress.set_total(cell_count as u64);
     cfg.progress
-        .set_workers(cfg.jobs.clamp(1, cell_count.max(1)) as u64);
+        .set_total((descs.len() * Variant::ALL.len()) as u64);
+    cfg.progress
+        .set_workers(cfg.jobs.clamp(1, descs.len().max(1)) as u64);
     let hooks = &hooks;
     let tasks: Vec<_> = descs
         .iter()
-        .flat_map(|&desc| Variant::ALL.map(|variant| (desc, variant)))
-        .map(|(desc, variant)| {
-            move |worker: usize| run_cell(desc, variant, pipeline, cache, hooks, worker, epoch)
-        })
+        .map(|&desc| move |worker: usize| run_workload(desc, pipeline, cache, hooks, worker, epoch))
         .collect();
 
-    let (cells, pool) = run_indexed(cfg.jobs, tasks);
+    let (workloads, pool) = run_indexed(cfg.jobs, tasks);
     let wall_us = epoch.elapsed().as_micros() as u64;
+    let cells: Vec<CellResult> = workloads.into_iter().flatten().collect();
 
     // Reassemble the per-workload comparisons from the flat cell list.
-    // Cells come back in submission order, so each workload owns a
-    // contiguous [baseline, A&J, APT-GET] triple.
+    // Tasks come back in submission order, each with its workload's
+    // [baseline, A&J, APT-GET] triple.
     let comparisons = cells
         .chunks_exact(Variant::ALL.len())
         .map(|chunk| Comparison {
@@ -631,8 +788,9 @@ impl CampaignReport {
     }
 
     /// Timing-dependent diagnostics: per-cell wall time, worker
-    /// attribution, pool behaviour and profile-cache traffic. Deliberately
-    /// *not* part of the deterministic table.
+    /// attribution, pool behaviour, profile-cache traffic and the runs
+    /// the campaign simulated. Deliberately *not* part of the
+    /// deterministic table.
     pub fn stats_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -654,9 +812,23 @@ impl CampaignReport {
         out.push_str(&format!(
             "profile cache: {hits} hits, {misses} misses, {stores} stores\n"
         ));
+        let runs: Vec<&Span> = self
+            .cells
+            .iter()
+            .flat_map(|c| &c.spans)
+            .filter(|s| s.depth == 0 && s.sim_cycles > 0)
+            .collect();
+        let profiled = runs.iter().filter(|s| s.get("profile").is_some()).count();
+        let reused = self.cells.iter().filter(|c| c.reused).count();
+        out.push_str(&format!(
+            "simulated runs: {} ({} cycles); {profiled} baseline runs also profiled, \
+             {reused} cells reused a baseline run\n",
+            runs.len(),
+            runs.iter().map(|s| s.sim_cycles).sum::<u64>()
+        ));
         for (w, n) in self.pool.executed.iter().enumerate() {
             out.push_str(&format!(
-                "  worker {w}: {n} cells, {} steals, {:.1} ms busy\n",
+                "  worker {w}: {n} workloads, {} steals, {:.1} ms busy\n",
                 self.pool.steals.get(w).copied().unwrap_or(0),
                 self.pool.busy_us.get(w).copied().unwrap_or(0) as f64 / 1000.0
             ));
@@ -668,13 +840,19 @@ impl CampaignReport {
                 Some(CacheOutcome::Uncached) => " [uncached]",
                 None => "",
             };
+            let run = if cell.reused {
+                " [reused the baseline run]"
+            } else if cell.spans.iter().any(|s| s.get("profile").is_some()) {
+                " [also profiled]"
+            } else {
+                ""
+            };
             out.push_str(&format!(
-                "  {:<12} {:<9} {:>9.1} ms on worker {}{}\n",
+                "  {:<12} {:<9} {:>9.1} ms on worker {}{cache}{run}\n",
                 cell.workload,
                 cell.variant.name(),
                 cell.wall_us as f64 / 1000.0,
                 cell.worker,
-                cache
             ));
         }
         out
@@ -690,16 +868,22 @@ impl CampaignReport {
             let mut row = ChromeTrace::new();
             row.name_thread(tid, &format!("worker-{worker}"));
             for cell in self.cells.iter().filter(|c| c.worker == worker) {
-                // One synthetic span wrapping the whole cell, then the
-                // pipeline phases inside it.
+                // One synthetic span wrapping the whole cell, with the
+                // cycles the cell simulated itself, then the pipeline
+                // phases inside it.
+                let detail = if cell.reused {
+                    vec![("reused".to_string(), "baseline run".to_string())]
+                } else {
+                    vec![]
+                };
                 row.push_span_at(
                     &Span {
                         name: format!("{} [{}]", cell.workload, cell.variant.name()),
                         depth: 0,
                         start_us: cell.start_us,
                         wall_us: cell.wall_us,
-                        sim_cycles: cell.stats.cycles,
-                        detail: vec![],
+                        sim_cycles: simulated_cycles(&cell.spans),
+                        detail,
                     },
                     tid,
                     cell.start_us,

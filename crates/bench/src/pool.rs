@@ -1,10 +1,9 @@
 //! A hand-rolled work-stealing thread pool (std only, no rayon).
 //!
-//! The campaign runner shards independent (workload × variant) cells
-//! across workers. Cells vary wildly in cost — Graph500 profiling runs
-//! take orders of magnitude longer than a RandAcc baseline measurement —
-//! so static round-robin assignment leaves workers idle; stealing keeps
-//! them busy.
+//! The campaign runner shards independent workloads across workers.
+//! Workloads vary widely in cost — at scale 0.05 a CG task simulates
+//! eight times the cycles of a RandAcc task — so static round-robin
+//! assignment leaves workers idle; stealing keeps them busy.
 //!
 //! Design:
 //!
@@ -15,7 +14,7 @@
 //!   owner would reach last, minimising contention on the same end).
 //! * Results land in per-task slots indexed by submission order, so the
 //!   output is **byte-identical at any worker count** — parallelism only
-//!   changes *when* a cell runs, never which cell produces which slot.
+//!   changes *when* a task runs, never which task produces which slot.
 //! * `jobs == 1` short-circuits to a plain in-thread loop: zero threads,
 //!   zero locks — the determinism baseline.
 
@@ -113,7 +112,7 @@ impl PoolStats {
             registry
                 .counter(
                     "apt_bench_worker_busy_us_total",
-                    "Time each pool worker spent inside cells, microseconds.",
+                    "Time each pool worker spent inside tasks, microseconds.",
                     &labels,
                 )
                 .add(self.busy_us.get(w).copied().unwrap_or(0));

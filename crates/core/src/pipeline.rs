@@ -13,7 +13,8 @@ use apt_trace::{SpanRecorder, TraceConfig, TraceReport};
 pub struct PipelineConfig {
     /// Simulator configuration for the *profiling* run (LBR + PEBS on).
     pub profile_sim: SimConfig,
-    /// Simulator configuration for measurement runs (profiling off).
+    /// Simulator configuration for measurement runs: `profile_sim` with
+    /// LBR and PEBS sampling off.
     pub measure_sim: SimConfig,
     /// The §3.2–§3.4 analysis tunables.
     pub analysis: AnalysisConfig,
@@ -26,11 +27,16 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// A pipeline over a specific simulator configuration.
+    /// A pipeline over a specific simulator configuration. Its two
+    /// simulator configurations differ only in the sampling periods.
     pub fn with_sim(sim: SimConfig) -> PipelineConfig {
         PipelineConfig {
             profile_sim: sim,
-            measure_sim: SimConfig::no_profiling(sim.mem),
+            measure_sim: SimConfig {
+                lbr_sample_period: 0,
+                pebs_period: 0,
+                ..sim
+            },
             analysis: AnalysisConfig {
                 dram_latency_hint: sim.mem.dram_latency,
                 pebs_period: sim.pebs_period,

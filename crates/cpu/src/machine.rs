@@ -14,7 +14,7 @@ use crate::pebs::PebsSampler;
 use crate::stats::{CounterSnapshot, PerfStats, ProfileData};
 
 /// Simulation configuration: memory system plus profiling knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Memory-hierarchy configuration.
     pub mem: MemConfig,
@@ -48,18 +48,6 @@ impl Default for SimConfig {
             inst_limit: 20_000_000_000,
             trace: TraceConfig::off(),
             timeline_window: 10_000,
-        }
-    }
-}
-
-impl SimConfig {
-    /// Configuration with all profiling disabled (measurement runs).
-    pub fn no_profiling(mem: MemConfig) -> SimConfig {
-        SimConfig {
-            mem,
-            lbr_sample_period: 0,
-            pebs_period: 0,
-            ..SimConfig::default()
         }
     }
 }

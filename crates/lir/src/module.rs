@@ -47,7 +47,7 @@ impl fmt::Display for InstRef {
 }
 
 /// A basic block: a φ-prefix, straight-line instructions, one terminator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Optional label for diagnostics and printing.
     pub name: String,
@@ -74,7 +74,7 @@ impl Block {
 }
 
 /// A function: parameters are pre-assigned registers `%0..%arity-1`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     pub name: String,
     /// Parameter names (registers `%0..`), for printing only.
@@ -149,8 +149,9 @@ impl Function {
     }
 }
 
-/// A module: a named collection of functions.
-#[derive(Debug, Clone)]
+/// A module: a named collection of functions. Equality is structural
+/// (names included), so two equal modules execute identically.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Module {
     pub name: String,
     pub functions: Vec<Function>,

@@ -38,7 +38,8 @@ pub struct MemConfig {
     /// Minimum spacing between DRAM line transfers (bandwidth model): one
     /// offcore fill can start every `dram_service_interval` cycles.
     pub dram_service_interval: u64,
-    /// Fill-buffer / MSHR entries shared by demand misses and prefetches.
+    /// Fill-buffer / MSHR entries for in-flight prefetches (demand misses
+    /// block and never hold one).
     pub mshr_entries: usize,
     /// Enables the per-PC stride hardware prefetcher.
     pub stride_prefetcher: bool,

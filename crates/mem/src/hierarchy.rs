@@ -345,7 +345,6 @@ impl Hierarchy {
             line,
             ready,
             source: ReqSource::SwPrefetch,
-            from_level: Level::Dram,
         });
         debug_assert!(ok, "free entry was checked above");
     }
@@ -424,14 +423,8 @@ impl Hierarchy {
             line,
             ready,
             source: ReqSource::HwPrefetch,
-            from_level: Level::Dram,
         });
         debug_assert!(ok, "free entry was checked above");
-    }
-
-    /// Current MSHR occupancy (diagnostics).
-    pub fn mshr_occupancy(&self) -> usize {
-        self.mshr.occupancy()
     }
 
     /// Peak MSHR occupancy over the simulation so far.

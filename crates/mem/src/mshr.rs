@@ -1,12 +1,13 @@
 //! Miss-status-holding registers (a.k.a. fill buffers).
 //!
-//! Every outstanding fill — demand miss, software prefetch, or hardware
-//! prefetch — occupies one entry until its data arrives. Requests to a line
-//! already in flight coalesce onto the existing entry; this is precisely the
-//! structure behind the `LOAD_HIT_PRE.SW_PF` *late prefetch* event the paper
-//! uses in §2.3.
+//! Every outstanding prefetch fill — software or hardware — occupies one
+//! entry until its data arrives from DRAM. Demand misses are blocking and
+//! never occupy an entry (see the timing model in [`crate::hierarchy`]). A
+//! demand load to a line already in flight waits on the existing entry;
+//! this is precisely the structure behind the `LOAD_HIT_PRE.SW_PF` *late
+//! prefetch* event the paper uses in §2.3.
 
-use crate::hierarchy::{Level, ReqSource};
+use crate::hierarchy::ReqSource;
 use crate::Cycle;
 
 /// One outstanding fill request.
@@ -18,8 +19,6 @@ pub struct MshrEntry {
     pub ready: Cycle,
     /// Who allocated the entry.
     pub source: ReqSource,
-    /// The level that is serving the fill (DRAM for LLC misses).
-    pub from_level: Level,
 }
 
 /// A fixed-capacity file of outstanding fills.
@@ -124,14 +123,6 @@ impl MshrFile {
         });
         done
     }
-
-    /// Earliest completion time among outstanding entries, if any.
-    ///
-    /// A demand miss arriving with a full file stalls the core until this
-    /// cycle, drains, and retries — see `Hierarchy::demand_access`.
-    pub fn min_ready(&self) -> Option<Cycle> {
-        self.entries.iter().map(|e| e.ready).min()
-    }
 }
 
 #[cfg(test)]
@@ -142,8 +133,7 @@ mod tests {
         MshrEntry {
             line,
             ready,
-            source: ReqSource::Demand,
-            from_level: Level::Dram,
+            source: ReqSource::SwPrefetch,
         }
     }
 
@@ -225,14 +215,5 @@ mod tests {
         assert_eq!(m.take_window_peak(), 2);
         // Lifetime peak is untouched by window resets.
         assert_eq!(m.peak(), 2);
-    }
-
-    #[test]
-    fn min_ready_tracks_earliest_completion() {
-        let mut m = MshrFile::new(2);
-        assert_eq!(m.min_ready(), None);
-        m.allocate(entry(1, 100));
-        m.allocate(entry(2, 40));
-        assert_eq!(m.min_ready(), Some(40));
     }
 }

@@ -54,7 +54,11 @@ fn walk_inputs(n: u64, data_seed: u64) -> (MemImage, Vec<(String, Vec<u64>)>) {
 }
 
 fn sim() -> SimConfig {
-    SimConfig::no_profiling(apt_mem::MemConfig::default())
+    SimConfig {
+        lbr_sample_period: 0,
+        pebs_period: 0,
+        ..SimConfig::default()
+    }
 }
 
 proptest! {

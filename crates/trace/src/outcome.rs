@@ -158,7 +158,7 @@ impl PcOutcomes {
 }
 
 /// Finalized per-PC breakdown plus totals.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OutcomeTable {
     /// Keyed by issuing (injected) prefetch PC, in PC order.
     pub per_pc: BTreeMap<u64, PcOutcomes>,

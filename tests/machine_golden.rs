@@ -16,7 +16,10 @@
 //! JSON. The profiling run also pins the exported `perf script` text,
 //! which carries every LBR and PEBS record; the traced run pins its
 //! outcome totals and per-PC outcome table; the sampled run pins its
-//! estimated counters, its raw windows and its instruction split.
+//! estimated counters, its raw windows and its instruction split. Before
+//! the comparison, each workload's `profile` and `baseline` runs must
+//! agree on stats, returns, image and timeline: the campaign runner
+//! measures the baseline on its profiling run.
 //! `tests/golden/machine.txt` therefore changes whenever any simulated
 //! number changes. Regenerate it after an intentional change with:
 //!
@@ -117,6 +120,26 @@ fn simulated_numbers_match_the_golden() {
                 .unwrap_or_else(|e| panic!("{name}: measurement run: {e}"))
         };
         let (base, _) = measure(&w.module, TraceConfig::off());
+        // LBR and PEBS sampling charge no cycles: the campaign measures
+        // the baseline on its profiling run, which rests on this.
+        assert_eq!(
+            profile.stats, base.stats,
+            "{name}: profiling changed the stats"
+        );
+        assert_eq!(
+            profile.rets, base.rets,
+            "{name}: profiling changed the returns"
+        );
+        assert_eq!(
+            profile.image.digest(),
+            base.image.digest(),
+            "{name}: profiling changed the final image"
+        );
+        assert_eq!(
+            timeline_digest(&profile.timeline),
+            timeline_digest(&base.timeline),
+            "{name}: profiling changed the timeline"
+        );
         execution(&mut out, "baseline", &base);
         let (aj_module, _) = ainsworth_jones_optimize(&w.module, AJ_STATIC_DISTANCE);
         let (aj, _) = measure(&aj_module, TraceConfig::off());

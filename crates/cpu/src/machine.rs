@@ -482,6 +482,7 @@ pub struct WarmMem<'a> {
 }
 
 impl Memory for WarmMem<'_> {
+    #[inline]
     fn read(&mut self, _pc: Pc, addr: u64, width: u64) -> Option<u64> {
         // Explicit inherent-method call: `self.image` is `&mut MemImage`,
         // where plain `.read()` would resolve to the trait method again.
@@ -500,6 +501,7 @@ impl Memory for WarmMem<'_> {
         }
     }
 
+    #[inline]
     fn write(&mut self, _pc: Pc, addr: u64, value: u64, width: u64) -> Option<()> {
         match MemImage::write(self.image, addr, value, width) {
             Ok(()) => {
@@ -514,6 +516,7 @@ impl Memory for WarmMem<'_> {
         }
     }
 
+    #[inline]
     fn prefetch(&mut self, _pc: Pc, addr: u64) {
         // Unmapped prefetches are architectural no-ops but still probe the
         // hierarchy, exactly like `Hierarchy::sw_prefetch`.

@@ -84,52 +84,51 @@ impl MemImage {
         base
     }
 
+    /// Offset of `addr` in the image. An address below [`DATA_BASE`]
+    /// wraps to an offset past any image's end, so the one slice check
+    /// that refuses the end refuses it too.
     #[inline]
-    fn offset(&self, addr: u64, width: u64) -> Result<usize, MemFault> {
-        let off = addr.wrapping_sub(DATA_BASE);
-        if addr < DATA_BASE || off + width > self.bytes.len() as u64 {
-            Err(MemFault { addr, width })
-        } else {
-            Ok(off as usize)
-        }
+    fn offset(addr: u64) -> Option<usize> {
+        usize::try_from(addr.wrapping_sub(DATA_BASE)).ok()
     }
 
-    /// Reads `width` (1/2/4/8) bytes, little-endian, zero-extended.
+    /// Reads `width` (1/2/4/8) bytes, little-endian, zero-extended. An
+    /// access outside the image, or of any other width, is a
+    /// [`MemFault`].
     ///
-    /// Width-specialized: each arm is a fixed-size `from_le_bytes`, so the
-    /// compiler emits a plain load instead of a variable-length `memcpy` —
-    /// every interpreter load goes through here, detailed or functional.
+    /// Every interpreter load goes through here, detailed or functional,
+    /// so each access is checked once: the image from `addr` on, then a
+    /// fixed-width chunk of it, which compiles to a plain load.
     #[inline]
     pub fn read(&self, addr: u64, width: u64) -> Result<u64, MemFault> {
-        let off = self.offset(addr, width)?;
-        let b = &self.bytes[off..];
-        Ok(match width {
-            1 => b[0] as u64,
-            2 => u16::from_le_bytes([b[0], b[1]]) as u64,
-            4 => u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as u64,
-            8 => u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]),
-            w => {
-                let mut buf = [0u8; 8];
-                buf[..w as usize].copy_from_slice(&b[..w as usize]);
-                u64::from_le_bytes(buf)
-            }
+        let b = MemImage::offset(addr).and_then(|off| self.bytes.get(off..));
+        b.and_then(|b| match width {
+            1 => b.first().map(|&v| v as u64),
+            2 => b.first_chunk().map(|c| u16::from_le_bytes(*c) as u64),
+            4 => b.first_chunk().map(|c| u32::from_le_bytes(*c) as u64),
+            8 => b.first_chunk().map(|c| u64::from_le_bytes(*c)),
+            _ => None,
         })
+        .ok_or(MemFault { addr, width })
     }
 
-    /// Writes the low `width` bytes of `value`, little-endian.
+    /// Writes the low `width` (1/2/4/8) bytes of `value`, little-endian,
+    /// with [`MemImage::read`]'s one check and faults.
     #[inline]
     pub fn write(&mut self, addr: u64, value: u64, width: u64) -> Result<(), MemFault> {
-        let off = self.offset(addr, width)?;
-        let b = &mut self.bytes[off..];
-        let v = value.to_le_bytes();
-        match width {
-            1 => b[0] = v[0],
-            2 => b[..2].copy_from_slice(&v[..2]),
-            4 => b[..4].copy_from_slice(&v[..4]),
-            8 => b[..8].copy_from_slice(&v[..8]),
-            w => b[..w as usize].copy_from_slice(&v[..w as usize]),
-        }
-        Ok(())
+        let b = MemImage::offset(addr).and_then(|off| self.bytes.get_mut(off..));
+        b.and_then(|b| match width {
+            1 => b.first_mut().map(|d| *d = value as u8),
+            2 => b
+                .first_chunk_mut()
+                .map(|d| *d = (value as u16).to_le_bytes()),
+            4 => b
+                .first_chunk_mut()
+                .map(|d| *d = (value as u32).to_le_bytes()),
+            8 => b.first_chunk_mut().map(|d| *d = value.to_le_bytes()),
+            _ => None,
+        })
+        .ok_or(MemFault { addr, width })
     }
 
     /// Reads a `u32`.
@@ -195,10 +194,12 @@ impl MemImage {
 /// the sampled driver's cold fast-forward) use the image directly, with
 /// the bounds behaviour [`crate::Machine`]'s timed accesses use too.
 impl apt_lir::eval::Memory for MemImage {
+    #[inline]
     fn read(&mut self, _pc: apt_lir::Pc, addr: u64, width: u64) -> Option<u64> {
         MemImage::read(self, addr, width).ok()
     }
 
+    #[inline]
     fn write(&mut self, _pc: apt_lir::Pc, addr: u64, value: u64, width: u64) -> Option<()> {
         MemImage::write(self, addr, value, width).ok()
     }

@@ -5,9 +5,10 @@
 //! execution agree on every arithmetic corner case.
 //!
 //! Functions are predecoded once into a flat threaded op array
-//! ([`DecodedFunc`]) whose φ-nodes are compiled into parallel-copy lists
-//! attached to each CFG *edge*, and execution is a resumable [`Interp`]
-//! that can pause at any block boundary ([`Interp::run`] with fuel). The
+//! ([`DecodedFunc`]) whose φ-nodes are compiled into copy lists attached
+//! to each CFG *edge*, ordered so that they apply in place, and
+//! execution is a resumable [`Interp`] that can pause at any block
+//! boundary ([`Interp::run`] with fuel). The
 //! [`Memory`] it runs against decides what a run is: architectural on a
 //! plain image ([`run_function`] is the one-shot form), cache-warming in
 //! `apt-sample`'s fast-forward, or fully timed on `apt-cpu::Machine`,
@@ -181,17 +182,43 @@ impl std::fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// A CFG edge in decoded form: where it lands plus the parallel copies
-/// that implement the target block's φ-nodes for this predecessor.
+/// A CFG edge in decoded form: where it lands plus the copies that
+/// implement the target block's φ-nodes for this predecessor.
 #[derive(Debug, Clone)]
 struct Edge {
     /// First op index of the target block.
     ip: u32,
     /// First PC of the target block (the branch target LBR records).
     target_pc: u32,
-    /// φ parallel copies `(dst reg, source reg)`, sources all read before
-    /// any destination is written.
+    /// The φ parallel copy as moves `(dst reg, source reg)` applied one
+    /// at a time, in place (see [`sequentialize`]).
     copies: Box<[(u32, u32)]>,
+}
+
+/// Orders one edge's φ copies `(dst, src)` so that applying them one at
+/// a time equals the parallel copy, in which every source is read before
+/// any destination is written: a destination is written only after every
+/// copy that reads it. A cycle of copies (a swap, a rotation) has no such
+/// order, so one of its registers is first saved in `scratch` and its
+/// reader reads the saved value. Once no copy can be emitted only cycles
+/// remain, each closed before the next is broken, so one scratch register
+/// serves them all. Self-copies are dropped.
+fn sequentialize(copies: &[(u32, u32)], scratch: u32) -> Box<[(u32, u32)]> {
+    let mut pending: Vec<(u32, u32)> = copies.iter().copied().filter(|&(d, s)| d != s).collect();
+    let mut moves = Vec::with_capacity(pending.len());
+    while !pending.is_empty() {
+        let unread = |d: u32| pending.iter().all(|&(_, s)| s != d);
+        if let Some(i) = pending.iter().position(|&(d, _)| unread(d)) {
+            moves.push(pending.remove(i));
+        } else {
+            let saved = pending[0].0;
+            moves.push((scratch, saved));
+            for (_, s) in pending.iter_mut().filter(|(_, s)| *s == saved) {
+                *s = scratch;
+            }
+        }
+    }
+    moves.into_boxed_slice()
 }
 
 /// One predecoded op. Mirrors [`Inst`]/[`Terminator`] minus φ-nodes
@@ -507,7 +534,8 @@ pub struct DecodedFunc {
     name: String,
     arity: usize,
     /// Architectural register count. The live register file is
-    /// `next_reg + consts.len()` wide.
+    /// `next_reg + consts.len() + 1` wide: the registers, the constant
+    /// pool, and the scratch register φ copy cycles borrow.
     next_reg: u32,
     consts: Vec<u64>,
     ops: Vec<Op>,
@@ -780,6 +808,13 @@ impl DecodedFunc {
             });
         }
 
+        // Every constant is interned now, so the scratch register's index
+        // is known.
+        let scratch = arch + consts.len() as u32;
+        for e in &mut edges {
+            e.copies = sequentialize(&e.copies, scratch);
+        }
+
         DecodedFunc {
             name: f.name.clone(),
             arity: f.arity(),
@@ -854,7 +889,6 @@ pub struct Interp<'c> {
     /// have already been applied.
     ip: u32,
     steps: u64,
-    copy_tmp: Vec<u64>,
 }
 
 impl<'c> Interp<'c> {
@@ -870,12 +904,12 @@ impl<'c> Interp<'c> {
         let mut regs = vec![0u64; code.next_reg as usize];
         regs[..args.len()].copy_from_slice(args);
         regs.extend_from_slice(&code.consts);
+        regs.push(0); // The φ-cycle scratch register.
         Ok(Interp {
             code,
             regs,
             ip: code.entry_ip,
             steps: 0,
-            copy_tmp: Vec::new(),
         })
     }
 
@@ -905,21 +939,15 @@ impl<'c> Interp<'c> {
                 regs[$op as usize]
             };
         }
-        // Retires the terminator at `$pc`, applies the edge's φ parallel
-        // copies (sources all read before any destination is written) and
-        // either jumps or pauses on fuel-out.
+        // Retires the terminator at `$pc`, applies the edge's φ copies in
+        // place (decode ordered them so that this equals the parallel
+        // copy) and either jumps or pauses on fuel-out.
         macro_rules! take_edge {
             ($pc:expr, $e:expr, $taken:expr, $conditional:expr) => {{
                 let e = &edges[$e as usize];
                 mem.branch(Pc($pc as u64), Pc(e.target_pc as u64), $taken, $conditional);
-                if !e.copies.is_empty() {
-                    self.copy_tmp.clear();
-                    for &(_, src) in e.copies.iter() {
-                        self.copy_tmp.push(val!(src));
-                    }
-                    for (&(d, _), &v) in e.copies.iter().zip(&self.copy_tmp) {
-                        regs[d as usize] = v;
-                    }
+                for &(d, src) in e.copies.iter() {
+                    regs[d as usize] = val!(src);
                 }
                 if steps >= target {
                     self.ip = e.ip;
@@ -1398,6 +1426,119 @@ mod interp_tests {
             run_function(&m, "kernel", &[0, 8], &mut mem, last_edge_steps - 1),
             Err(EvalError::StepLimit)
         );
+    }
+
+    /// A counted loop of `n` trips carrying one register per `inits`
+    /// value, stepped on every back edge to the operands `step` returns:
+    /// the back edge's φ copies do the stepping. On exit it stores the
+    /// carried values to addresses 0, 8, 16, ...
+    fn carried_loop(
+        inits: &[u64],
+        step: impl FnOnce(&mut FunctionBuilder, &[Reg]) -> Vec<Operand>,
+    ) -> Module {
+        let mut m = Module::new("t");
+        let f = m.add_function("k", &["n"]);
+        {
+            let mut bd = FunctionBuilder::new(m.function_mut(f));
+            let n = bd.param(0);
+            let inits: Vec<Operand> = inits.iter().map(|&v| Operand::Imm(v)).collect();
+            let outs = bd.loop_up_carried(0u64, n, 1, &inits, |bd, _, c| step(bd, c));
+            for (i, r) in outs.into_iter().enumerate() {
+                bd.store(i as u64 * 8, r, Width::W8);
+            }
+            bd.ret(None::<Operand>);
+        }
+        m
+    }
+
+    /// Runs `m` for 0 to 7 trips, one-shot and paused at every edge
+    /// (fuel 0), against `native`, the same recurrence in Rust.
+    fn check_carried(m: &Module, inits: &[u64], native: impl Fn(&[u64]) -> Vec<u64>) {
+        let dm = DecodedModule::decode(m);
+        let (_, code) = dm.func_by_name("k").unwrap();
+        let stored = |mem: &mut MapMem| -> Vec<u64> {
+            (0..inits.len() as u64)
+                .map(|i| mem.read(Pc(0), i * 8, 8).unwrap())
+                .collect()
+        };
+        let mut want = inits.to_vec();
+        for n in 0..8u64 {
+            let mut mem = MapMem {
+                limit: 64,
+                ..Default::default()
+            };
+            assert_eq!(run_function(m, "k", &[n], &mut mem, 1 << 20), Ok(None));
+            assert_eq!(stored(&mut mem), want, "one-shot, {n} trips");
+
+            let mut mem = MapMem {
+                limit: 64,
+                ..Default::default()
+            };
+            let mut interp = Interp::new(code, &[n]).unwrap();
+            while interp.run(&mut mem, 0).unwrap() == RunState::Paused {}
+            assert_eq!(stored(&mut mem), want, "paused at every edge, {n} trips");
+            want = native(&want);
+        }
+    }
+
+    #[test]
+    fn phis_swap_two_registers() {
+        let m = carried_loop(&[3, 5], |_, c| vec![c[1].into(), c[0].into()]);
+        check_carried(&m, &[3, 5], |v| vec![v[1], v[0]]);
+    }
+
+    #[test]
+    fn phis_rotate_three_registers() {
+        let m = carried_loop(&[3, 5, 7], |_, c| {
+            vec![c[1].into(), c[2].into(), c[0].into()]
+        });
+        check_carried(&m, &[3, 5, 7], |v| vec![v[1], v[2], v[0]]);
+    }
+
+    #[test]
+    fn phis_step_a_fibonacci_pair() {
+        let m = carried_loop(&[0, 1], |bd, c| {
+            let s = bd.add(c[0], c[1]);
+            vec![c[1].into(), s.into()]
+        });
+        check_carried(&m, &[0, 1], |v| vec![v[1], v[0] + v[1]]);
+    }
+
+    #[test]
+    fn phis_feed_a_constant_and_a_register_into_each_other() {
+        // `a` takes a constant while `b` reads the `a` it replaces, and
+        // `c` reads `b` while `b` is rewritten: every source must be the
+        // value from before the edge.
+        let m = carried_loop(&[3, 5, 7], |_, c| {
+            vec![Operand::Imm(11), c[0].into(), c[1].into()]
+        });
+        check_carried(&m, &[3, 5, 7], |v| vec![11, v[0], v[1]]);
+    }
+
+    #[test]
+    fn sequentialized_copies_equal_the_parallel_copy() {
+        // Every copy list into registers 0..4 (each destination written at
+        // most once) from registers 0..4 and two constants 4 and 5;
+        // register 6 is the scratch.
+        for code in 0..7u32.pow(4) {
+            let copies: Vec<(u32, u32)> = (0..4)
+                .filter_map(|d| {
+                    let src = code / 7u32.pow(d) % 7;
+                    (src < 6).then_some((d, src))
+                })
+                .collect();
+            let start: Vec<u64> = (0..7).map(|r| 100 + r).collect();
+            let mut want = start.clone();
+            for &(d, s) in &copies {
+                want[d as usize] = start[s as usize];
+            }
+            let mut regs = start.clone();
+            for &(d, s) in sequentialize(&copies, 6).iter() {
+                assert!(d < 4 || d == 6, "{copies:?} writes a constant");
+                regs[d as usize] = regs[s as usize];
+            }
+            assert_eq!(regs[..6], want[..6], "{copies:?}");
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!
 //! Architectural results need no tolerance at all: the sampled run
 //! executes every instruction (fast-forwarded ones functionally), so
-//! workload checkers pass exactly — `run_cell` already asserts that.
+//! workload checkers pass exactly — `run_workload` already checks every
+//! measured run.
 
 use apt_bench::eval::{run_campaign, CampaignConfig, CampaignReport, SamplingSpec, Variant};
 use apt_sample::SampleConfig;

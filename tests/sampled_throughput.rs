@@ -2,11 +2,22 @@
 //! measurement runs must simulate at least 5× more cycles per host
 //! second than the exact detailed runs on the full 13-workload campaign.
 //!
-//! The comparison deliberately uses the `measurement-run` spans, not the
-//! whole-cell wall time: profiling runs are identical in both campaigns
-//! (sampling never touches them — the profile feeds injection and must
-//! stay exact), and the `--sampled-check` exact re-run is recorded under
-//! its own `exact-check-run` span precisely so it cannot pollute this
+//! The ratio compares the two campaigns' `measurement-run` spans, not
+//! whole-cell wall time. Neither campaign has a profile cache here, so
+//! they profile differently:
+//!
+//! * exact: each workload's baseline measurement is also its profiling
+//!   run, so its span includes collecting the LBR/PEBS profile, which
+//!   costs host time but no simulated cycles;
+//! * sampled: the measurements collect nothing, and profiling runs fully
+//!   detailed in separate `profile-run` spans (the profile feeds
+//!   injection and must stay exact), which the ratio leaves out.
+//!
+//! So the exact side's rate includes thirteen profile collections and
+//! the sampled side's includes none. An APT-GET cell whose module equals
+//! the baseline's reuses the baseline run and has no span in either
+//! campaign. The `--sampled-check` exact re-run is recorded under its
+//! own `exact-check-run` span so that it cannot pollute this
 //! measurement.
 //!
 //! Ignored by default (it runs the full registry twice, once fully

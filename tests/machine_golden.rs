@@ -9,14 +9,19 @@
 //!   `measure_sim`, with the APT-GET run traced under
 //!   `TraceConfig::outcomes()`;
 //! * `sampled` — one SMARTS run of the APT-GET module with CI's schedule
-//!   (period 4096, window 2048, warm-up 1024).
+//!   (period 4096, window 2048, warm-up 1024);
+//! * `cold baseline`, `cold A&J` and `cold APT-GET` — one SMARTS run of
+//!   each module under `SampleConfig::default()`. Its fast-forward budget
+//!   (up to 128,000 instructions) exceeds the 8,192-instruction warming
+//!   horizon, so these are the runs whose fast-forward interprets a cold
+//!   stretch on the bare image, injected prefetch slices included.
 //!
 //! Each section records every `PerfStats` field, the return values, the
 //! final image digest and an FNV-1a digest of the telemetry timeline's
 //! JSON. The profiling run also pins the exported `perf script` text,
 //! which carries every LBR and PEBS record; the traced run pins its
-//! outcome totals and per-PC outcome table; the sampled run pins its
-//! estimated counters, its raw windows and its instruction split. Before
+//! outcome totals and per-PC outcome table; the sampled runs pin their
+//! estimated counters, their raw windows and their instruction split. Before
 //! the comparison, each workload's `profile` and `baseline` runs must
 //! agree on stats, returns, image and timeline: the campaign runner
 //! measures the baseline on its profiling run.
@@ -33,7 +38,7 @@ use std::path::PathBuf;
 use apt_bench::AJ_STATIC_DISTANCE;
 use apt_cpu::export_perf_script;
 use apt_metrics::fnv1a;
-use apt_sample::{run_sampled, SampleConfig};
+use apt_sample::{run_sampled, SampleConfig, SampledExecution};
 use apt_workloads::all_workloads;
 use aptget::{
     ainsworth_jones_optimize, execute, execute_traced, timeline_to_json, AptGet, Execution,
@@ -84,6 +89,34 @@ fn execution(out: &mut String, title: &str, e: &Execution) {
         e.image.digest(),
         timeline_digest(&e.timeline),
         e.timeline.samples.len()
+    );
+}
+
+/// The estimates, windows and instruction split of a sampled run.
+fn sampled(out: &mut String, title: &str, s: &SampledExecution) {
+    let _ = writeln!(out, "== {title}");
+    let _ = writeln!(out, "stats {:?}", s.stats);
+    let _ = writeln!(
+        out,
+        "rets {:?} image {:016x} timeline {:016x} raw-windows {:016x}",
+        s.rets,
+        s.image.digest(),
+        timeline_digest(&s.timeline),
+        fnv1a(format!("{:?}", s.windows).as_bytes())
+    );
+    let _ = writeln!(
+        out,
+        "instructions exact {} detailed {} measured {} ff {} windows {}",
+        s.exact_instructions,
+        s.detailed_instructions,
+        s.measured_instructions,
+        s.ff_instructions,
+        s.windows.len()
+    );
+    let _ = writeln!(
+        out,
+        "outcomes {:?} traced {:?}",
+        s.outcomes, s.trace.outcomes.total
     );
 }
 
@@ -154,39 +187,27 @@ fn simulated_numbers_match_the_golden() {
             fnv1a(format!("{:?}", report.outcomes.per_pc).as_bytes())
         );
 
-        let s = run_sampled(
-            &opt.module,
-            w.image.clone(),
-            &w.calls,
-            &cfg.measure_sim,
-            &schedule,
-            TraceConfig::outcomes(),
-        )
-        .unwrap_or_else(|e| panic!("{name}: sampled run: {e}"));
-        let _ = writeln!(out, "== sampled");
-        let _ = writeln!(out, "stats {:?}", s.stats);
-        let _ = writeln!(
-            out,
-            "rets {:?} image {:016x} timeline {:016x} raw-windows {:016x}",
-            s.rets,
-            s.image.digest(),
-            timeline_digest(&s.timeline),
-            fnv1a(format!("{:?}", s.windows).as_bytes())
-        );
-        let _ = writeln!(
-            out,
-            "instructions exact {} detailed {} measured {} ff {} windows {}",
-            s.exact_instructions,
-            s.detailed_instructions,
-            s.measured_instructions,
-            s.ff_instructions,
-            s.windows.len()
-        );
-        let _ = writeln!(
-            out,
-            "outcomes {:?} traced {:?}",
-            s.outcomes, s.trace.outcomes.total
-        );
+        let run = |module: &aptget::Module, schedule: &SampleConfig, trace: TraceConfig| {
+            run_sampled(
+                module,
+                w.image.clone(),
+                &w.calls,
+                &cfg.measure_sim,
+                schedule,
+                trace,
+            )
+            .unwrap_or_else(|e| panic!("{name}: sampled run: {e}"))
+        };
+        let s = run(&opt.module, &schedule, TraceConfig::outcomes());
+        sampled(&mut out, "sampled", &s);
+        for (title, module) in [
+            ("cold baseline", &w.module),
+            ("cold A&J", &aj_module),
+            ("cold APT-GET", &opt.module),
+        ] {
+            let s = run(module, &SampleConfig::default(), TraceConfig::off());
+            sampled(&mut out, title, &s);
+        }
     }
     check_golden("machine.txt", &out);
 }

@@ -193,7 +193,11 @@ impl MemImage {
 /// Architectural runs of the interpreter (`apt_lir::eval::run_function`,
 /// the sampled driver's cold fast-forward) use the image directly, with
 /// the bounds behaviour [`crate::Machine`]'s timed accesses use too.
+/// Nothing but load and store values observes the image, so those runs
+/// skip injected prefetch slices.
 impl apt_lir::eval::Memory for MemImage {
+    const ARCHITECTURAL: bool = true;
+
     #[inline]
     fn read(&mut self, _pc: apt_lir::Pc, addr: u64, width: u64) -> Option<u64> {
         MemImage::read(self, addr, width).ok()

@@ -43,7 +43,29 @@ pub fn bin_cost(op: BinOp) -> u64 {
     }
 }
 
-#[inline]
+/// An integer compare as 0 or 1: the `ICmp` half of [`eval_bin`], which
+/// the fused loop latches call directly.
+#[inline(always)]
+pub fn eval_icmp(p: ICmpPred, a: u64, b: u64) -> u64 {
+    let (sa, sb) = (a as i64, b as i64);
+    let r = match p {
+        ICmpPred::Eq => a == b,
+        ICmpPred::Ne => a != b,
+        ICmpPred::Ltu => a < b,
+        ICmpPred::Lts => sa < sb,
+        ICmpPred::Leu => a <= b,
+        ICmpPred::Les => sa <= sb,
+        ICmpPred::Gtu => a > b,
+        ICmpPred::Gts => sa > sb,
+        ICmpPred::Geu => a >= b,
+        ICmpPred::Ges => sa >= sb,
+    };
+    r as u64
+}
+
+/// Always inlined: the interpreter's generic `Bin` arm would otherwise
+/// make one out-of-line call per op.
+#[inline(always)]
 pub fn eval_bin(op: BinOp, a: u64, b: u64) -> u64 {
     match op {
         BinOp::Add => a.wrapping_add(b),
@@ -64,22 +86,7 @@ pub fn eval_bin(op: BinOp, a: u64, b: u64) -> u64 {
         BinOp::Shl => a.wrapping_shl(b as u32 & 63),
         BinOp::ShrL => a.wrapping_shr(b as u32 & 63),
         BinOp::ShrA => ((a as i64).wrapping_shr(b as u32 & 63)) as u64,
-        BinOp::ICmp(p) => {
-            let (sa, sb) = (a as i64, b as i64);
-            let r = match p {
-                ICmpPred::Eq => a == b,
-                ICmpPred::Ne => a != b,
-                ICmpPred::Ltu => a < b,
-                ICmpPred::Lts => sa < sb,
-                ICmpPred::Leu => a <= b,
-                ICmpPred::Les => sa <= sb,
-                ICmpPred::Gtu => a > b,
-                ICmpPred::Gts => sa > sb,
-                ICmpPred::Geu => a >= b,
-                ICmpPred::Ges => sa >= sb,
-            };
-            r as u64
-        }
+        BinOp::ICmp(p) => eval_icmp(p, a, b),
         BinOp::FAdd => (f64::from_bits(a) + f64::from_bits(b)).to_bits(),
         BinOp::FSub => (f64::from_bits(a) - f64::from_bits(b)).to_bits(),
         BinOp::FMul => (f64::from_bits(a) * f64::from_bits(b)).to_bits(),
@@ -126,6 +133,13 @@ pub fn eval_un(op: UnOp, a: u64) -> u64 {
 /// PCs and keep the no-op hook defaults; the detailed `apt-cpu::Machine`
 /// charges cycles and feeds its profilers from them.
 pub trait Memory {
+    /// True when nothing but the values of loads and stores can observe
+    /// this memory: no hook does anything and `Prefetch` is a no-op.
+    /// [`Interp::run`] then jumps past each [`skippable`] run of ops, an
+    /// injected prefetch slice, retiring its instructions unexecuted.
+    /// Only the bare image (`apt-cpu::MemImage`) sets it; warming and
+    /// timing memories keep the default `false` and execute every op.
+    const ARCHITECTURAL: bool = false;
     /// Reads `width` (1/2/4/8) bytes little-endian, zero-extended, or
     /// `None` on an out-of-bounds access. Takes `&mut self` so warming
     /// and timing memories can react to reads; architectural
@@ -239,8 +253,18 @@ fn sequentialize(copies: &[(u32, u32)], scratch: u32) -> Box<[(u32, u32)]> {
 /// write and every [`Memory`] hook, so architectural state, step counts
 /// and timing are bit-identical to the unfused sequence. A fused op holds
 /// at most one memory op or terminator, whose PC is its `pc`.
+///
+/// A `Skip` heads each run of [`skippable`] ops. It is not an
+/// instruction: an architectural [`Memory`] jumps the `ops` that follow
+/// and retires their `insts` instructions unexecuted, and any other
+/// memory steps over it and executes them. Fusion never crosses the
+/// edges of such a run.
 #[derive(Debug, Clone)]
 enum Op {
+    Skip {
+        ops: u32,
+        insts: u32,
+    },
     Bin {
         dst: u32,
         op: BinOp,
@@ -382,11 +406,13 @@ enum Op {
 }
 
 /// Appends `op` to a block body, fusing it with the preceding one or two
-/// ops when they form a known addressing pattern. Fusion never inspects
-/// operand relationships — it only requires the ops to be consecutive in
-/// one block, because the fused execution replays them verbatim.
-fn push_fused(body: &mut Vec<Op>, op: Op) {
-    let n = body.len();
+/// ops at or after `floor` when they form a known addressing pattern.
+/// Fusion never inspects operand relationships — it only requires the
+/// ops to be consecutive in one block, because the fused execution
+/// replays them verbatim.
+fn push_fused(body: &mut Vec<Op>, floor: usize, op: Op) {
+    let len = body.len();
+    let n = len - floor;
     match op {
         Op::Load {
             pc,
@@ -409,9 +435,9 @@ fn push_fused(body: &mut Vec<Op>, op: Op) {
                         a: aa,
                         b: ab,
                     },
-                ) = (&body[n - 2], &body[n - 1])
+                ) = (&body[len - 2], &body[len - 1])
                 {
-                    body.truncate(n - 2);
+                    body.truncate(len - 2);
                     body.push(Op::ShlAddLoad {
                         pc,
                         sdst,
@@ -433,9 +459,9 @@ fn push_fused(body: &mut Vec<Op>, op: Op) {
                 dst: adst,
                 a: aa,
                 b: ab,
-            }) = body.last()
+            }) = body[floor..].last()
             {
-                body.truncate(n - 1);
+                body.truncate(len - 1);
                 body.push(Op::AddLoad {
                     pc,
                     adst,
@@ -470,9 +496,9 @@ fn push_fused(body: &mut Vec<Op>, op: Op) {
                         a: aa,
                         b: ab,
                     },
-                ) = (&body[n - 2], &body[n - 1])
+                ) = (&body[len - 2], &body[len - 1])
                 {
-                    body.truncate(n - 2);
+                    body.truncate(len - 2);
                     body.push(Op::ShlAddStore {
                         pc,
                         sdst,
@@ -504,9 +530,9 @@ fn push_fused(body: &mut Vec<Op>, op: Op) {
                         a: aa,
                         b: ab,
                     },
-                ) = (&body[n - 2], &body[n - 1])
+                ) = (&body[len - 2], &body[len - 1])
                 {
-                    body.truncate(n - 2);
+                    body.truncate(len - 2);
                     body.push(Op::ShlAddPrefetch {
                         pc,
                         sdst,
@@ -559,6 +585,82 @@ fn shl_of_mul(a: Operand, b: Operand) -> Option<(Operand, u64)> {
         .then(|| (x, imm.trailing_zeros() as u64))
 }
 
+/// For each block, which body instructions (φs excluded) an architectural
+/// [`Memory`] may skip: every `Prefetch`, a no-op there, and every
+/// side-effect-free op — `Bin`, `Un`, `Select` or a speculative load,
+/// none of which can fault — whose result only skipped ops read. A
+/// register read by a kept op, a terminator or a φ incoming, or in a
+/// block other than its definition's (or before the definition), keeps
+/// its defining op. What this marks is an injected prefetch slice: fresh
+/// registers computed from the loop's induction variable that feed only
+/// a `Prefetch`.
+///
+/// A skipped register is dead at every block boundary, where an
+/// activation pauses, so an activation can move between memories that
+/// skip and memories that execute at any pause.
+fn skippable(f: &Function) -> Vec<Vec<bool>> {
+    // Where each register is defined in a block body: (block, index).
+    let mut def = vec![None; f.next_reg as usize];
+    for (bi, b) in f.blocks.iter().enumerate() {
+        for (i, inst) in b.insts.iter().enumerate().skip(b.phi_count()) {
+            if let Some(Reg(d)) = inst.dst() {
+                def[d as usize] = Some((bi, i));
+            }
+        }
+    }
+    let mut kept = vec![false; f.next_reg as usize];
+    let keep = |kept: &mut Vec<bool>, op: Operand| {
+        if let Operand::Reg(Reg(r)) = op {
+            kept[r as usize] = true;
+        }
+    };
+    for (bi, b) in f.blocks.iter().enumerate() {
+        for (i, inst) in b.insts.iter().enumerate() {
+            inst.for_each_operand(|op| {
+                let local = i >= b.phi_count()
+                    && matches!(op, Operand::Reg(Reg(r))
+                        if matches!(def[r as usize], Some((db, di)) if db == bi && di < i));
+                if !local {
+                    keep(&mut kept, op);
+                }
+            });
+        }
+        b.term.for_each_operand(|op| keep(&mut kept, op));
+    }
+    // Backwards through each body, a kept op keeps its operands.
+    f.blocks
+        .iter()
+        .map(|b| {
+            let body = &b.insts[b.phi_count()..];
+            let mut skip = vec![false; body.len()];
+            for (i, inst) in body.iter().enumerate().rev() {
+                skip[i] = match inst {
+                    Inst::Prefetch { .. } => true,
+                    Inst::Bin { dst, .. }
+                    | Inst::Un { dst, .. }
+                    | Inst::Select { dst, .. }
+                    | Inst::Load {
+                        dst, spec: true, ..
+                    } => !kept[dst.0 as usize],
+                    _ => false,
+                };
+                if !skip[i] {
+                    inst.for_each_operand(|op| keep(&mut kept, op));
+                }
+            }
+            skip
+        })
+        .collect()
+}
+
+/// Points the `Skip` at `at` past the ops pushed after it.
+fn close_skip(body: &mut [Op], at: usize, insts: u32) {
+    body[at] = Op::Skip {
+        ops: (body.len() - at - 1) as u32,
+        insts,
+    };
+}
+
 impl DecodedFunc {
     /// Decodes function `fid`, laid out at the PCs `map` assigns it.
     /// Assumes the module verifies (φ prefixes only, an incoming value per
@@ -584,15 +686,35 @@ impl DecodedFunc {
             }
         };
 
-        // Pass 1: decode and fuse every block body (φs emit no ops), and
-        // decide whether its compare fuses into the terminator. Fusion
-        // changes op counts, so block start indices can only be laid out
-        // after all bodies are known.
+        // Pass 1: decode and fuse every block body (φs emit no ops), head
+        // each skippable run with a `Skip`, and decide whether the body's
+        // compare fuses into the terminator. Fusion changes op counts, so
+        // block start indices can only be laid out after all bodies are
+        // known.
+        let skippable = skippable(f);
         let mut bodies: Vec<Vec<Op>> = Vec::with_capacity(f.blocks.len());
         let mut fuse_term: Vec<u8> = Vec::with_capacity(f.blocks.len());
         for (bi, b) in f.blocks.iter().enumerate() {
             let mut body: Vec<Op> = Vec::with_capacity(b.insts.len() - b.phi_count() + 1);
+            // Fusion never reaches back past `floor`, the first op of the
+            // current run of skipped or kept ops. `open` is the index and
+            // instruction count of the current run's `Skip`.
+            let mut floor = 0;
+            let mut open: Option<(usize, u32)> = None;
             for (i, inst) in b.insts.iter().enumerate().skip(b.phi_count()) {
+                let skip = skippable[bi][i - b.phi_count()];
+                if skip != open.is_some() {
+                    if let Some((at, insts)) = open.take() {
+                        close_skip(&mut body, at, insts);
+                    } else {
+                        open = Some((body.len(), 0));
+                        body.push(Op::Skip { ops: 0, insts: 0 });
+                    }
+                    floor = body.len();
+                }
+                if let Some((_, insts)) = &mut open {
+                    *insts += 1;
+                }
                 let pc = pc32(map.pc_of(InstRef {
                     func: fid,
                     block: BlockId(bi as u32),
@@ -671,7 +793,10 @@ impl DecodedFunc {
                         addr: reg_of(*addr),
                     },
                 };
-                push_fused(&mut body, op);
+                push_fused(&mut body, floor, op);
+            }
+            if let Some((at, insts)) = open {
+                close_skip(&mut body, at, insts);
             }
             // How many trailing body ops the terminator absorbs: the
             // compare feeding a conditional branch, and — the loop-latch
@@ -689,7 +814,7 @@ impl DecodedFunc {
             );
             let ft = if !cmp_feeds_term {
                 0u8
-            } else if body.len() >= 2 && matches!(body[body.len() - 2], Op::Add { .. }) {
+            } else if body.len() >= floor + 2 && matches!(body[body.len() - 2], Op::Add { .. }) {
                 2
             } else {
                 1
@@ -922,7 +1047,12 @@ impl<'c> Interp<'c> {
     /// instructions have retired, pausing at the next block boundary (so
     /// the overshoot is at most one block). `fuel == 0` still executes one
     /// block.
-    pub fn run(&mut self, mem: &mut impl Memory, fuel: u64) -> Result<RunState, EvalError> {
+    ///
+    /// On an architectural memory ([`Memory::ARCHITECTURAL`]) it jumps
+    /// past each injected prefetch slice and counts the slice's
+    /// instructions as retired; results, step counts and pauses are those
+    /// of executing it.
+    pub fn run<M: Memory>(&mut self, mem: &mut M, fuel: u64) -> Result<RunState, EvalError> {
         apt_selfprof::prof_scope!("lir/eval/dispatch");
         let target = self.steps.saturating_add(fuel);
         let ops = &self.code.ops[..];
@@ -1024,6 +1154,12 @@ impl<'c> Interp<'c> {
                 mem.retire(bin_cost(BinOp::Shl));
             }};
         }
+        macro_rules! do_icmp {
+            ($dst:expr, $pred:expr, $a:expr, $b:expr) => {{
+                regs[$dst as usize] = eval_icmp($pred, val!($a), val!($b));
+                mem.retire(bin_cost(BinOp::ICmp($pred)));
+            }};
+        }
         macro_rules! do_add {
             ($dst:expr, $a:expr, $b:expr) => {{
                 regs[$dst as usize] = val!($a).wrapping_add(val!($b));
@@ -1034,6 +1170,15 @@ impl<'c> Interp<'c> {
         loop {
             steps += 1;
             match ops[ip] {
+                Op::Skip { ops, insts } => {
+                    // Not an instruction itself: undo the count above.
+                    steps -= 1;
+                    if M::ARCHITECTURAL {
+                        steps += u64::from(insts);
+                        ip += ops as usize;
+                    }
+                    ip += 1;
+                }
                 Op::Bin { dst, op, a, b } => {
                     do_bin!(dst, op, a, b);
                     ip += 1;
@@ -1109,7 +1254,7 @@ impl<'c> Interp<'c> {
                     else_edge,
                 } => {
                     steps += 1;
-                    do_bin!(dst, BinOp::ICmp(pred), a, b);
+                    do_icmp!(dst, pred, a, b);
                     cond_br!(pc, regs[dst as usize], then_edge, else_edge)
                 }
                 Op::AddCmpBr {
@@ -1126,7 +1271,7 @@ impl<'c> Interp<'c> {
                 } => {
                     steps += 2;
                     do_add!(adst, aa, ab);
-                    do_bin!(dst, BinOp::ICmp(pred), a, b);
+                    do_icmp!(dst, pred, a, b);
                     cond_br!(pc, regs[dst as usize], then_edge, else_edge)
                 }
                 Op::AddLoad {
@@ -1210,7 +1355,9 @@ impl<'c> Interp<'c> {
 /// no-op. Retires at most `step_limit` instructions (terminators included).
 ///
 /// A one-shot [`Interp`] run: the same loop `apt-cpu::Machine::call`
-/// drives, minus timing and profiling.
+/// drives, minus timing and profiling. On an architectural memory
+/// ([`Memory::ARCHITECTURAL`], such as `apt-cpu::MemImage`) it skips
+/// injected prefetch slices, which that memory cannot observe.
 pub fn run_function(
     module: &Module,
     func: &str,
@@ -1538,6 +1685,241 @@ mod interp_tests {
                 regs[d as usize] = regs[s as usize];
             }
             assert_eq!(regs[..6], want[..6], "{copies:?}");
+        }
+    }
+
+    /// A view of a [`MapMem`] with a chosen [`Memory::ARCHITECTURAL`]
+    /// that counts the reads made at `pc`.
+    struct Counting<'m, const ARCH: bool> {
+        mem: &'m mut MapMem,
+        pc: Pc,
+        reads: u64,
+    }
+
+    impl<const ARCH: bool> Memory for Counting<'_, ARCH> {
+        const ARCHITECTURAL: bool = ARCH;
+
+        fn read(&mut self, pc: Pc, addr: u64, width: u64) -> Option<u64> {
+            self.reads += u64::from(pc == self.pc);
+            self.mem.read(pc, addr, width)
+        }
+
+        fn write(&mut self, pc: Pc, addr: u64, value: u64, width: u64) -> Option<()> {
+            self.mem.write(pc, addr, value, width)
+        }
+    }
+
+    /// How the loop of [`slice_loop`] reads its slice register `j`.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum SliceUse {
+        /// Only the slice's own `Prefetch` does: a dead slice.
+        None,
+        /// A loop-carried φ.
+        Phi,
+        /// The body's terminator, a branch on `j`.
+        Terminator,
+        /// A `Prefetch` in the next block of the body.
+        OtherBlock,
+        /// The accumulating add.
+        LiveOp,
+        /// None, but the slice's load is not speculative.
+        NonSpecLoad,
+    }
+
+    /// `k(b, idx, n)` sums `b[idx[i]]` for `i < n` behind an injected
+    /// prefetch slice: fresh registers from the induction variable, a
+    /// load of `idx[i + 2]` and a prefetch of `b[idx[i + 2]]`. Returns the
+    /// module and the PC of the slice's load.
+    fn slice_loop(used: SliceUse) -> (Module, Pc) {
+        let mut m = Module::new("t");
+        let f = m.add_function("k", &["b", "idx", "n"]);
+        let mut load_at = None;
+        {
+            let mut bd = FunctionBuilder::new(m.function_mut(f));
+            let (b, idx, n) = (bd.param(0), bd.param(1), bd.param(2));
+            let inits = [Operand::Imm(0), Operand::Imm(0)];
+            let out = bd.loop_up_carried(0u64, n, 1, &inits, |bd, iv, c| {
+                let ahead = bd.add(iv, 2u64);
+                let ja = bd.elem_addr(idx, ahead, Width::W4);
+                let j = bd.func().fresh_reg();
+                let cur = bd.current_block();
+                let insts = &mut bd.func().block_mut(cur).insts;
+                load_at = Some(InstRef {
+                    func: f,
+                    block: cur,
+                    inst: InstId(insts.len() as u32),
+                });
+                insts.push(Inst::Load {
+                    dst: j,
+                    addr: Operand::Reg(ja),
+                    width: Width::W4,
+                    sext: false,
+                    spec: used != SliceUse::NonSpecLoad,
+                });
+                let pa = bd.elem_addr(b, j, Width::W8);
+                bd.prefetch(pa);
+                if used == SliceUse::Terminator {
+                    let (then_, join) = (bd.new_block("then"), bd.new_block("join"));
+                    bd.cond_br(j, then_, join);
+                    bd.switch_to(then_);
+                    bd.br(join);
+                }
+                let i = bd.load_elem(idx, iv, Width::W4, false);
+                let v = bd.load_elem(b, i, Width::W8, false);
+                let acc = bd.add(c[0], v);
+                let acc = if used == SliceUse::LiveOp {
+                    bd.add(acc, j)
+                } else {
+                    acc
+                };
+                if used == SliceUse::OtherBlock {
+                    let next = bd.new_block("next");
+                    bd.br(next);
+                    let pj = bd.elem_addr(b, j, Width::W8);
+                    bd.prefetch(pj);
+                }
+                let carried = if used == SliceUse::Phi { j } else { c[1] };
+                vec![acc.into(), carried.into()]
+            });
+            let sum = bd.add(out[0], out[1]);
+            bd.ret(Some(sum));
+        }
+        let pc = m.assign_pcs().pc_of(load_at.expect("the body was built"));
+        (m, pc)
+    }
+
+    /// `b` = 3, 6, ..., 24 at 0, `idx` = 5, 2, 7, 0, 3, 6, 1, 4 at 64, and
+    /// zeros up to 128, where the slice's last two loads land.
+    fn slice_mem() -> MapMem {
+        let mut mem = MapMem {
+            limit: 128,
+            ..Default::default()
+        };
+        for i in 0..8u64 {
+            mem.write(Pc(0), i * 8, 3 * (i + 1), 8).unwrap();
+            mem.write(Pc(0), 64 + i * 4, i * 5 % 8, 4).unwrap();
+        }
+        mem
+    }
+
+    const SLICE_ARGS: [u64; 3] = [0, 64, 8];
+
+    /// One activation of `code` on `mem` from start to return, pausing
+    /// at every edge (fuel 0) on the memory `pick` chooses for each
+    /// block. Returns the result, the steps at every pause and the
+    /// slice-load reads.
+    fn run_paused(
+        code: &DecodedFunc,
+        mem: &mut MapMem,
+        pc: Pc,
+        pick: impl Fn(usize) -> bool,
+    ) -> (Option<u64>, Vec<u64>, u64) {
+        let mut interp = Interp::new(code, &SLICE_ARGS).unwrap();
+        let (mut pauses, mut reads) = (Vec::new(), 0);
+        for block in 0.. {
+            let state = if pick(block) {
+                let mut m = Counting::<true> { mem, pc, reads: 0 };
+                let state = interp.run(&mut m, 0).unwrap();
+                reads += m.reads;
+                state
+            } else {
+                let mut m = Counting::<false> { mem, pc, reads: 0 };
+                let state = interp.run(&mut m, 0).unwrap();
+                reads += m.reads;
+                state
+            };
+            match state {
+                RunState::Done(v) => return (v, pauses, reads),
+                RunState::Paused => pauses.push(interp.steps()),
+            }
+        }
+        unreachable!()
+    }
+
+    /// Runs `slice_loop(used)` on an architectural and a
+    /// non-architectural memory, one-shot and paused at every edge (in
+    /// lockstep, and alternating both memories under one activation).
+    /// Every run must agree on the result, the steps and the final image.
+    /// Returns the slice-load reads of the architectural and the other
+    /// memory.
+    fn check_slice(used: SliceUse) -> (u64, u64) {
+        let (m, pc) = slice_loop(used);
+        let want: u64 = (0..8u64).map(|i| 3 * (i * 5 % 8 + 1)).sum::<u64>()
+            + match used {
+                // The carried `j` of the last trip: idx[9].
+                SliceUse::Phi => 0,
+                SliceUse::LiveOp => (2..8u64).map(|i| i * 5 % 8).sum(),
+                _ => 0,
+            };
+        let dm = DecodedModule::decode(&m);
+        let (_, code) = dm.func_by_name("k").unwrap();
+
+        let mut arch_mem = slice_mem();
+        let mut arch = Counting::<true> {
+            mem: &mut arch_mem,
+            pc,
+            reads: 0,
+        };
+        let mut oneshot = Interp::new(code, &SLICE_ARGS).unwrap();
+        let ret = oneshot.run(&mut arch, u64::MAX).unwrap();
+        let (arch_reads, steps) = (arch.reads, oneshot.steps());
+        assert_eq!(ret, RunState::Done(Some(want)), "{used:?}");
+
+        let mut other_mem = slice_mem();
+        let mut other = Counting::<false> {
+            mem: &mut other_mem,
+            pc,
+            reads: 0,
+        };
+        let mut oneshot = Interp::new(code, &SLICE_ARGS).unwrap();
+        assert_eq!(oneshot.run(&mut other, u64::MAX).unwrap(), ret, "{used:?}");
+        assert_eq!(oneshot.steps(), steps, "{used:?}: one-shot steps");
+        let other_reads = other.reads;
+        assert_eq!(arch_mem.bytes, other_mem.bytes, "{used:?}: one-shot image");
+
+        let mut runs = Vec::new();
+        for pick in [
+            |_| true,
+            |_| false,
+            |b: usize| b.is_multiple_of(2),
+            |b: usize| !b.is_multiple_of(2),
+        ] {
+            let mut mem = slice_mem();
+            let (v, pauses, reads) = run_paused(code, &mut mem, pc, pick);
+            assert_eq!(RunState::Done(v), ret, "{used:?}: paused result");
+            assert_eq!(mem.bytes, arch_mem.bytes, "{used:?}: paused image");
+            runs.push((pauses, reads));
+        }
+        for (pauses, _) in &runs[1..] {
+            assert_eq!(pauses, &runs[0].0, "{used:?}: steps at each pause");
+        }
+        assert!(runs[0].0.len() > 8, "{used:?}: pauses at every edge");
+        assert_eq!(
+            runs[0].1, arch_reads,
+            "{used:?}: paused architectural reads"
+        );
+        assert_eq!(runs[1].1, other_reads, "{used:?}: paused reads");
+        (arch_reads, other_reads)
+    }
+
+    #[test]
+    fn an_architectural_memory_skips_a_dead_prefetch_slice() {
+        let (arch, other) = check_slice(SliceUse::None);
+        assert_eq!(arch, 0, "the architectural run read the slice");
+        assert_eq!(other, 8, "every other memory executes the slice");
+    }
+
+    #[test]
+    fn a_slice_register_read_outside_the_slice_keeps_the_slice() {
+        for used in [
+            SliceUse::Phi,
+            SliceUse::Terminator,
+            SliceUse::OtherBlock,
+            SliceUse::LiveOp,
+            SliceUse::NonSpecLoad,
+        ] {
+            let (arch, other) = check_slice(used);
+            assert_eq!((arch, other), (8, 8), "{used:?}: executed in full");
         }
     }
 

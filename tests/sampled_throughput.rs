@@ -26,9 +26,10 @@
 use apt_bench::eval::{run_campaign, CampaignConfig, CampaignReport, SamplingSpec};
 use apt_sample::SampleConfig;
 
-/// Large enough that the default schedule (~5% detail) gets real
-/// fast-forward stretches on every workload; small enough to keep the
-/// exact reference campaign in CI budget.
+/// Large enough that the default schedule (2.3% detail: 3,072 of every
+/// 131,072 instructions) gets real fast-forward stretches on every
+/// workload; small enough to keep the exact reference campaign in CI
+/// budget.
 const SCALE: f64 = 0.02;
 
 fn campaign(sampling: Option<SamplingSpec>) -> CampaignReport {

@@ -1,67 +1,126 @@
 //! Property tests of the memory hierarchy against simple reference models.
 
-use apt_mem::cache::Cache;
-use apt_mem::{CacheConfig, Hierarchy, Level, MemConfig};
+use apt_mem::cache::{Cache, Evicted, HitInfo};
+use apt_mem::mshr::{MshrEntry, MshrFile};
+use apt_mem::{CacheConfig, Hierarchy, Level, MemConfig, ReqSource};
 use apt_trace::TraceConfig;
 use proptest::prelude::*;
 
-/// Reference model: fully-explicit LRU per set.
-#[derive(Default)]
+/// One resident way of the reference model.
+#[derive(Debug, Clone, Copy)]
+struct RefWay {
+    line: u64,
+    from_prefetch: bool,
+    used: bool,
+}
+
+/// Reference model: fully-explicit LRU per set, most recent way first,
+/// carrying each way's prefetched and used bits.
 struct RefCache {
-    sets: std::collections::HashMap<u64, Vec<u64>>,
-    set_mask: u64,
+    sets: Vec<Vec<RefWay>>,
     assoc: usize,
 }
 
 impl RefCache {
     fn new(sets: u64, assoc: usize) -> RefCache {
         RefCache {
-            sets: Default::default(),
-            set_mask: sets - 1,
+            sets: vec![Vec::new(); sets as usize],
             assoc,
         }
     }
-    fn access(&mut self, line: u64) -> bool {
-        let set = self.sets.entry(line & self.set_mask).or_default();
-        if let Some(p) = set.iter().position(|&l| l == line) {
-            set.remove(p);
-            set.insert(0, line);
-            true
-        } else {
-            false
+    fn set(&mut self, line: u64) -> &mut Vec<RefWay> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(line % n) as usize]
+    }
+    fn access(&mut self, line: u64, demand: bool) -> HitInfo {
+        let set = self.set(line);
+        match set.iter().position(|w| w.line == line) {
+            Some(p) => {
+                let mut w = set.remove(p);
+                let first_use_of_prefetch = demand && w.from_prefetch && !w.used;
+                w.used |= demand;
+                set.insert(0, w);
+                HitInfo {
+                    hit: true,
+                    first_use_of_prefetch,
+                }
+            }
+            None => HitInfo {
+                hit: false,
+                first_use_of_prefetch: false,
+            },
         }
     }
-    fn fill(&mut self, line: u64) {
+    fn contains(&mut self, line: u64) -> bool {
+        self.set(line).iter().any(|w| w.line == line)
+    }
+    fn fill(&mut self, line: u64, from_prefetch: bool) -> Evicted {
         let assoc = self.assoc;
-        let set = self.sets.entry(line & self.set_mask).or_default();
-        if let Some(p) = set.iter().position(|&l| l == line) {
-            set.remove(p);
+        let set = self.set(line);
+        if let Some(p) = set.iter().position(|w| w.line == line) {
+            let w = set.remove(p);
+            set.insert(0, w);
+            return Evicted::None;
         }
-        set.insert(0, line);
-        set.truncate(assoc);
+        set.insert(
+            0,
+            RefWay {
+                line,
+                from_prefetch,
+                used: false,
+            },
+        );
+        if set.len() <= assoc {
+            return Evicted::None;
+        }
+        let victim = set.pop().unwrap();
+        if victim.from_prefetch && !victim.used {
+            Evicted::UnusedPrefetch(victim.line)
+        } else {
+            Evicted::Normal(victim.line)
+        }
+    }
+    fn resident_lines(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+}
+
+/// Reference model of the fill-buffer file: a plain list in allocation
+/// order plus the occupancy statistics, integrated by hand.
+struct RefMshr {
+    entries: Vec<(u64, u64, ReqSource)>,
+    capacity: usize,
+    peak: usize,
+    window_peak: usize,
+    occ_cycles: u64,
+    last_advance: u64,
+}
+
+impl RefMshr {
+    fn advance(&mut self, now: u64) {
+        if now > self.last_advance {
+            self.occ_cycles += self.entries.len() as u64 * (now - self.last_advance);
+            self.last_advance = now;
+        }
+    }
+    fn allocate(&mut self, line: u64, ready: u64, source: ReqSource) -> bool {
+        if self.entries.len() == self.capacity {
+            return false;
+        }
+        self.entries.push((line, ready, source));
+        self.peak = self.peak.max(self.entries.len());
+        self.window_peak = self.window_peak.max(self.entries.len());
+        true
+    }
+    fn drain(&mut self, now: u64) -> Vec<(u64, u64, ReqSource)> {
+        let (done, left) = self.entries.iter().partition(|e| e.1 <= now);
+        self.entries = left;
+        done
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The tag cache matches an independently written LRU model on random
-    /// access/fill traces.
-    #[test]
-    fn cache_matches_reference_lru(ops in prop::collection::vec((any::<bool>(), 0u64..64), 1..400)) {
-        let cfg = CacheConfig { size_bytes: 16 * 64, assoc: 4, latency: 1 };
-        let mut c = Cache::new(&cfg);
-        let mut r = RefCache::new(cfg.sets(), 4);
-        for (is_fill, line) in ops {
-            if is_fill {
-                c.fill(line, false);
-                r.fill(line);
-            } else {
-                let hit = c.access(line, true).hit;
-                prop_assert_eq!(hit, r.access(line), "line {}", line);
-            }
-        }
-    }
 
     /// Demand loads: hit levels are consistent — after an access, the line
     /// is in L1, so an immediate re-access hits L1.
@@ -189,5 +248,110 @@ proptest! {
             out
         };
         prop_assert_eq!(run(), run());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The tag cache matches an independently written LRU model on random
+    /// traces of demand and probe accesses, demand and prefetch fills and
+    /// residency checks, at every associativity from direct-mapped to 16
+    /// ways: every hit, first use of a prefetch, victim and victim kind,
+    /// and the resident-line count after every operation.
+    #[test]
+    fn cache_matches_reference_lru(
+        assoc in prop::sample::select(vec![1u64, 2, 4, 8, 16]),
+        sets in prop::sample::select(vec![1u64, 2, 4, 8]),
+        ops in prop::collection::vec((0u8..5, any::<u64>()), 1..600),
+    ) {
+        let cfg = CacheConfig { size_bytes: sets * assoc * 64, assoc: assoc as u32, latency: 1 };
+        let mut c = Cache::new(&cfg);
+        let mut r = RefCache::new(cfg.sets(), assoc as usize);
+        // A few more lines per set than it has ways, so sets fill, hits
+        // land at every recency and fills evict.
+        let lines = sets * (assoc + 3);
+        for (i, (op, raw)) in ops.into_iter().enumerate() {
+            let line = raw % lines;
+            match op {
+                0 | 1 => {
+                    let demand = op == 0;
+                    prop_assert_eq!(c.access(line, demand), r.access(line, demand),
+                        "op {} access({}, {})", i, line, demand);
+                }
+                2 | 3 => {
+                    let from_prefetch = op == 3;
+                    prop_assert_eq!(c.fill(line, from_prefetch), r.fill(line, from_prefetch),
+                        "op {} fill({}, {})", i, line, from_prefetch);
+                }
+                _ => prop_assert_eq!(c.contains(line), r.contains(line),
+                    "op {} contains({})", i, line),
+            }
+            prop_assert_eq!(c.resident_lines(), r.resident_lines(), "op {}", i);
+        }
+    }
+
+    /// The fill-buffer file matches a plain list on random allocate, find,
+    /// drain and window-close calls at non-decreasing cycles: the same
+    /// entries arrive in allocation order, and occupancy, both peaks and
+    /// the occupancy-time integral agree after every call.
+    #[test]
+    fn mshr_matches_reference_list(
+        capacity in 1usize..9,
+        ops in prop::collection::vec((0u8..5, 0u64..24, 0u64..200, 0u64..40), 1..400),
+    ) {
+        let mut m = MshrFile::new(capacity);
+        let mut r = RefMshr {
+            entries: Vec::new(),
+            capacity,
+            peak: 0,
+            window_peak: 0,
+            occ_cycles: 0,
+            last_advance: 0,
+        };
+        let mut now = 0u64;
+        for (i, (op, line, latency, step)) in ops.into_iter().enumerate() {
+            match op {
+                0 | 1 => {
+                    // Allocation is only legal for a line not in flight.
+                    if r.entries.iter().all(|e| e.0 != line) {
+                        let source = if op == 0 { ReqSource::SwPrefetch } else { ReqSource::HwPrefetch };
+                        // Every entry-count change is preceded by an advance,
+                        // as `Hierarchy` does.
+                        m.advance(now);
+                        r.advance(now);
+                        let ok = m.allocate(MshrEntry { line, ready: now + latency, source });
+                        prop_assert_eq!(ok, r.allocate(line, now + latency, source), "op {}", i);
+                    }
+                }
+                2 => {
+                    let got = m.find(line).map(|e| (e.line, e.ready, e.source));
+                    let want = r.entries.iter().find(|e| e.0 == line).copied();
+                    prop_assert_eq!(got, want, "op {} find({})", i, line);
+                }
+                3 => {
+                    m.advance(now);
+                    r.advance(now);
+                    let got: Vec<(u64, u64, ReqSource)> = m
+                        .drain_ready(now)
+                        .into_iter()
+                        .map(|e| (e.line, e.ready, e.source))
+                        .collect();
+                    prop_assert_eq!(got, r.drain(now), "op {} drain at {}", i, now);
+                }
+                _ => {
+                    m.advance(now);
+                    r.advance(now);
+                    let want = r.window_peak;
+                    r.window_peak = r.entries.len();
+                    prop_assert_eq!(m.take_window_peak(), want, "op {}", i);
+                }
+            }
+            prop_assert_eq!(m.occupancy(), r.entries.len(), "op {}", i);
+            prop_assert_eq!(m.has_free(), r.entries.len() < capacity, "op {}", i);
+            prop_assert_eq!(m.peak(), r.peak, "op {}", i);
+            prop_assert_eq!(m.occ_cycles(), r.occ_cycles, "op {}", i);
+            now += step;
+        }
     }
 }

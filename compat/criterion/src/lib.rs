@@ -87,6 +87,8 @@ impl Bencher {
     /// Times `f`, storing ns-per-iteration statistics.
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut f: F) {
         // Calibrate: find an iteration count covering ~20 ms per sample.
+        const TARGET: Duration = Duration::from_millis(20);
+        const MAX_ITERS: u64 = 1 << 28;
         let mut iters_per_sample = 1u64;
         loop {
             let t0 = Instant::now();
@@ -94,15 +96,18 @@ impl Bencher {
                 black_box(f());
             }
             let dt = t0.elapsed();
-            if dt >= Duration::from_millis(20) || iters_per_sample >= 1 << 28 {
+            if dt >= TARGET || iters_per_sample >= MAX_ITERS {
                 break;
             }
-            // Aim directly at the target once we have a measurable base.
+            // Aim directly at the target once we have a measurable base,
+            // scaling the count by the measured time (not a per-iteration
+            // time rounded to whole nanoseconds, which is 0 for routines
+            // under 1 ns).
             iters_per_sample = if dt >= Duration::from_micros(500) {
-                let per_iter = dt.as_nanos().max(1) as u64 / iters_per_sample;
-                (20_000_000 / per_iter.max(1)).max(iters_per_sample + 1)
+                let scaled = iters_per_sample as u128 * TARGET.as_nanos() / dt.as_nanos();
+                (scaled as u64).clamp(iters_per_sample + 1, MAX_ITERS)
             } else {
-                iters_per_sample * 8
+                (iters_per_sample * 8).min(MAX_ITERS)
             };
         }
 

@@ -1,6 +1,6 @@
-//! Criterion micro-benchmarks of the substrate itself: cache lookups,
-//! MSHR traffic, LBR recording, interpreter throughput, slice extraction
-//! and CWT peak detection. These track the *simulator's* performance, not
+//! Criterion micro-benchmarks of the substrate itself: cache lookups
+//! (streaming and random), warming, MSHR traffic, LBR recording,
+//! interpreter throughput, slice extraction and CWT peak detection. These track the *simulator's* performance, not
 //! the paper's results.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -22,6 +22,35 @@ fn bench_hierarchy(c: &mut Criterion) {
             now += r.latency;
             black_box(r.latency)
         })
+    });
+    // Random lines over four times the modelled LLC, so every level's
+    // miss path runs (and about a quarter of the accesses hit the LLC).
+    let random_lines = |cfg: &MemConfig| {
+        let lines = 4 * cfg.llc.size_bytes / 64;
+        let mut x = 1u64;
+        move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            0x1000_0000 + (x >> 33) % lines * 64
+        }
+    };
+    c.bench_function("hierarchy/demand_load_random", |b| {
+        let cfg = MemConfig::scaled_machine();
+        let mut h = Hierarchy::new(&cfg);
+        let mut next = random_lines(&cfg);
+        let mut now = 0u64;
+        b.iter(|| {
+            let r = h.demand_load(0x400100, next(), now);
+            now += r.latency;
+            black_box(r.latency)
+        })
+    });
+    c.bench_function("hierarchy/warm_access_random", |b| {
+        let cfg = MemConfig::scaled_machine();
+        let mut h = Hierarchy::new(&cfg);
+        let mut next = random_lines(&cfg);
+        b.iter(|| h.warm_access(next()))
     });
     c.bench_function("hierarchy/sw_prefetch", |b| {
         let cfg = MemConfig::scaled_machine();

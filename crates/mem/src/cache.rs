@@ -4,18 +4,41 @@
 //! `apt-cpu`. Each resident line carries two bookkeeping bits used by the
 //! prefetch-quality counters: whether it was installed by a prefetch, and
 //! whether a demand access has touched it since the fill.
+//!
+//! # Layout
+//!
+//! Ways live in two flat arrays, `assoc` consecutive slots per set: the
+//! line tags, and a recency *stamp* per way. A stamp holds, from the top,
+//! the cache's own access clock at the way's last touch, the way's index
+//! in its set, and the two usage bits. A hit rewrites one stamp and a fill
+//! overwrites one way in place, so no lookup allocates or moves a way.
+//!
+//! The victim of a fill is the way with the smallest stamp. Clocks are
+//! unique and grow with every touch, so that is the least recently used
+//! way — the same true LRU as a recency-ordered list — and the index bits
+//! name it without a second scan. An empty way holds [`EMPTY`] and clock
+//! 0, below any touched way's, so a set fills its empty ways (lowest index
+//! first) before it evicts; ways never empty again.
 
 use crate::config::CacheConfig;
 
-/// One resident line.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    tag: u64,
-    /// Installed by a (hardware or software) prefetch.
-    from_prefetch: bool,
-    /// Touched by a demand access since the fill.
-    used: bool,
-}
+/// Tag of a way holding no line. Lines are addresses over
+/// [`crate::LINE_BYTES`], so no real line reaches it.
+const EMPTY: u64 = u64::MAX;
+/// Stamp bit: installed by a (hardware or software) prefetch.
+const PREFETCHED: u64 = 1;
+/// Stamp bit: touched by a demand access since the fill.
+const USED: u64 = 2;
+/// Both usage bits of a stamp.
+const FLAGS: u64 = PREFETCHED | USED;
+/// Position of the way's index in its set within a stamp.
+const WAY_SHIFT: u32 = 2;
+/// Most ways a set may have: the index field is six bits wide.
+const MAX_ASSOC: usize = 64;
+/// The index field of a stamp.
+const WAY_BITS: u64 = (MAX_ASSOC as u64 - 1) << WAY_SHIFT;
+/// Clock increment per touch: one above the index field.
+const TICK: u64 = (MAX_ASSOC as u64) << WAY_SHIFT;
 
 /// Outcome of an eviction, for prefetch-quality accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +66,15 @@ pub struct HitInfo {
 /// A set-associative, true-LRU cache of line numbers.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<Vec<Entry>>,
+    /// Line tag of every way, set by set; [`EMPTY`] when free.
+    tags: Vec<u64>,
+    /// Recency stamp of every way (see the module docs).
+    stamps: Vec<u64>,
+    /// Clock field of the most recent touch.
+    clock: u64,
+    /// Index of the most recently touched way, which is the newest way of
+    /// its set.
+    last: usize,
     assoc: usize,
     set_mask: u64,
 }
@@ -53,103 +84,131 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the set count is not a power of two (required for masking).
+    /// Panics if the set count is not a power of two (required for
+    /// masking) or a set has more than 64 ways.
     pub fn new(config: &CacheConfig) -> Cache {
         let sets = config.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
+        let assoc = config.assoc as usize;
+        assert!(assoc <= MAX_ASSOC, "at most {MAX_ASSOC} ways per set");
+        let ways = sets as usize * assoc;
         Cache {
-            sets: vec![Vec::new(); sets as usize],
-            assoc: config.assoc as usize,
+            tags: vec![EMPTY; ways],
+            stamps: (0..ways)
+                .map(|i| ((i % assoc) as u64) << WAY_SHIFT)
+                .collect(),
+            clock: 0,
+            last: 0,
+            assoc,
             set_mask: sets - 1,
         }
     }
 
+    /// Index of the first way of `line`'s set.
     #[inline]
-    fn set_of(&self, line: u64) -> usize {
-        (line & self.set_mask) as usize
+    fn base_of(&self, line: u64) -> usize {
+        debug_assert_ne!(line, EMPTY, "line number collides with the empty tag");
+        (line & self.set_mask) as usize * self.assoc
+    }
+
+    /// Index of the way holding `line`, if resident. Scans every way of
+    /// the set with no early exit: a hit lands on any way, and a loop
+    /// leaving at a varying way costs a mispredicted branch.
+    #[inline]
+    fn find(&self, line: u64) -> Option<usize> {
+        let base = self.base_of(line);
+        let mut found = usize::MAX;
+        for (w, &t) in self.tags[base..base + self.assoc].iter().enumerate() {
+            found = if t == line { w } else { found };
+        }
+        (found != usize::MAX).then(|| base + found)
+    }
+
+    /// Makes way `i` the most recently used, with usage bits `flags`.
+    #[inline]
+    fn touch(&mut self, i: usize, flags: u64) {
+        self.clock += TICK;
+        self.stamps[i] = self.clock | self.stamps[i] & WAY_BITS | flags;
+        self.last = i;
     }
 
     /// Looks up `line`; on a demand hit, promotes it to MRU and updates the
     /// usage bits. `demand` distinguishes demand accesses from prefetch
     /// probes (which must not perturb the usage bits).
+    #[inline]
     pub fn access(&mut self, line: u64, demand: bool) -> HitInfo {
-        let set = self.set_of(line);
-        let ways = &mut self.sets[set];
-        // MRU fast path: a hit on the most-recent way needs no reordering.
-        // This is the common case on any access stream with locality and
-        // keeps the remove/insert shuffle off the hot path.
-        if let Some(e) = ways.first_mut() {
-            if e.tag == line {
-                let first_use = demand && e.from_prefetch && !e.used;
-                if demand {
-                    e.used = true;
-                }
-                return HitInfo {
-                    hit: true,
-                    first_use_of_prefetch: first_use,
-                };
-            }
-        }
-        if let Some(pos) = ways.iter().position(|e| e.tag == line) {
-            let mut e = ways.remove(pos);
-            let first_use = demand && e.from_prefetch && !e.used;
+        if self.tags[self.last] == line {
+            // Already the newest way of its set: a new stamp would not
+            // change the set's order, so only the usage bits can change.
+            let stamp = &mut self.stamps[self.last];
+            let first_use = demand && *stamp & FLAGS == PREFETCHED;
             if demand {
-                e.used = true;
+                *stamp |= USED;
             }
-            ways.insert(0, e); // Promote to MRU.
-            HitInfo {
+            return HitInfo {
                 hit: true,
                 first_use_of_prefetch: first_use,
-            }
-        } else {
-            HitInfo {
+            };
+        }
+        let Some(i) = self.find(line) else {
+            return HitInfo {
                 hit: false,
                 first_use_of_prefetch: false,
-            }
+            };
+        };
+        let flags = self.stamps[i] & FLAGS;
+        self.touch(i, if demand { flags | USED } else { flags });
+        HitInfo {
+            hit: true,
+            first_use_of_prefetch: demand && flags == PREFETCHED,
         }
     }
 
     /// True if `line` is resident (no LRU update).
+    #[inline]
     pub fn contains(&self, line: u64) -> bool {
-        let set = self.set_of(line);
-        self.sets[set].iter().any(|e| e.tag == line)
+        self.find(line).is_some()
     }
 
     /// Installs `line` as MRU, evicting the LRU way if the set is full.
+    #[inline]
     pub fn fill(&mut self, line: u64, from_prefetch: bool) -> Evicted {
-        let assoc = self.assoc;
-        let set = self.set_of(line);
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|e| e.tag == line) {
+        // One pass finds the line and the oldest stamp, independently.
+        let base = self.base_of(line);
+        let ways = base..base + self.assoc;
+        let mut found = usize::MAX;
+        let mut oldest = u64::MAX;
+        for (w, (&t, &s)) in self.tags[ways.clone()]
+            .iter()
+            .zip(&self.stamps[ways])
+            .enumerate()
+        {
+            found = if t == line { w } else { found };
+            oldest = oldest.min(s);
+        }
+        if found != usize::MAX {
             // Refill of a resident line (e.g. racing fills): keep the
             // existing usage bits, just refresh recency.
-            let e = ways.remove(pos);
-            ways.insert(0, e);
+            let i = base + found;
+            self.touch(i, self.stamps[i] & FLAGS);
             return Evicted::None;
         }
-        ways.insert(
-            0,
-            Entry {
-                tag: line,
-                from_prefetch,
-                used: false,
-            },
-        );
-        if ways.len() > assoc {
-            let victim = ways.pop().expect("set cannot be empty here");
-            if victim.from_prefetch && !victim.used {
-                Evicted::UnusedPrefetch(victim.tag)
-            } else {
-                Evicted::Normal(victim.tag)
-            }
-        } else {
+        let victim = base + ((oldest & WAY_BITS) >> WAY_SHIFT) as usize;
+        let old = std::mem::replace(&mut self.tags[victim], line);
+        let old_flags = oldest & FLAGS;
+        self.touch(victim, if from_prefetch { PREFETCHED } else { 0 });
+        if old == EMPTY {
             Evicted::None
+        } else if old_flags == PREFETCHED {
+            Evicted::UnusedPrefetch(old)
+        } else {
+            Evicted::Normal(old)
         }
     }
 
     /// Number of resident lines (for tests/diagnostics).
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 }
 

@@ -132,13 +132,15 @@ impl Hierarchy {
     }
 
     /// Installs fills whose data has arrived by `now`.
+    #[inline]
     pub fn drain(&mut self, now: Cycle) {
         apt_selfprof::prof_scope!("mem/hier/mshr_drain");
         // Integrate MSHR occupancy before it changes: every occupancy
         // mutation goes through a `Hierarchy` entry point that drains
         // first, so advancing here keeps the occupancy-time integral exact.
         self.mshr.advance(now);
-        for e in self.mshr.drain_ready(now) {
+        // Fills install in allocation order: that order sets LRU state.
+        while let Some(e) = self.mshr.pop_ready(now) {
             // The data became usable at `e.ready`, which may predate `now`;
             // stamp the fill with the ready cycle so timeliness slack is
             // measured from when the line could first have been used.
@@ -169,6 +171,7 @@ impl Hierarchy {
 
     /// A demand load from the core. `pc` is the load's program counter
     /// (used by the stride prefetcher).
+    #[inline]
     pub fn demand_load(&mut self, pc: u64, addr: Addr, now: Cycle) -> AccessResult {
         apt_selfprof::prof_scope!("mem/hier/demand_load");
         self.drain(now);
@@ -274,6 +277,7 @@ impl Hierarchy {
     }
 
     /// A store from the core. Write-allocate, never stalls.
+    #[inline]
     pub fn store(&mut self, pc: u64, addr: Addr, now: Cycle) {
         apt_selfprof::prof_scope!("mem/hier/store");
         self.drain(now);
@@ -308,6 +312,7 @@ impl Hierarchy {
     /// A software `prefetch` instruction (fills towards L1, like
     /// `prefetcht0`). `pc` is the prefetch instruction's program counter,
     /// used for per-PC outcome attribution.
+    #[inline]
     pub fn sw_prefetch(&mut self, pc: u64, addr: Addr, now: Cycle) {
         apt_selfprof::prof_scope!("mem/hier/sw_prefetch");
         self.drain(now);
@@ -357,6 +362,7 @@ impl Hierarchy {
     /// accesses carry no PC); the detailed warmup interval preceding each
     /// measurement window re-trains it before anything is measured into
     /// the sample.
+    #[inline]
     pub fn warm_access(&mut self, addr: Addr) {
         let line = line_of(addr);
         if self.l1.access(line, true).hit {
@@ -383,6 +389,7 @@ impl Hierarchy {
     /// is installed (towards L1) with its prefetched bit set, so a later
     /// detailed window observes the same resident-line state an exact run
     /// would have. State-only, like [`Hierarchy::warm_access`].
+    #[inline]
     pub fn warm_prefetch(&mut self, addr: Addr) {
         let line = line_of(addr);
         if self.l1.contains(line) || self.mshr.find(line).is_some() {

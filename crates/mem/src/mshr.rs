@@ -24,7 +24,11 @@ pub struct MshrEntry {
 /// A fixed-capacity file of outstanding fills.
 #[derive(Debug, Clone)]
 pub struct MshrFile {
+    /// Outstanding fills in allocation order.
     entries: Vec<MshrEntry>,
+    /// Earliest `ready` among `entries` (`Cycle::MAX` when empty), so a
+    /// drain before it returns without scanning.
+    next_ready: Cycle,
     capacity: usize,
     peak: usize,
     window_peak: usize,
@@ -38,6 +42,7 @@ impl MshrFile {
     pub fn new(capacity: usize) -> MshrFile {
         MshrFile {
             entries: Vec::with_capacity(capacity),
+            next_ready: Cycle::MAX,
             capacity,
             peak: 0,
             window_peak: 0,
@@ -47,6 +52,7 @@ impl MshrFile {
     }
 
     /// Looks up an in-flight request for `line`.
+    #[inline]
     pub fn find(&self, line: u64) -> Option<&MshrEntry> {
         self.entries.iter().find(|e| e.line == line)
     }
@@ -64,6 +70,7 @@ impl MshrFile {
     /// Accumulates the occupancy-time integral up to `now`. Occupancy only
     /// changes inside `Hierarchy` calls, which all advance first, so the
     /// occupancy seen here held for the whole `[last_advance, now)` span.
+    #[inline]
     pub fn advance(&mut self, now: Cycle) {
         if now > self.last_advance {
             self.occ_cycles += self.entries.len() as u64 * (now - self.last_advance);
@@ -91,6 +98,7 @@ impl MshrFile {
     }
 
     /// True if a new entry can be allocated.
+    #[inline]
     pub fn has_free(&self) -> bool {
         self.entries.len() < self.capacity
     }
@@ -105,23 +113,35 @@ impl MshrFile {
             return false;
         }
         self.entries.push(entry);
+        self.next_ready = self.next_ready.min(entry.ready);
         self.peak = self.peak.max(self.entries.len());
         self.window_peak = self.window_peak.max(self.entries.len());
         true
     }
 
-    /// Removes and returns every entry whose data has arrived by `now`.
+    /// Removes and returns the oldest-allocated entry whose data has
+    /// arrived by `now`, if any. Returns at once while nothing has.
+    #[inline]
+    pub fn pop_ready(&mut self, now: Cycle) -> Option<MshrEntry> {
+        if now < self.next_ready {
+            return None;
+        }
+        let i = self.entries.iter().position(|e| e.ready <= now)?;
+        let e = self.entries.remove(i);
+        self.next_ready = self
+            .entries
+            .iter()
+            .map(|e| e.ready)
+            .min()
+            .unwrap_or(Cycle::MAX);
+        Some(e)
+    }
+
+    /// Removes and returns every entry whose data has arrived by `now`,
+    /// oldest allocation first: [`MshrFile::pop_ready`] until it says
+    /// `None`, collected. The hierarchy pops instead, allocating nothing.
     pub fn drain_ready(&mut self, now: Cycle) -> Vec<MshrEntry> {
-        let mut done = Vec::new();
-        self.entries.retain(|e| {
-            if e.ready <= now {
-                done.push(*e);
-                false
-            } else {
-                true
-            }
-        });
-        done
+        std::iter::from_fn(|| self.pop_ready(now)).collect()
     }
 }
 

@@ -99,10 +99,9 @@ impl Bencher {
             if dt >= TARGET || iters_per_sample >= MAX_ITERS {
                 break;
             }
-            // Aim directly at the target once we have a measurable base,
-            // scaling the count by the measured time (not a per-iteration
-            // time rounded to whole nanoseconds, which is 0 for routines
-            // under 1 ns).
+            // Aim directly at the target once we have a measurable base.
+            // Scale the count by the measured time: a per-iteration time
+            // in whole nanoseconds is 0 for a sub-nanosecond routine.
             iters_per_sample = if dt >= Duration::from_micros(500) {
                 let scaled = iters_per_sample as u128 * TARGET.as_nanos() / dt.as_nanos();
                 (scaled as u64).clamp(iters_per_sample + 1, MAX_ITERS)

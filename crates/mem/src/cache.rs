@@ -72,9 +72,6 @@ pub struct Cache {
     stamps: Vec<u64>,
     /// Clock field of the most recent touch.
     clock: u64,
-    /// Index of the most recently touched way, which is the newest way of
-    /// its set.
-    last: usize,
     assoc: usize,
     set_mask: u64,
 }
@@ -98,7 +95,6 @@ impl Cache {
                 .map(|i| ((i % assoc) as u64) << WAY_SHIFT)
                 .collect(),
             clock: 0,
-            last: 0,
             assoc,
             set_mask: sets - 1,
         }
@@ -129,7 +125,6 @@ impl Cache {
     fn touch(&mut self, i: usize, flags: u64) {
         self.clock += TICK;
         self.stamps[i] = self.clock | self.stamps[i] & WAY_BITS | flags;
-        self.last = i;
     }
 
     /// Looks up `line`; on a demand hit, promotes it to MRU and updates the
@@ -137,19 +132,6 @@ impl Cache {
     /// probes (which must not perturb the usage bits).
     #[inline]
     pub fn access(&mut self, line: u64, demand: bool) -> HitInfo {
-        if self.tags[self.last] == line {
-            // Already the newest way of its set: a new stamp would not
-            // change the set's order, so only the usage bits can change.
-            let stamp = &mut self.stamps[self.last];
-            let first_use = demand && *stamp & FLAGS == PREFETCHED;
-            if demand {
-                *stamp |= USED;
-            }
-            return HitInfo {
-                hit: true,
-                first_use_of_prefetch: first_use,
-            };
-        }
         let Some(i) = self.find(line) else {
             return HitInfo {
                 hit: false,

@@ -26,9 +26,6 @@ pub struct MshrEntry {
 pub struct MshrFile {
     /// Outstanding fills in allocation order.
     entries: Vec<MshrEntry>,
-    /// Earliest `ready` among `entries` (`Cycle::MAX` when empty), so a
-    /// drain before it returns without scanning.
-    next_ready: Cycle,
     capacity: usize,
     peak: usize,
     window_peak: usize,
@@ -42,7 +39,6 @@ impl MshrFile {
     pub fn new(capacity: usize) -> MshrFile {
         MshrFile {
             entries: Vec::with_capacity(capacity),
-            next_ready: Cycle::MAX,
             capacity,
             peak: 0,
             window_peak: 0,
@@ -113,35 +109,17 @@ impl MshrFile {
             return false;
         }
         self.entries.push(entry);
-        self.next_ready = self.next_ready.min(entry.ready);
         self.peak = self.peak.max(self.entries.len());
         self.window_peak = self.window_peak.max(self.entries.len());
         true
     }
 
     /// Removes and returns the oldest-allocated entry whose data has
-    /// arrived by `now`, if any. Returns at once while nothing has.
+    /// arrived by `now`, if any.
     #[inline]
     pub fn pop_ready(&mut self, now: Cycle) -> Option<MshrEntry> {
-        if now < self.next_ready {
-            return None;
-        }
         let i = self.entries.iter().position(|e| e.ready <= now)?;
-        let e = self.entries.remove(i);
-        self.next_ready = self
-            .entries
-            .iter()
-            .map(|e| e.ready)
-            .min()
-            .unwrap_or(Cycle::MAX);
-        Some(e)
-    }
-
-    /// Removes and returns every entry whose data has arrived by `now`,
-    /// oldest allocation first: [`MshrFile::pop_ready`] until it says
-    /// `None`, collected. The hierarchy pops instead, allocating nothing.
-    pub fn drain_ready(&mut self, now: Cycle) -> Vec<MshrEntry> {
-        std::iter::from_fn(|| self.pop_ready(now)).collect()
+        Some(self.entries.remove(i))
     }
 }
 
@@ -155,6 +133,11 @@ mod tests {
             ready,
             source: ReqSource::SwPrefetch,
         }
+    }
+
+    /// Pops every entry that has arrived by `now`, in the order popped.
+    fn drain(m: &mut MshrFile, now: Cycle) -> Vec<MshrEntry> {
+        std::iter::from_fn(|| m.pop_ready(now)).collect()
     }
 
     #[test]
@@ -180,7 +163,7 @@ mod tests {
         m.allocate(entry(1, 10));
         m.allocate(entry(2, 20));
         m.allocate(entry(3, 30));
-        let done = m.drain_ready(20);
+        let done = drain(&mut m, 20);
         let lines: Vec<u64> = done.iter().map(|e| e.line).collect();
         assert_eq!(lines, vec![1, 2]);
         assert_eq!(m.occupancy(), 1);
@@ -195,7 +178,7 @@ mod tests {
         m.allocate(entry(2, 20));
         assert_eq!(m.peak(), 2);
         // Draining lowers occupancy but never the peak.
-        m.drain_ready(15);
+        drain(&mut m, 15);
         assert_eq!(m.occupancy(), 1);
         assert_eq!(m.peak(), 2);
         m.allocate(entry(3, 30));
@@ -213,7 +196,7 @@ mod tests {
         m.allocate(entry(2, 100));
         m.advance(20); // 2 entries × 10 cycles
         assert_eq!(m.occ_cycles(), 20);
-        m.drain_ready(100);
+        drain(&mut m, 100);
         m.advance(30); // still 20: drain happened at t=20's occupancy already integrated
         assert_eq!(m.occ_cycles(), 20);
         // Time never runs backwards; a stale advance is a no-op.
@@ -226,7 +209,7 @@ mod tests {
         let mut m = MshrFile::new(4);
         m.allocate(entry(1, 50));
         m.allocate(entry(2, 10));
-        m.drain_ready(20);
+        drain(&mut m, 20);
         assert_eq!(m.take_window_peak(), 2);
         // Entry 1 is still outstanding, so the new window starts at 1.
         assert_eq!(m.occupancy(), 1);

@@ -332,9 +332,7 @@ proptest! {
                 3 => {
                     m.advance(now);
                     r.advance(now);
-                    let got: Vec<(u64, u64, ReqSource)> = m
-                        .drain_ready(now)
-                        .into_iter()
+                    let got: Vec<(u64, u64, ReqSource)> = std::iter::from_fn(|| m.pop_ready(now))
                         .map(|e| (e.line, e.ready, e.source))
                         .collect();
                     prop_assert_eq!(got, r.drain(now), "op {} drain at {}", i, now);

@@ -1,94 +1,8 @@
-//! Figure 10: forcing the prefetch injection site to the inner vs. outer
-//! loop, for the applications with nested-loop delinquent loads.
-//!
-//! Expected shape: for most short-trip-count apps the outer site wins and
-//! the inner site can even regress; for DFS (and other saturating-inner
-//! cases) the inner site wins — so a *per-load* dynamic decision is
-//! required, which is what APT-GET's Eq. 2 provides.
+//! Figure 10: forced inner vs forced outer site vs APT-GET's choice; rows and expected shape in
+//! `apt_bench::paper`. Exits 1 when the figure breaks that shape.
 
-use apt_bench::{emit_table, fx, run_checked, scale, TRAIN_SEED};
-use apt_passes::inject_prefetches;
-use apt_workloads::registry::nested_loop_workloads;
-use aptget::{AptGet, InjectionSpec, PipelineConfig, Site};
+use apt_bench::paper::{emit, Paper};
 
-fn main() {
-    let cfg = PipelineConfig::default();
-    let apt = AptGet::new(cfg);
-    let mut rows = Vec::new();
-    let mut outer_wins = 0usize;
-    let mut inner_wins = 0usize;
-    let mut chosen_beats_worst = 0usize;
-    let mut total = 0usize;
-    for spec in nested_loop_workloads() {
-        let w = spec.build(scale(), TRAIN_SEED);
-        let base = run_checked(&w, &w.module, &cfg);
-        let opt = apt
-            .optimize(&w.module, w.image.clone(), &w.calls)
-            .expect("profiling");
-        if opt.analysis.hints.is_empty() {
-            continue; // Nothing delinquent (CG): no sites to compare.
-        }
-
-        let force = |site: Site| {
-            let specs: Vec<InjectionSpec> = opt
-                .analysis
-                .hints
-                .iter()
-                .map(|h| {
-                    let mut s = h.to_spec();
-                    s.site = site;
-                    if site == Site::Outer {
-                        s.fanout = s
-                            .fanout
-                            .max(h.trip_count.map(|t| t.round() as u64).unwrap_or(4));
-                        s.fallback_inner_distance = h.inner_distance;
-                    } else {
-                        s.distance = h.inner_distance.unwrap_or(s.distance);
-                    }
-                    s
-                })
-                .collect();
-            let mut m = w.module.clone();
-            inject_prefetches(&mut m, &specs);
-            apt_passes::optimize_module(&mut m);
-            let e = run_checked(&w, &m, &cfg);
-            base.stats.cycles as f64 / e.stats.cycles as f64
-        };
-        let s_inner = force(Site::Inner);
-        let s_outer = force(Site::Outer);
-        let chosen = run_checked(&w, &opt.module, &cfg);
-        let s_chosen = base.stats.cycles as f64 / chosen.stats.cycles as f64;
-        total += 1;
-        if s_outer > s_inner {
-            outer_wins += 1;
-        } else {
-            inner_wins += 1;
-        }
-        if s_chosen >= s_inner.min(s_outer) - 0.02 {
-            chosen_beats_worst += 1;
-        }
-        rows.push(vec![
-            spec.name.to_string(),
-            fx(s_inner),
-            fx(s_outer),
-            fx(s_chosen),
-        ]);
-    }
-    emit_table(
-        "fig10_injection_site",
-        "Fig. 10 — forced inner vs forced outer vs APT-GET's per-load choice",
-        &["app", "inner site", "outer site", "APT-GET choice"],
-        &rows,
-    );
-
-    println!("\nouter wins: {outer_wins}, inner wins: {inner_wins} (of {total})");
-    assert!(
-        outer_wins >= 1 && inner_wins >= 1,
-        "neither site may dominate — that is the point of Eq. 2"
-    );
-    assert!(
-        chosen_beats_worst == total,
-        "APT-GET's choice must never be the worst of the two sites"
-    );
-    println!("fig10: OK");
+fn main() -> std::process::ExitCode {
+    emit(&[Paper::run(apt_bench::scale()).fig10()])
 }

@@ -1,49 +1,8 @@
-//! Figure 11: instruction overhead of the injected prefetch slices.
-//!
-//! Expected shape: both schemes add instructions; APT-GET adds *fewer* on
-//! average than A&J (it only instruments profiled-delinquent loads), and
-//! overhead is largest for tight-loop kernels (IS, RandomAccess).
+//! Figure 11: instruction overhead of the injected prefetch slices; rows and expected shape in
+//! `apt_bench::paper`. Exits 1 when the figure breaks that shape.
 
-use apt_bench::{compare_variants, emit_table, fx, scale, TRAIN_SEED};
-use apt_workloads::all_workloads;
-use aptget::{geomean, PipelineConfig};
+use apt_bench::paper::{emit, Paper};
 
-fn main() {
-    let cfg = PipelineConfig::default();
-    let mut rows = Vec::new();
-    let (mut aj_all, mut apt_all) = (Vec::new(), Vec::new());
-    for spec in all_workloads() {
-        let w = spec.build(scale(), TRAIN_SEED);
-        let (cmp, _) = compare_variants(&w, &cfg);
-        let aj = cmp.instruction_overhead("A&J").expect("ran");
-        let apt = cmp.instruction_overhead("APT-GET").expect("ran");
-        aj_all.push(aj);
-        apt_all.push(apt);
-        rows.push(vec![spec.name.to_string(), fx(aj), fx(apt)]);
-    }
-    rows.push(vec![
-        "GEOMEAN".into(),
-        fx(geomean(&aj_all)),
-        fx(geomean(&apt_all)),
-    ]);
-    emit_table(
-        "fig11_instr_overhead",
-        "Fig. 11 — instruction overhead over the baseline",
-        &["app", "A&J", "APT-GET"],
-        &rows,
-    );
-
-    let g_aj = geomean(&aj_all);
-    let g_apt = geomean(&apt_all);
-    println!("\ngeomean instruction overhead: A&J {g_aj:.2}x, APT-GET {g_apt:.2}x");
-    // The paper reports APT-GET at 1.14x vs A&J at 1.19x. In this
-    // reproduction APT-GET's outer-site sweeps spend a few extra
-    // instructions to buy timeliness (and A&J cannot instrument the
-    // hash-join loads at all), so we only require comparable overheads.
-    assert!(
-        g_apt <= g_aj * 1.10,
-        "APT-GET's overhead must stay comparable to A&J's"
-    );
-    assert!(g_aj < 2.0 && g_apt < 2.0, "overheads must stay moderate");
-    println!("fig11: OK");
+fn main() -> std::process::ExitCode {
+    emit(&[Paper::run(apt_bench::scale()).fig11()])
 }

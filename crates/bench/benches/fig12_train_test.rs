@@ -1,65 +1,8 @@
-//! Figure 12: input-generalisation — profile on a TRAIN input, apply the
-//! hints to a TEST input, compare against profiling on TEST directly.
-//!
-//! Expected shape: train-profile speedups carry over to the test input
-//! with no significant loss (the paper reports 1.39x train vs 1.36x test).
+//! Figure 12: hints from the TRAIN input applied to the TEST input; rows and expected shape in
+//! `apt_bench::paper`. Exits 1 when the figure breaks that shape.
 
-use apt_bench::{emit_table, fx, run_checked, scale, TEST_SEED, TRAIN_SEED};
-use apt_passes::inject_prefetches;
-use apt_workloads::all_workloads;
-use aptget::{geomean, AptGet, PipelineConfig};
+use apt_bench::paper::{emit, Paper};
 
-fn main() {
-    let cfg = PipelineConfig::default();
-    let apt = AptGet::new(cfg);
-    let mut rows = Vec::new();
-    let (mut train_all, mut test_all) = (Vec::new(), Vec::new());
-    for spec in all_workloads() {
-        let w_train = spec.build(scale(), TRAIN_SEED);
-        let w_test = spec.build(scale(), TEST_SEED);
-
-        // Profile on TRAIN; the hints are positions in the (structurally
-        // identical) module, so they transfer to the TEST build directly.
-        let opt = apt
-            .optimize(&w_train.module, w_train.image.clone(), &w_train.calls)
-            .expect("profiling");
-
-        // TRAIN-data speedup.
-        let base_tr = run_checked(&w_train, &w_train.module, &cfg);
-        let opt_tr = run_checked(&w_train, &opt.module, &cfg);
-        let s_train = base_tr.stats.cycles as f64 / opt_tr.stats.cycles as f64;
-
-        // TEST-data speedup with the TRAIN profile's hints.
-        let mut m_test = w_test.module.clone();
-        inject_prefetches(&mut m_test, &opt.analysis.specs());
-        apt_passes::optimize_module(&mut m_test);
-        let base_te = run_checked(&w_test, &w_test.module, &cfg);
-        let opt_te = run_checked(&w_test, &m_test, &cfg);
-        let s_test = base_te.stats.cycles as f64 / opt_te.stats.cycles as f64;
-
-        train_all.push(s_train);
-        test_all.push(s_test);
-        rows.push(vec![spec.name.to_string(), fx(s_train), fx(s_test)]);
-    }
-    rows.push(vec![
-        "GEOMEAN".into(),
-        fx(geomean(&train_all)),
-        fx(geomean(&test_all)),
-    ]);
-    emit_table(
-        "fig12_train_test",
-        "Fig. 12 — speedup with TRAIN profile on TRAIN vs TEST inputs",
-        &["app", "train data", "test data"],
-        &rows,
-    );
-
-    let g_train = geomean(&train_all);
-    let g_test = geomean(&test_all);
-    println!("\ngeomean: train {g_train:.2}x, test {g_test:.2}x");
-    assert!(
-        g_test > g_train * 0.9,
-        "profiles must generalise across inputs"
-    );
-    assert!(g_test > 1.2, "test-input speedups must remain substantial");
-    println!("fig12: OK");
+fn main() -> std::process::ExitCode {
+    emit(&[Paper::run(apt_bench::scale()).fig12()])
 }

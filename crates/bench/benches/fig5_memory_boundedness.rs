@@ -1,43 +1,8 @@
-//! Figure 5: fraction of cycles stalled on L3/DRAM for each application's
-//! non-prefetching baseline.
-//!
-//! Expected shape: every application except CG is substantially memory
-//! bound (the paper reports 49 % on average); CG's banded gather keeps it
-//! compute bound.
+//! Figure 5: share of each baseline's cycles stalled on L3/DRAM; rows and expected shape in
+//! `apt_bench::paper`. Exits 1 when the figure breaks that shape.
 
-use apt_bench::{emit_table, pct, run_checked, scale, TRAIN_SEED};
-use apt_workloads::all_workloads;
-use aptget::PipelineConfig;
+use apt_bench::paper::{emit, Paper};
 
-fn main() {
-    let cfg = PipelineConfig::default();
-    let mut rows = Vec::new();
-    let mut fractions = Vec::new();
-    for spec in all_workloads() {
-        let w = spec.build(scale(), TRAIN_SEED);
-        let exec = run_checked(&w, &w.module, &cfg);
-        let f = exec.stats.memory_bound_fraction();
-        rows.push(vec![spec.name.to_string(), pct(f)]);
-        fractions.push((spec.name, f));
-    }
-    let avg = fractions.iter().map(|(_, f)| f).sum::<f64>() / fractions.len() as f64;
-    rows.push(vec!["AVERAGE".into(), pct(avg)]);
-    emit_table(
-        "fig5_memory_boundedness",
-        "Fig. 5 — % cycles stalled on L3/DRAM (baseline)",
-        &["app", "L3+DRAM stall fraction"],
-        &rows,
-    );
-
-    assert!(
-        avg > 0.35,
-        "the suite must be memory bound on average: {avg}"
-    );
-    let cg = fractions
-        .iter()
-        .find(|(n, _)| *n == "CG")
-        .expect("CG runs")
-        .1;
-    assert!(cg < 0.25, "CG must be the compute-bound outlier: {cg}");
-    println!("fig5: OK");
+fn main() -> std::process::ExitCode {
+    emit(&[Paper::run(apt_bench::scale()).fig5()])
 }

@@ -1,64 +1,8 @@
-//! Figure 6: execution-time speedup of APT-GET and Ainsworth & Jones over
-//! the non-prefetching baseline, for all Table-3 applications.
-//!
-//! Expected shape (§4.3): APT-GET improves every application except CG
-//! (≈ 1.0, correctly left alone by the profile), beats A&J overall, and
-//! A&J shows at least one overhead-driven regression.
+//! Figure 6: APT-GET's and A&J's speedups over the baseline; rows and expected shape in
+//! `apt_bench::paper`. Exits 1 when the figure breaks that shape.
 
-use apt_bench::{compare_variants, emit_table, fx, scale, TRAIN_SEED};
-use apt_workloads::all_workloads;
-use aptget::{geomean, PipelineConfig};
+use apt_bench::paper::{emit, Paper};
 
-fn main() {
-    let cfg = PipelineConfig::default();
-    let mut rows = Vec::new();
-    let (mut aj_all, mut apt_all) = (Vec::new(), Vec::new());
-    for spec in all_workloads() {
-        let w = spec.build(scale(), TRAIN_SEED);
-        let (cmp, opt) = compare_variants(&w, &cfg);
-        let aj = cmp.speedup_of("A&J").expect("ran");
-        let ap = cmp.speedup_of("APT-GET").expect("ran");
-        aj_all.push(aj);
-        apt_all.push(ap);
-        let sites: Vec<String> = opt
-            .analysis
-            .hints
-            .iter()
-            .map(|h| format!("{:?}@{}", h.site, h.distance))
-            .collect();
-        rows.push(vec![spec.name.to_string(), fx(aj), fx(ap), sites.join(" ")]);
-    }
-    rows.push(vec![
-        "GEOMEAN".into(),
-        fx(geomean(&aj_all)),
-        fx(geomean(&apt_all)),
-        String::new(),
-    ]);
-    emit_table(
-        "fig6_speedup",
-        "Fig. 6 — speedup over the non-prefetching baseline",
-        &["app", "A&J", "APT-GET", "APT-GET decisions"],
-        &rows,
-    );
-
-    let g_aj = geomean(&aj_all);
-    let g_apt = geomean(&apt_all);
-    println!("\ngeomean: A&J {g_aj:.2}x, APT-GET {g_apt:.2}x");
-    assert!(
-        g_apt > g_aj,
-        "APT-GET must beat the static state of the art"
-    );
-    assert!(
-        g_apt > 1.25,
-        "APT-GET must deliver a substantial average win"
-    );
-    assert!(
-        apt_all.iter().all(|&s| s > 0.85),
-        "APT-GET must not significantly regress any application"
-    );
-    assert!(
-        aj_all.iter().any(|&s| s < 0.95),
-        "static injection shows an overhead-driven regression somewhere"
-    );
-    println!("fig6: OK");
+fn main() -> std::process::ExitCode {
+    emit(&[Paper::run(apt_bench::scale()).fig6()])
 }

@@ -1,56 +1,8 @@
-//! Figure 7: LLC misses per kilo-instruction
-//! (`offcore_requests.demand_data_rd`, fill-buffer hits included) for
-//! baseline, A&J and APT-GET.
-//!
-//! Expected shape: APT-GET reduces MPKI more than A&J on average, and the
-//! biggest MPKI reductions coincide with the biggest Fig. 6 speedups.
+//! Figure 7: LLC MPKI of baseline, A&J and APT-GET; rows and expected shape in
+//! `apt_bench::paper`. Exits 1 when the figure breaks that shape.
 
-use apt_bench::{compare_variants, emit_table, scale, TRAIN_SEED};
-use apt_workloads::all_workloads;
-use aptget::PipelineConfig;
+use apt_bench::paper::{emit, Paper};
 
-fn main() {
-    let cfg = PipelineConfig::default();
-    let mut rows = Vec::new();
-    let mut reductions: Vec<(f64, f64)> = Vec::new();
-    for spec in all_workloads() {
-        let w = spec.build(scale(), TRAIN_SEED);
-        let (cmp, _) = compare_variants(&w, &cfg);
-        let base = cmp.baseline.mpki();
-        let aj = cmp.variants[0].1.mpki();
-        let apt = cmp.variants[1].1.mpki();
-        // Percentage of baseline misses removed (the paper's 65.4 % /
-        // 48.3 % numbers).
-        let red = |v: f64| (1.0 - v / base.max(1e-12)).max(0.0);
-        reductions.push((red(aj), red(apt)));
-        rows.push(vec![
-            spec.name.to_string(),
-            format!("{base:.2}"),
-            format!("{aj:.2}"),
-            format!("{apt:.2}"),
-        ]);
-    }
-    emit_table(
-        "fig7_mpki",
-        "Fig. 7 — LLC MPKI (demand_data_rd, lower is better)",
-        &["app", "baseline", "A&J", "APT-GET"],
-        &rows,
-    );
-
-    let avg_aj: f64 = reductions.iter().map(|r| r.0).sum::<f64>() / reductions.len() as f64;
-    let avg_apt: f64 = reductions.iter().map(|r| r.1).sum::<f64>() / reductions.len() as f64;
-    println!(
-        "\naverage miss reduction: A&J {:.1}%, APT-GET {:.1}%",
-        avg_aj * 100.0,
-        avg_apt * 100.0
-    );
-    assert!(
-        avg_apt > avg_aj,
-        "APT-GET must remove more misses than A&J on average"
-    );
-    assert!(
-        avg_apt > 0.40,
-        "APT-GET must remove a large share of baseline misses"
-    );
-    println!("fig7: OK");
+fn main() -> std::process::ExitCode {
+    emit(&[Paper::run(apt_bench::scale()).fig7()])
 }

@@ -1,70 +1,8 @@
-//! Figure 8: the LBR-derived configuration vs. the best configuration
-//! found by exhaustively sweeping static distances D = {1..128}.
-//!
-//! Expected shape: APT-GET's single profiling run lands within a few
-//! percent of the best swept configuration on (almost) every application —
-//! the paper reports 1.30x (LBR) vs 1.32x (optimal) on average.
+//! Figure 8: the LBR-derived configuration vs the best static distance; rows and expected shape in
+//! `apt_bench::paper`. Exits 1 when the figure breaks that shape.
 
-use apt_bench::{compare_variants, emit_table, fx, run_checked, scale, TRAIN_SEED};
-use apt_workloads::all_workloads;
-use aptget::{ainsworth_jones_optimize, geomean, PipelineConfig};
+use apt_bench::paper::{emit, Paper};
 
-fn main() {
-    let cfg = PipelineConfig::default();
-    let distances = [1u64, 2, 4, 8, 16, 32, 64, 128];
-    let mut rows = Vec::new();
-    let (mut lbr_all, mut best_all) = (Vec::new(), Vec::new());
-    for spec in all_workloads() {
-        let w = spec.build(scale(), TRAIN_SEED);
-        let (cmp, _) = compare_variants(&w, &cfg);
-        let lbr = cmp.speedup_of("APT-GET").expect("ran");
-
-        // Exhaustive static sweep (the paper's "optimal" reference).
-        let mut best = 1.0f64; // Distance sweep can always fall back to none.
-        let mut best_d = 0u64;
-        for &d in &distances {
-            let (m, _) = ainsworth_jones_optimize(&w.module, d);
-            let e = run_checked(&w, &m, &cfg);
-            let s = cmp.baseline.cycles as f64 / e.stats.cycles as f64;
-            if s > best {
-                best = s;
-                best_d = d;
-            }
-        }
-        lbr_all.push(lbr);
-        best_all.push(best.max(lbr));
-        rows.push(vec![
-            spec.name.to_string(),
-            fx(lbr),
-            fx(best),
-            if best_d == 0 {
-                "-".into()
-            } else {
-                best_d.to_string()
-            },
-        ]);
-    }
-    rows.push(vec![
-        "GEOMEAN".into(),
-        fx(geomean(&lbr_all)),
-        fx(geomean(&best_all)),
-        String::new(),
-    ]);
-    emit_table(
-        "fig8_lbr_vs_optimal",
-        "Fig. 8 — LBR-derived configuration vs best swept static distance",
-        &["app", "APT-GET (LBR)", "best static sweep", "best D"],
-        &rows,
-    );
-
-    let g_lbr = geomean(&lbr_all);
-    let g_best = geomean(&best_all);
-    println!("\ngeomean: LBR {g_lbr:.2}x vs best-of-sweep {g_best:.2}x");
-    // One profiling run must recover most of what an exhaustive
-    // per-application search finds.
-    assert!(
-        g_lbr > g_best * 0.80,
-        "LBR must be near the exhaustively-found optimum"
-    );
-    println!("fig8: OK");
+fn main() -> std::process::ExitCode {
+    emit(&[Paper::run(apt_bench::scale()).fig8()])
 }

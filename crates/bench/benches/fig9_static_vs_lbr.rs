@@ -1,54 +1,8 @@
-//! Figure 9: static distances {4, 16, 64} vs the LBR-derived distance.
-//!
-//! Expected shape: no single static distance dominates across the suite;
-//! the LBR-derived configuration has the best average.
+//! Figure 9: static distances {4, 16, 64} vs the LBR-derived distance; rows and expected shape in
+//! `apt_bench::paper`. Exits 1 when the figure breaks that shape.
 
-use apt_bench::{compare_variants, emit_table, fx, run_checked, scale, TRAIN_SEED};
-use apt_workloads::all_workloads;
-use aptget::{ainsworth_jones_optimize, geomean, PipelineConfig};
+use apt_bench::paper::{emit, Paper};
 
-fn main() {
-    let cfg = PipelineConfig::default();
-    let statics = [4u64, 16, 64];
-    let mut rows = Vec::new();
-    let mut per_variant: Vec<Vec<f64>> = vec![Vec::new(); statics.len() + 1];
-    for spec in all_workloads() {
-        let w = spec.build(scale(), TRAIN_SEED);
-        let (cmp, _) = compare_variants(&w, &cfg);
-        let mut row = vec![spec.name.to_string()];
-        for (i, &d) in statics.iter().enumerate() {
-            let (m, _) = ainsworth_jones_optimize(&w.module, d);
-            let e = run_checked(&w, &m, &cfg);
-            let s = cmp.baseline.cycles as f64 / e.stats.cycles as f64;
-            per_variant[i].push(s);
-            row.push(fx(s));
-        }
-        let lbr = cmp.speedup_of("APT-GET").expect("ran");
-        per_variant[statics.len()].push(lbr);
-        row.push(fx(lbr));
-        rows.push(row);
-    }
-    let mut geo_row = vec!["GEOMEAN".to_string()];
-    for v in &per_variant {
-        geo_row.push(fx(geomean(v)));
-    }
-    rows.push(geo_row);
-    emit_table(
-        "fig9_static_vs_lbr",
-        "Fig. 9 — static distances vs the LBR-derived configuration",
-        &["app", "static-4", "static-16", "static-64", "LBR"],
-        &rows,
-    );
-
-    let geos: Vec<f64> = per_variant.iter().map(|v| geomean(v)).collect();
-    println!(
-        "\ngeomeans: static-4 {:.2}x, static-16 {:.2}x, static-64 {:.2}x, LBR {:.2}x",
-        geos[0], geos[1], geos[2], geos[3]
-    );
-    let best_static = geos[..3].iter().cloned().fold(0.0f64, f64::max);
-    assert!(
-        geos[3] > best_static,
-        "the LBR-derived configuration must beat every static distance on average"
-    );
-    println!("fig9: OK");
+fn main() -> std::process::ExitCode {
+    emit(&[Paper::run(apt_bench::scale()).fig9()])
 }

@@ -94,8 +94,8 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use apt_bench::eval::{campaign_cli, CampaignArgs};
-use apt_bench::{compare_variants_traced, fx, pct, AJ_STATIC_DISTANCE};
+use apt_bench::eval::{campaign_cli, run_campaign, CampaignArgs, CampaignConfig};
+use apt_bench::{fx, pct, AJ_STATIC_DISTANCE};
 use apt_metrics::{gate, BenchSnapshot, GateConfig, MetricsServer, Registry};
 use apt_profile::hintfile;
 use apt_serve::{
@@ -1004,21 +1004,29 @@ fn main() -> ExitCode {
                 eprintln!("error: unknown workload `{name}` (try `aptgetsim list`)");
                 return ExitCode::FAILURE;
             };
-            let w = spec.build(args.scale, args.seed);
             let cfg = PipelineConfig::default();
             match args.command.as_str() {
+                // A campaign of one workload: its baseline run also
+                // collects the profile.
                 "run" => {
                     // Outcome attribution is cheap; the event ring is only
                     // worth paying for when the events end up in a file.
-                    let trace_cfg = if args.trace_out.is_some() {
+                    let trace = if args.trace_out.is_some() {
                         TraceConfig::full(TRACE_RING_CAPACITY)
                     } else if args.explain {
                         TraceConfig::outcomes()
                     } else {
                         TraceConfig::off()
                     };
-                    let (cmp, opt, spans, stats, trace) =
-                        compare_variants_traced(&w, &cfg, trace_cfg);
+                    let campaign = CampaignConfig {
+                        workloads: vec![name.to_string()],
+                        cache: None,
+                        trace,
+                        ..CampaignConfig::new(args.scale, args.seed, 1)
+                    };
+                    let report = run_campaign(&campaign).expect("a registered workload runs");
+                    let (cmp, apt) = (&report.comparisons[0], &report.cells[2]);
+                    let opt = apt.optimized.as_ref().expect("the APT-GET cell optimised");
                     println!("workload {name} (scale {}, seed {})", args.scale, args.seed);
                     println!(
                         "  baseline: {:>12} cycles, IPC {:.2}, {} memory-bound, MPKI {:.2}",
@@ -1047,12 +1055,13 @@ fn main() -> ExitCode {
                     for n in &opt.analysis.notes {
                         println!("  note: {n}");
                     }
+                    let measured = apt.trace.as_ref().map(|t| (&apt.stats, t));
                     if args.explain {
                         println!();
-                        print!("{}", format_explain(&opt, &spans, Some((&stats, &trace))));
+                        print!("{}", format_explain(opt, &apt.spans, measured));
                     }
                     if let Some(path) = &args.trace_out {
-                        let json = chrome_trace_json(&spans, Some(&trace));
+                        let json = chrome_trace_json(&apt.spans, apt.trace.as_ref());
                         if let Err(e) = std::fs::write(path, json) {
                             eprintln!("error: could not write {path}: {e}");
                             return ExitCode::FAILURE;
@@ -1062,6 +1071,7 @@ fn main() -> ExitCode {
                     ExitCode::SUCCESS
                 }
                 "hints" => {
+                    let w = spec.build(args.scale, args.seed);
                     let apt = AptGet::new(cfg);
                     // With --db, derive from recorded profile history —
                     // the exact computation the serve daemon runs, so
@@ -1089,6 +1099,7 @@ fn main() -> ExitCode {
                     }
                 }
                 "ir" => {
+                    let w = spec.build(args.scale, args.seed);
                     let module = if args.optimized {
                         let apt = AptGet::new(cfg);
                         match apt.optimize(&w.module, w.image.clone(), &w.calls) {

@@ -37,9 +37,10 @@ use apt_metrics::{
     ProgressReporter, Registry, SampledBench, WorkloadBench, WALL_US_BUCKETS,
 };
 use apt_sample::{run_sampled, SampleConfig};
-use apt_trace::{ChromeTrace, OutcomeTable, Span, SpanRecorder, TraceConfig};
+use apt_trace::{ChromeTrace, Span, SpanRecorder, TraceConfig, TraceReport};
 use apt_workloads::registry::by_name;
 use apt_workloads::{BuiltWorkload, WorkloadDesc};
+use aptget::pipeline::Optimized;
 use aptget::{
     ainsworth_jones_optimize, detect_phases, execute_traced, geomean, phase_diff, AptGet,
     Comparison, Module, PerfStats, PhaseConfig, PipelineConfig, ProfileData, SimConfig, Timeline,
@@ -94,10 +95,12 @@ pub struct CampaignConfig {
     /// finish. Disabled by default; rendering (stderr) is the caller's
     /// business via [`ProgressReporter`].
     pub progress: Progress,
-    /// Collect the per-PC prefetch-outcome table of APT-GET cells (feeds
-    /// [`CampaignReport::bench_snapshot`]). Outcome tracing is passive: it
-    /// never changes simulated results, only records them.
-    pub collect_outcomes: bool,
+    /// What the baseline and APT-GET measurement runs trace: off by
+    /// default; outcomes feed [`CampaignReport::bench_snapshot`] and the
+    /// timeline report, and the event ring feeds `aptgetsim run
+    /// --trace-out`. Tracing is passive: it never changes simulated
+    /// results, only records them.
+    pub trace: TraceConfig,
     /// SMARTS-style sampled measurement runs (`--sampled`). Profiling
     /// runs (and their cache keys) stay fully detailed — sampling only
     /// replaces the *measurement* execution, trading exact counters for
@@ -131,7 +134,7 @@ impl CampaignConfig {
             cache: Some(ProfileCache::new(ProfileCache::default_dir())),
             metrics: Registry::disabled(),
             progress: Progress::disabled(),
-            collect_outcomes: false,
+            trace: TraceConfig::off(),
             sampling: None,
         }
     }
@@ -157,8 +160,9 @@ pub struct CellResult {
     /// Measurement-run counters (separate profiling runs are *not*
     /// included here).
     pub stats: PerfStats,
-    /// Prefetch hints injected (APT-GET cells; 0 otherwise).
-    pub hints: usize,
+    /// The optimiser's output: module, analysis and injection report
+    /// (APT-GET cells only).
+    pub optimized: Option<Optimized>,
     /// Profile provenance (APT-GET cells only).
     pub cache: Option<CacheOutcome>,
     /// The cell's module equals the baseline module, so it carries the
@@ -173,10 +177,10 @@ pub struct CellResult {
     pub worker: usize,
     /// Pipeline spans recorded inside the cell.
     pub spans: Vec<Span>,
-    /// Per-PC prefetch-outcome table of the measurement run (APT-GET
-    /// cells with [`CampaignConfig::collect_outcomes`] only; a reused
-    /// cell's comes from the traced baseline run).
-    pub outcomes: Option<OutcomeTable>,
+    /// Trace report of the measurement run (APT-GET cells of a campaign
+    /// with an active [`CampaignConfig::trace`] only; a reused cell's
+    /// comes from the traced baseline run).
+    pub trace: Option<TraceReport>,
     /// Cycle-windowed telemetry of the measurement run. Empty when the
     /// pipeline's `measure_sim.timeline_window` is 0; otherwise its
     /// field-wise sum reproduces `stats` exactly (asserted per cell).
@@ -185,6 +189,15 @@ pub struct CellResult {
     pub timeline: Timeline,
     /// Sampled-measurement record (cells of `--sampled` campaigns only).
     pub sampled: Option<SampledCell>,
+}
+
+impl CellResult {
+    /// Prefetch hints injected (0 outside APT-GET cells).
+    pub fn hints(&self) -> usize {
+        self.optimized
+            .as_ref()
+            .map_or(0, |o| o.injection.injected.len())
+    }
 }
 
 /// What a sampled measurement run estimated, and — with
@@ -269,16 +282,6 @@ fn assert_timeline_conserved(name: &str, variant: Variant, timeline: &Timeline, 
     }
 }
 
-/// Observability handles shared by every cell of one campaign. Both are
-/// cheap-to-clone `Arc` wrappers; a disabled handle reduces every call
-/// below to a single branch.
-struct CellHooks {
-    metrics: Registry,
-    progress: Progress,
-    collect_outcomes: bool,
-    sampling: Option<SamplingSpec>,
-}
-
 /// What a measurement run leaves once its result is checked and its
 /// final image dropped: everything its cell reports, and everything a
 /// later cell of the same module reuses instead of simulating again.
@@ -286,8 +289,61 @@ struct CellHooks {
 struct Measured {
     stats: PerfStats,
     timeline: Timeline,
-    outcomes: OutcomeTable,
+    trace: TraceReport,
     sampled: Option<SampledCell>,
+}
+
+/// Runs `module` once over `w`'s call schedule, in detail under `sim` or
+/// under the SMARTS driver with `sample`, checks the result against the
+/// workload and drops the final image. Returns the run and, from a
+/// detailed run, its hardware profile. Panics on a failed run or a wrong
+/// result: a broken run must never silently contribute a number.
+fn run_module(
+    w: &BuiltWorkload,
+    variant: &str,
+    module: &Module,
+    sim: &SimConfig,
+    sample: Option<&SampleConfig>,
+    trace: TraceConfig,
+) -> (Measured, ProfileData) {
+    let name = &w.name;
+    let (run, image, rets, profile) = match sample {
+        // The SMARTS driver fast-forwards between detailed windows and
+        // reconstructs the counters statistically. Architectural results
+        // stay exact, so the check below is as strong as in a detailed run.
+        Some(sample) => {
+            let s = run_sampled(module, w.image.clone(), &w.calls, sim, sample, trace)
+                .unwrap_or_else(|e| panic!("{name}: sampled simulation failed: {e}"));
+            let run = Measured {
+                // The sampled record reads `s` before its fields move.
+                sampled: Some(SampledCell {
+                    cycle_err: None,
+                    ipc_err: None,
+                    exact_cycles: None,
+                    detail_fraction: s.detail_fraction(),
+                    windows: s.windows.len() as u64,
+                    rel_half_width: s.ci.rel_half_width,
+                }),
+                stats: s.stats,
+                timeline: s.timeline,
+                trace: s.trace,
+            };
+            (run, s.image, s.rets, ProfileData::default())
+        }
+        None => {
+            let (exec, trace) = execute_traced(module, w.image.clone(), &w.calls, sim, trace)
+                .unwrap_or_else(|e| panic!("{name}: simulation failed: {e}"));
+            let run = Measured {
+                stats: exec.stats,
+                timeline: exec.timeline,
+                trace,
+                sampled: None,
+            };
+            (run, exec.image, exec.rets, exec.profile)
+        }
+    };
+    (w.check)(&image, &rets).unwrap_or_else(|e| panic!("{name} [{variant}]: wrong result: {e}"));
+    (run, profile)
 }
 
 /// One cell from its start to [`Cell::finish`]: what it measures, its
@@ -297,7 +353,7 @@ struct Cell<'a> {
     name: &'static str,
     variant: Variant,
     worker: usize,
-    hooks: &'a CellHooks,
+    cfg: &'a CampaignConfig,
     _scope: apt_selfprof::ScopeGuard,
     started: Instant,
     start_us: u64,
@@ -309,16 +365,16 @@ impl<'a> Cell<'a> {
         name: &'static str,
         variant: Variant,
         worker: usize,
-        hooks: &'a CellHooks,
+        cfg: &'a CampaignConfig,
         epoch: Instant,
     ) -> Cell<'a> {
-        hooks.progress.job_started();
+        cfg.progress.job_started();
         let started = Instant::now();
         Cell {
             name,
             variant,
             worker,
-            hooks,
+            cfg,
             _scope: apt_selfprof::ScopeGuard::enter("bench/cell"),
             started,
             start_us: started.duration_since(epoch).as_micros() as u64,
@@ -326,9 +382,7 @@ impl<'a> Cell<'a> {
         }
     }
 
-    /// Runs `module` once as this cell's measurement, checks the result
-    /// and drops the final image. Panics on simulation or correctness
-    /// failure: a broken cell must never silently contribute a row.
+    /// Runs `module` once as this cell's measurement (see [`run_module`]).
     ///
     /// Exact measurement runs in detail under `measure_sim`, or under
     /// `profile_sim` when `profile` is set, and then also returns the
@@ -341,94 +395,42 @@ impl<'a> Cell<'a> {
         &mut self,
         w: &BuiltWorkload,
         module: &Module,
-        pipeline: &PipelineConfig,
         profile: bool,
     ) -> (Measured, Option<(ProfileData, PerfStats)>) {
-        let (name, hooks, spans) = (self.name, self.hooks, &mut self.spans);
+        let (cfg, spans, variant) = (self.cfg, &mut self.spans, self.variant.name());
         let measure = spans.begin("measurement-run");
-        // Outcome tracing is passive observation; the plain `execute` path
-        // is literally `execute_traced` with tracing off, so the simulated
-        // result cannot depend on `collect_outcomes`. Baseline runs are
-        // traced too: an APT-GET cell may reuse one.
-        let trace = if hooks.collect_outcomes && self.variant != Variant::AinsworthJones {
-            TraceConfig::outcomes()
-        } else {
+        // Tracing is passive observation: the plain `execute` path is
+        // literally `execute_traced` with tracing off, so the simulated
+        // result cannot depend on `trace`. Baseline runs are traced too:
+        // an APT-GET cell may reuse one.
+        let trace = if self.variant == Variant::AinsworthJones {
             TraceConfig::off()
+        } else {
+            cfg.trace
         };
-        let (mut run, image, rets, collected) = match hooks.sampling {
-            // Sampled measurement: the SMARTS driver fast-forwards between
-            // detailed windows and reconstructs the counters statistically.
-            // Architectural results stay exact, so the correctness check
-            // below is as strong as in a detailed run.
-            Some(spec) => {
-                let s = run_sampled(
-                    module,
-                    w.image.clone(),
-                    &w.calls,
-                    &pipeline.measure_sim,
-                    &spec.sample,
-                    trace,
-                )
-                .unwrap_or_else(|e| panic!("{name}: sampled simulation failed: {e}"));
-                let sampled = SampledCell {
-                    cycle_err: None,
-                    ipc_err: None,
-                    exact_cycles: None,
-                    detail_fraction: s.detail_fraction(),
-                    windows: s.windows.len() as u64,
-                    rel_half_width: s.ci.rel_half_width,
-                };
-                let run = Measured {
-                    stats: s.stats,
-                    timeline: s.timeline,
-                    outcomes: s.trace.outcomes,
-                    sampled: Some(sampled),
-                };
-                (run, s.image, s.rets, None)
-            }
-            None => {
-                let sim = if profile {
-                    &pipeline.profile_sim
-                } else {
-                    &pipeline.measure_sim
-                };
-                let (exec, report) = execute_traced(module, w.image.clone(), &w.calls, sim, trace)
-                    .unwrap_or_else(|e| panic!("{name}: simulation failed: {e}"));
-                if profile {
-                    spans.note(&measure, "profile", "collected by this run");
-                    spans.note(&measure, "lbr_samples", exec.profile.lbr_samples.len());
-                    spans.note(&measure, "pebs_records", exec.profile.pebs.len());
-                }
-                let run = Measured {
-                    stats: exec.stats,
-                    timeline: exec.timeline,
-                    outcomes: report.outcomes,
-                    sampled: None,
-                };
-                let collected = profile.then_some((exec.profile, exec.stats));
-                (run, exec.image, exec.rets, collected)
-            }
+        let sim = if profile {
+            &cfg.pipeline.profile_sim
+        } else {
+            &cfg.pipeline.measure_sim
         };
-        (w.check)(&image, &rets)
-            .unwrap_or_else(|e| panic!("{name} [{}]: wrong result: {e}", self.variant.name()));
-        drop(image);
+        let sample = cfg.sampling.map(|spec| spec.sample);
+        let (mut run, collected) = run_module(w, variant, module, sim, sample.as_ref(), trace);
+        if profile {
+            spans.note(&measure, "profile", "collected by this run");
+            spans.note(&measure, "lbr_samples", collected.lbr_samples.len());
+            spans.note(&measure, "pebs_records", collected.pebs.len());
+        }
         spans.add_sim_cycles(&measure, run.stats.cycles);
         spans.end(measure);
 
         // `--sampled-check`: run the exact detailed measurement too and
         // record the estimation error. Deliberately in its own span so the
-        // measurement-run span still reflects the sampled run's cost.
-        if let (Some(spec), Some(cell)) = (hooks.sampling, run.sampled.as_mut()) {
+        // measurement-run span still reflects the sampled run's cost. A
+        // sampled cell never profiles, so `sim` is `measure_sim`.
+        if let (Some(spec), Some(cell)) = (cfg.sampling, run.sampled.as_mut()) {
             if spec.check_exact {
                 let check = spans.begin("exact-check-run");
-                let (exact, _) = execute_traced(
-                    module,
-                    w.image.clone(),
-                    &w.calls,
-                    &pipeline.measure_sim,
-                    TraceConfig::off(),
-                )
-                .unwrap_or_else(|e| panic!("{name}: exact check run failed: {e}"));
+                let exact = run_module(w, variant, module, sim, None, TraceConfig::off()).0;
                 let rel = |est: f64, ex: f64| {
                     if ex == 0.0 {
                         0.0
@@ -446,33 +448,30 @@ impl<'a> Cell<'a> {
                 spans.end(check);
             }
         }
-        assert_timeline_conserved(name, self.variant, &run.timeline, &run.stats);
-        (run, collected)
+        assert_timeline_conserved(self.name, self.variant, &run.timeline, &run.stats);
+        let stats = run.stats;
+        (run, profile.then_some((collected, stats)))
     }
 
-    /// Closes the cell, reports it to the campaign's hooks and returns
-    /// its result.
+    /// Closes the cell, reports it to the campaign's metrics and progress
+    /// handles and returns its result.
     fn finish(
         self,
         run: Measured,
-        hints: usize,
+        optimized: Option<Optimized>,
         cache: Option<CacheOutcome>,
         reused: bool,
     ) -> CellResult {
-        let (name, variant, hooks) = (self.name, self.variant, self.hooks);
+        let (name, variant, cfg) = (self.name, self.variant, self.cfg);
         let wall_us = self.started.elapsed().as_micros() as u64;
         let spans = self.spans.into_spans();
-        hooks
-            .progress
-            .job_finished(simulated_cycles(&spans), wall_us);
-        if hooks.metrics.is_enabled() {
+        cfg.progress.job_finished(simulated_cycles(&spans), wall_us);
+        if cfg.metrics.is_enabled() {
             let labels = [("workload", name), ("variant", variant.name())];
-            hooks
-                .metrics
+            cfg.metrics
                 .counter("apt_bench_cells_total", "Matrix cells completed.", &labels)
                 .inc();
-            hooks
-                .metrics
+            cfg.metrics
                 .histogram(
                     "apt_bench_cell_wall_us",
                     "Wall-clock cost of one matrix cell, microseconds.",
@@ -480,9 +479,9 @@ impl<'a> Cell<'a> {
                     &WALL_US_BUCKETS,
                 )
                 .observe(wall_us);
+            let hints = optimized.as_ref().map_or(0, |o| o.injection.injected.len());
             if hints > 0 {
-                hooks
-                    .metrics
+                cfg.metrics
                     .counter(
                         "apt_bench_hints_total",
                         "Prefetch hints injected by APT-GET cells.",
@@ -490,21 +489,20 @@ impl<'a> Cell<'a> {
                     )
                     .add(hints as u64);
             }
-            run.stats.export_metrics(&hooks.metrics, &labels);
+            run.stats.export_metrics(&cfg.metrics, &labels);
         }
         CellResult {
             workload: name.to_string(),
             variant,
             stats: run.stats,
-            hints,
+            optimized,
             cache,
             reused,
             wall_us,
             start_us: self.start_us,
             worker: self.worker,
             spans,
-            outcomes: (hooks.collect_outcomes && variant == Variant::AptGet)
-                .then_some(run.outcomes),
+            trace: (cfg.trace.is_active() && variant == Variant::AptGet).then_some(run.trace),
             timeline: run.timeline,
             sampled: run.sampled,
         }
@@ -535,9 +533,7 @@ fn simulated_cycles(spans: &[Span]) -> u64 {
 ///   the same module again.
 fn run_workload(
     desc: WorkloadDesc,
-    pipeline: &PipelineConfig,
-    cache: Option<&ProfileCache>,
-    hooks: &CellHooks,
+    cfg: &CampaignConfig,
     worker: usize,
     epoch: Instant,
 ) -> [CellResult; 3] {
@@ -545,20 +541,21 @@ fn run_workload(
     // calls are cheap (and free when no session is active).
     apt_selfprof::set_thread_label(&format!("worker-{worker}"));
     let name = desc.name();
-    let begin = |variant| Cell::begin(name, variant, worker, hooks, epoch);
+    let (pipeline, cache) = (&cfg.pipeline, cfg.cache.as_ref());
+    let begin = |variant| Cell::begin(name, variant, worker, cfg, epoch);
 
     let mut cell = begin(Variant::Baseline);
     let w = desc.build();
     let key = ProfileCache::key(name, desc.scale, desc.seed, &pipeline.profile_sim);
     let cached = cache.and_then(|c| c.load(key));
-    let profile_here = cached.is_none() && hooks.sampling.is_none();
-    let (base, collected) = cell.measure(&w, &w.module, pipeline, profile_here);
-    let baseline = cell.finish(base.clone(), 0, None, false);
+    let profile_here = cached.is_none() && cfg.sampling.is_none();
+    let (base, collected) = cell.measure(&w, &w.module, profile_here);
+    let baseline = cell.finish(base.clone(), None, None, false);
 
     let mut cell = begin(Variant::AinsworthJones);
     let (module, _) = ainsworth_jones_optimize(&w.module, AJ_STATIC_DISTANCE);
-    let (run, _) = cell.measure(&w, &module, pipeline, false);
-    let aj = cell.finish(run, 0, None, false);
+    let (run, _) = cell.measure(&w, &module, false);
+    let aj = cell.finish(run, None, None, false);
 
     let mut cell = begin(Variant::AptGet);
     let outcome = match (&cached, cache) {
@@ -567,8 +564,8 @@ fn run_workload(
         (None, None) => CacheOutcome::Uncached,
     };
     match outcome {
-        CacheOutcome::Hit => hooks.progress.cache_hit(),
-        _ => hooks.progress.cache_miss(),
+        CacheOutcome::Hit => cfg.progress.cache_hit(),
+        _ => cfg.progress.cache_miss(),
     }
     let apt = AptGet::new(*pipeline);
     let (opt, fresh) = match collected {
@@ -593,9 +590,9 @@ fn run_workload(
     let run = if reused {
         base
     } else {
-        cell.measure(&w, &opt.module, pipeline, false).0
+        cell.measure(&w, &opt.module, false).0
     };
-    let aptget = cell.finish(run, opt.injection.injected.len(), Some(outcome), reused);
+    let aptget = cell.finish(run, Some(opt), Some(outcome), reused);
     [baseline, aj, aptget]
 }
 
@@ -627,22 +624,13 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
     check_profile_sim(&cfg.pipeline)?;
     let epoch = Instant::now();
 
-    let pipeline = &cfg.pipeline;
-    let cache = cfg.cache.as_ref();
-    let hooks = CellHooks {
-        metrics: cfg.metrics.clone(),
-        progress: cfg.progress.clone(),
-        collect_outcomes: cfg.collect_outcomes,
-        sampling: cfg.sampling,
-    };
     cfg.progress
         .set_total((descs.len() * Variant::ALL.len()) as u64);
     cfg.progress
         .set_workers(cfg.jobs.clamp(1, descs.len().max(1)) as u64);
-    let hooks = &hooks;
     let tasks: Vec<_> = descs
         .iter()
-        .map(|&desc| move |worker: usize| run_workload(desc, pipeline, cache, hooks, worker, epoch))
+        .map(|&desc| move |worker: usize| run_workload(desc, cfg, worker, epoch))
         .collect();
 
     let (workloads, pool) = run_indexed(cfg.jobs, tasks);
@@ -701,6 +689,44 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
     })
 }
 
+/// Measures more modules of each workload of a finished campaign, one
+/// pool task per workload on `cfg.jobs` workers. `modules` receives the
+/// workload, built at the report's scale and at `seed`, with its three
+/// cells, and lists the modules to run. Each runs in detail under
+/// `cfg.pipeline.measure_sim` and is checked as a matrix cell is: a wrong
+/// result panics. Returns the listed modules' stats, per workload in
+/// campaign order.
+pub fn run_modules<F>(
+    cfg: &CampaignConfig,
+    report: &CampaignReport,
+    seed: u64,
+    modules: F,
+) -> Vec<Vec<PerfStats>>
+where
+    F: Fn(&BuiltWorkload, &[CellResult]) -> Vec<Module> + Sync,
+{
+    let (sim, modules) = (&cfg.pipeline.measure_sim, &modules);
+    let tasks: Vec<_> = report
+        .cells
+        .chunks_exact(Variant::ALL.len())
+        .map(|cells| {
+            move |_worker: usize| {
+                let spec = by_name(&cells[0].workload).expect("a campaign workload is registered");
+                let w = spec.build(report.scale, seed);
+                modules(&w, cells)
+                    .iter()
+                    .map(|m| {
+                        run_module(&w, "extra", m, sim, None, TraceConfig::off())
+                            .0
+                            .stats
+                    })
+                    .collect()
+            }
+        })
+        .collect();
+    run_indexed(cfg.jobs, tasks).0
+}
+
 impl CampaignReport {
     /// The paper-style comparison table: one row per workload plus the
     /// geomean row. Purely a function of simulated results — byte-identical
@@ -747,7 +773,7 @@ impl CampaignReport {
                 fx(apt),
                 format!("x{:.2}", cmp.instruction_overhead("APT-GET").unwrap_or(1.0)),
                 format!("{:.2}", chunk[2].stats.mpki()),
-                chunk[2].hints.to_string(),
+                chunk[2].hints().to_string(),
             ];
             if sampled {
                 let cells: Vec<SampledCell> = chunk.iter().filter_map(|c| c.sampled).collect();
@@ -901,7 +927,7 @@ impl CampaignReport {
     /// and the `bench-gate` regression check. Every field comes from the
     /// deterministic cells, so the snapshot's bytes do not depend on
     /// `--jobs` or on the profile cache; the outcome mix is present when
-    /// the campaign ran with [`CampaignConfig::collect_outcomes`].
+    /// the campaign traced outcomes ([`CampaignConfig::trace`]).
     pub fn bench_snapshot(&self, config: &str) -> BenchSnapshot {
         let mut snap = BenchSnapshot::new(config.to_string());
         for chunk in self.cells.chunks_exact(Variant::ALL.len()) {
@@ -911,14 +937,17 @@ impl CampaignReport {
                 chunk[1].stats.cycles,
                 chunk[2].stats.cycles,
             );
-            wb.outcomes = chunk[2].outcomes.as_ref().map(|t| OutcomeMix {
-                issued: t.total.issued,
-                timely: t.total.timely,
-                late: t.total.late,
-                early: t.total.early,
-                useless: t.total.useless,
-                redundant: t.total.redundant,
-                dropped: t.total.dropped,
+            wb.outcomes = chunk[2].trace.as_ref().map(|t| {
+                let t = &t.outcomes.total;
+                OutcomeMix {
+                    issued: t.issued,
+                    timely: t.timely,
+                    late: t.late,
+                    early: t.early,
+                    useless: t.useless,
+                    redundant: t.redundant,
+                    dropped: t.dropped,
+                }
             });
             wb.phases = workload_phases(&chunk[0].timeline, &chunk[2].timeline);
             let cells: Vec<SampledCell> = chunk.iter().filter_map(|c| c.sampled).collect();
@@ -1176,7 +1205,11 @@ impl CampaignArgs {
             cache,
             metrics,
             progress,
-            collect_outcomes: self.bench_out.is_some() || self.report_out.is_some(),
+            trace: if self.bench_out.is_some() || self.report_out.is_some() {
+                TraceConfig::outcomes()
+            } else {
+                TraceConfig::off()
+            },
             sampling: self.sampling_spec(),
         }
     }
@@ -1339,7 +1372,7 @@ mod tests {
         let mut cfg = tiny_config(2);
         cfg.metrics = Registry::new();
         cfg.progress = Progress::new();
-        cfg.collect_outcomes = true;
+        cfg.trace = TraceConfig::outcomes();
         let observed = run_campaign(&cfg).unwrap();
 
         assert_eq!(
@@ -1376,8 +1409,8 @@ mod tests {
 
         // Outcome tables ride on APT-GET cells only, and they balance.
         for cell in &observed.cells {
-            match (cell.variant, &cell.outcomes) {
-                (Variant::AptGet, Some(t)) => assert!(t.is_conserved()),
+            match (cell.variant, &cell.trace) {
+                (Variant::AptGet, Some(t)) => assert!(t.outcomes.is_conserved()),
                 (Variant::AptGet, None) => panic!("APT-GET cell lost its outcome table"),
                 (_, Some(_)) => panic!("non-APT-GET cell grew an outcome table"),
                 (_, None) => {}
@@ -1394,7 +1427,7 @@ mod tests {
     #[test]
     fn bench_snapshot_round_trips_and_gates_clean() {
         let mut cfg = tiny_config(2);
-        cfg.collect_outcomes = true;
+        cfg.trace = TraceConfig::outcomes();
         let report = run_campaign(&cfg).unwrap();
         let snap = report.bench_snapshot("scale=0.004 seed=42");
 
@@ -1462,7 +1495,7 @@ mod tests {
         assert!(a.config().cache.is_none());
         assert!(!a.config().metrics.is_enabled());
         assert!(!a.config().progress.is_enabled());
-        assert!(!a.config().collect_outcomes);
+        assert!(!a.config().trace.outcomes);
         let b = CampaignArgs::parse(argv(
             "--metrics-out m.prom --bench-out snapshot.json --progress",
         ))
@@ -1471,12 +1504,12 @@ mod tests {
         assert_eq!(b.bench_out.as_deref(), Some("snapshot.json"));
         assert!(b.config().metrics.is_enabled());
         assert!(b.config().progress.is_enabled());
-        assert!(b.config().collect_outcomes);
+        assert!(b.config().trace.outcomes);
         let c = CampaignArgs::parse(argv("--report-out r.html --timeline-out t.json")).unwrap();
         assert_eq!(c.report_out.as_deref(), Some("r.html"));
         assert_eq!(c.timeline_out.as_deref(), Some("t.json"));
         // The report embeds the outcome mix, so it implies outcome tracing.
-        assert!(c.config().collect_outcomes);
+        assert!(c.config().trace.outcomes);
         assert!(CampaignArgs::parse(argv("--report-out")).is_err());
         assert!(CampaignArgs::parse(argv("--bogus")).is_err());
         assert!(CampaignArgs::parse(argv("--jobs")).is_err());
@@ -1545,7 +1578,7 @@ mod tests {
             check_exact: true,
         };
         let mut cfg = sampled_config(2, spec);
-        cfg.collect_outcomes = true;
+        cfg.trace = TraceConfig::outcomes();
         let report = run_campaign(&cfg).unwrap();
         for cell in &report.cells {
             let tag = format!("{} [{}]", cell.workload, cell.variant.name());

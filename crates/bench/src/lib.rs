@@ -9,17 +9,10 @@
 use std::fs;
 use std::path::PathBuf;
 
-use apt_trace::{Span, SpanRecorder, TraceConfig, TraceReport};
-use apt_workloads::BuiltWorkload;
-use aptget::pipeline::Optimized;
-use aptget::{
-    ainsworth_jones_optimize, chrome_trace_json, execute, execute_traced, format_explain, AptGet,
-    Comparison, Execution, PerfStats, PipelineConfig,
-};
-
 pub mod cache;
 pub mod eval;
 pub mod history;
+pub mod paper;
 pub mod pool;
 pub mod report;
 pub mod selfprof_report;
@@ -100,115 +93,6 @@ pub fn emit_table(name: &str, title: &str, headers: &[&str], rows: &[Vec<String>
         eprintln!("warning: could not write {}: {e}", path.display());
     } else {
         println!("[written to {}]", path.display());
-    }
-}
-
-/// Executes a workload's call schedule against `module`, checks the
-/// result, and returns the execution.
-///
-/// # Panics
-///
-/// Panics if the simulation fails or produces a wrong result — a broken
-/// experiment must never silently produce a figure.
-pub fn run_checked(w: &BuiltWorkload, module: &aptget::Module, cfg: &PipelineConfig) -> Execution {
-    let exec = execute(module, w.image.clone(), &w.calls, &cfg.measure_sim)
-        .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", w.name));
-    (w.check)(&exec.image, &exec.rets).unwrap_or_else(|e| panic!("{}: wrong result: {e}", w.name));
-    exec
-}
-
-/// Runs baseline, Ainsworth & Jones, and APT-GET on one workload (checking
-/// every variant's output) and returns the comparison plus APT-GET's
-/// optimisation artefacts.
-///
-/// When `APT_TRACE_DIR` is set, the APT-GET measurement run is traced
-/// with outcome attribution and `<dir>/<workload>.explain.txt` plus
-/// `<dir>/<workload>.trace.json` are written — the same artifacts
-/// `aptgetsim run --explain --trace-out` produces.
-pub fn compare_variants(w: &BuiltWorkload, cfg: &PipelineConfig) -> (Comparison, Optimized) {
-    let dir = std::env::var_os("APT_TRACE_DIR").map(PathBuf::from);
-    let trace_cfg = if dir.is_some() {
-        TraceConfig::outcomes()
-    } else {
-        TraceConfig::off()
-    };
-    let (cmp, opt, spans, stats, trace) = compare_variants_traced(w, cfg, trace_cfg);
-    if let Some(dir) = dir {
-        write_trace_artifacts(&dir, &w.name, &opt, &spans, &stats, &trace);
-    }
-    (cmp, opt)
-}
-
-/// [`compare_variants`] with explicit trace control: records pipeline
-/// spans and traces the APT-GET measurement run under `trace_cfg`.
-/// Returns, beyond the comparison and optimisation artefacts, the spans,
-/// the APT-GET variant's stats and its trace report.
-pub fn compare_variants_traced(
-    w: &BuiltWorkload,
-    cfg: &PipelineConfig,
-    trace_cfg: TraceConfig,
-) -> (Comparison, Optimized, Vec<Span>, PerfStats, TraceReport) {
-    let base = run_checked(w, &w.module, cfg);
-
-    let (aj_module, _) = ainsworth_jones_optimize(&w.module, AJ_STATIC_DISTANCE);
-    let aj = run_checked(w, &aj_module, cfg);
-
-    let apt = AptGet::new(*cfg);
-    let mut spans = SpanRecorder::new();
-    let opt = apt
-        .optimize_traced(&w.module, w.image.clone(), &w.calls, &mut spans)
-        .unwrap_or_else(|e| panic!("{}: profiling failed: {e}", w.name));
-    let measure = spans.begin("measurement-run");
-    let (tuned, trace) = execute_traced(
-        &opt.module,
-        w.image.clone(),
-        &w.calls,
-        &cfg.measure_sim,
-        trace_cfg,
-    )
-    .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", w.name));
-    (w.check)(&tuned.image, &tuned.rets)
-        .unwrap_or_else(|e| panic!("{}: wrong result: {e}", w.name));
-    spans.add_sim_cycles(&measure, tuned.stats.cycles);
-    spans.note(&measure, "sw_pf_issued", tuned.stats.mem.sw_pf_issued);
-    spans.end(measure);
-
-    (
-        Comparison {
-            workload: w.name.clone(),
-            baseline: base.stats,
-            variants: vec![
-                ("A&J".to_string(), aj.stats),
-                ("APT-GET".to_string(), tuned.stats),
-            ],
-        },
-        opt,
-        spans.into_spans(),
-        tuned.stats,
-        trace,
-    )
-}
-
-/// Writes the `--explain` report and Chrome trace JSON for one workload
-/// into `dir` (created if needed).
-pub fn write_trace_artifacts(
-    dir: &std::path::Path,
-    name: &str,
-    opt: &Optimized,
-    spans: &[Span],
-    stats: &PerfStats,
-    trace: &TraceReport,
-) {
-    let _ = fs::create_dir_all(dir);
-    let explain = format_explain(opt, spans, Some((stats, trace)));
-    let json = chrome_trace_json(spans, Some(trace));
-    for (suffix, content) in [("explain.txt", explain), ("trace.json", json)] {
-        let path = dir.join(format!("{name}.{suffix}"));
-        if let Err(e) = fs::write(&path, content) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            println!("[written to {}]", path.display());
-        }
     }
 }
 

@@ -186,12 +186,13 @@ mod tests {
     use super::*;
     use crate::eval::{run_campaign, CampaignConfig};
     use apt_metrics::json;
+    use apt_trace::TraceConfig;
 
     fn tiny_report() -> CampaignReport {
         let cfg = CampaignConfig {
             workloads: vec!["RandAcc".into()],
             cache: None,
-            collect_outcomes: true,
+            trace: TraceConfig::outcomes(),
             ..CampaignConfig::new(0.004, 42, 1)
         };
         run_campaign(&cfg).unwrap()

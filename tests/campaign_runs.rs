@@ -18,7 +18,7 @@ fn campaign() -> CampaignReport {
     let cfg = CampaignConfig {
         workloads: vec!["BFS".into(), "CG".into()],
         cache: None,
-        collect_outcomes: true,
+        trace: TraceConfig::outcomes(),
         ..CampaignConfig::new(SCALE, SEED, 2)
     };
     run_campaign(&cfg).expect("campaign runs")
@@ -64,7 +64,7 @@ fn each_distinct_module_is_simulated_once() {
             .unwrap()
     };
     assert!(!cell("BFS", Variant::AptGet).reused);
-    assert!(cell("BFS", Variant::AptGet).hints > 0);
+    assert!(cell("BFS", Variant::AptGet).hints() > 0);
     let reused = cell("CG", Variant::AptGet);
     assert!(reused.reused, "CG's APT-GET module equals its baseline");
     assert!(reused.spans.iter().all(|s| s.name != "measurement-run"));
@@ -81,7 +81,10 @@ fn each_distinct_module_is_simulated_once() {
     .unwrap();
     assert_eq!(reused.stats, exec.stats);
     assert_eq!(reused.timeline, exec.timeline);
-    assert_eq!(reused.outcomes.as_ref(), Some(&trace.outcomes));
+    assert_eq!(
+        reused.trace.as_ref().map(|t| &t.outcomes),
+        Some(&trace.outcomes)
+    );
 }
 
 #[test]

@@ -20,6 +20,7 @@
 
 use apt_bench::eval::{run_campaign, CampaignConfig, CampaignReport, SamplingSpec, Variant};
 use apt_sample::SampleConfig;
+use aptget::TraceConfig;
 
 /// Dense-but-sampled schedule: at the tiny test scale the runs are only
 /// ~10⁵ instructions, so accuracy needs a high detail fraction. (The
@@ -40,7 +41,7 @@ fn spec(check_exact: bool) -> SamplingSpec {
 fn campaign(sampling: Option<SamplingSpec>) -> CampaignReport {
     let cfg = CampaignConfig {
         cache: None,
-        collect_outcomes: true,
+        trace: TraceConfig::outcomes(),
         sampling,
         // Empty workload list = the full registry (all 13 workloads).
         ..CampaignConfig::new(0.004, 42, 4)
@@ -84,12 +85,14 @@ fn sampled_outcome_shares_track_the_exact_run() {
         }
         let tag = &e.workload;
         let eo = e
-            .outcomes
+            .trace
             .as_ref()
+            .map(|t| &t.outcomes)
             .unwrap_or_else(|| panic!("{tag}: exact outcomes"));
         let so = s
-            .outcomes
+            .trace
             .as_ref()
+            .map(|t| &t.outcomes)
             .unwrap_or_else(|| panic!("{tag}: sampled outcomes"));
         let shares = |t: &apt_trace::OutcomeTable| {
             let issued = t.total.issued.max(1) as f64;

@@ -7,6 +7,7 @@
 
 use apt_bench::eval::{run_campaign, CampaignConfig, CampaignReport, SamplingSpec};
 use apt_sample::SampleConfig;
+use aptget::TraceConfig;
 
 fn spec(sample_seed: u64) -> SamplingSpec {
     SamplingSpec {
@@ -25,7 +26,7 @@ fn run(jobs: usize, sample_seed: u64) -> CampaignReport {
     let cfg = CampaignConfig {
         workloads: vec!["BFS".into(), "IS".into(), "RandAcc".into()],
         cache: None,
-        collect_outcomes: true,
+        trace: TraceConfig::outcomes(),
         sampling: Some(spec(sample_seed)),
         ..CampaignConfig::new(0.004, 42, jobs)
     };

@@ -6,12 +6,13 @@
 
 use apt_bench::eval::{run_campaign, workload_phases, CampaignConfig, Variant};
 use apt_bench::report::{render_campaign_report, timelines_json};
+use aptget::TraceConfig;
 
 fn config(jobs: usize) -> CampaignConfig {
     CampaignConfig {
         workloads: vec!["RandAcc".into(), "IS".into()],
         cache: None,
-        collect_outcomes: true,
+        trace: TraceConfig::outcomes(),
         ..CampaignConfig::new(0.004, 42, jobs)
     }
 }

@@ -432,7 +432,7 @@ impl Paper {
     /// Fig. 8's sweep: APT-GET's speedup and A&J's at each of
     /// [`DISTANCES`], per workload. The campaign's A&J cell is the
     /// distance it already measured.
-    pub fn sweep(&self) -> Vec<(String, (f64, [f64; 8]))> {
+    fn sweep(&self) -> Vec<(String, (f64, [f64; 8]))> {
         let swept = DISTANCES.into_iter().filter(|&d| d != AJ_STATIC_DISTANCE);
         let runs = run_modules(&self.cfg, &self.report, self.cfg.seed, |w, _| {
             swept

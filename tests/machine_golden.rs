@@ -20,7 +20,9 @@
 //! final image digest and an FNV-1a digest of the telemetry timeline's
 //! JSON. The profiling run also pins the exported `perf script` text,
 //! which carries every LBR and PEBS record; the traced run pins its
-//! outcome totals and per-PC outcome table; the sampled runs pin their
+//! outcome totals, its per-PC outcome table and the per-phase rows
+//! (`workload_phases` of the baseline and APT-GET timelines) that a
+//! campaign's `--bench-out` snapshot records; the sampled runs pin their
 //! estimated counters, their raw windows and their instruction split. Before
 //! the comparison, each workload's `profile` and `baseline` runs must
 //! agree on stats, returns, image and timeline: the campaign runner
@@ -35,6 +37,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use apt_bench::eval::workload_phases;
 use apt_bench::AJ_STATIC_DISTANCE;
 use apt_cpu::export_perf_script;
 use apt_metrics::fnv1a;
@@ -185,6 +188,11 @@ fn simulated_numbers_match_the_golden() {
             out,
             "outcomes-per-pc {:016x}",
             fnv1a(format!("{:?}", report.outcomes.per_pc).as_bytes())
+        );
+        let _ = writeln!(
+            out,
+            "phases {:?}",
+            workload_phases(&base.timeline, &tuned.timeline)
         );
 
         let run = |module: &aptget::Module, schedule: &SampleConfig, trace: TraceConfig| {

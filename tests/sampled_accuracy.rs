@@ -6,7 +6,10 @@
 //! variants with `--sampled-check` (each cell also runs the exact
 //! detailed measurement) and bound the estimation error:
 //!
-//! * cycle and IPC errors within 5% on every (workload × variant) cell;
+//! * cycle and IPC errors within 5% on every (workload × variant) cell,
+//!   at scale 0.004 and at the scale and schedule of CI's
+//!   `--sampled-check` campaign (0.02; period 4096, window 2048, warm-up
+//!   1024);
 //! * prefetch-outcome *shares* (timely/late/... as fractions of issued)
 //!   within a few points of the exact run's shares;
 //! * the paper's headline — the speedup *ranking* across workloads —
@@ -38,47 +41,58 @@ fn spec(check_exact: bool) -> SamplingSpec {
     }
 }
 
-fn campaign(sampling: Option<SamplingSpec>) -> CampaignReport {
+fn campaign(scale: f64, sampling: Option<SamplingSpec>) -> CampaignReport {
     let cfg = CampaignConfig {
         cache: None,
         trace: TraceConfig::outcomes(),
         sampling,
         // Empty workload list = the full registry (all 13 workloads).
-        ..CampaignConfig::new(0.004, 42, 4)
+        ..CampaignConfig::new(scale, 42, 4)
     };
     run_campaign(&cfg).expect("campaign runs")
 }
 
 #[test]
 fn sampled_estimates_stay_within_error_bounds() {
-    let report = campaign(Some(spec(true)));
-    assert_eq!(report.comparisons.len(), 13, "full registry");
-    for cell in &report.cells {
-        let tag = format!("{} [{}]", cell.workload, cell.variant.name());
-        let s = cell
-            .sampled
-            .unwrap_or_else(|| panic!("{tag}: no sampled record"));
-        let cycle_err = s.cycle_err.unwrap_or_else(|| panic!("{tag}: unchecked"));
-        let ipc_err = s.ipc_err.unwrap();
-        assert!(
-            cycle_err <= 0.05,
-            "{tag}: cycle error {:.2}% exceeds 5% ({} windows, {:.0}% detail)",
-            cycle_err * 100.0,
-            s.windows,
-            s.detail_fraction * 100.0
-        );
-        assert!(
-            ipc_err <= 0.05,
-            "{tag}: IPC error {:.2}% exceeds 5%",
-            ipc_err * 100.0
-        );
+    let ci = SamplingSpec {
+        sample: SampleConfig {
+            period: 4_096,
+            window: 2_048,
+            warmup: 1_024,
+            ..SampleConfig::default()
+        },
+        check_exact: true,
+    };
+    for (scale, spec) in [(0.004, spec(true)), (0.02, ci)] {
+        let report = campaign(scale, Some(spec));
+        assert_eq!(report.comparisons.len(), 13, "full registry");
+        for cell in &report.cells {
+            let tag = format!("{} [{}] @ {scale}", cell.workload, cell.variant.name());
+            let s = cell
+                .sampled
+                .unwrap_or_else(|| panic!("{tag}: no sampled record"));
+            let cycle_err = s.cycle_err.unwrap_or_else(|| panic!("{tag}: unchecked"));
+            let ipc_err = s.ipc_err.unwrap();
+            assert!(
+                cycle_err <= 0.05,
+                "{tag}: cycle error {:.2}% exceeds 5% ({} windows, {:.0}% detail)",
+                cycle_err * 100.0,
+                s.windows,
+                s.detail_fraction * 100.0
+            );
+            assert!(
+                ipc_err <= 0.05,
+                "{tag}: IPC error {:.2}% exceeds 5%",
+                ipc_err * 100.0
+            );
+        }
     }
 }
 
 #[test]
 fn sampled_outcome_shares_track_the_exact_run() {
-    let exact = campaign(None);
-    let sampled = campaign(Some(spec(false)));
+    let exact = campaign(0.004, None);
+    let sampled = campaign(0.004, Some(spec(false)));
     for (e, s) in exact.cells.iter().zip(&sampled.cells) {
         if e.variant != Variant::AptGet {
             continue;
@@ -124,7 +138,7 @@ fn sampled_outcome_shares_track_the_exact_run() {
 
 #[test]
 fn sampled_speedup_rankings_match_the_exact_campaign() {
-    let report = campaign(Some(spec(true)));
+    let report = campaign(0.004, Some(spec(true)));
     // Exact per-workload APT-GET speedup from the per-cell exact check;
     // estimated speedup from the sampled counters themselves.
     let mut rows: Vec<(String, f64, f64)> = Vec::new();

@@ -25,10 +25,6 @@
 //! aptgetsim drift [--db PATH] [--fail-threshold TV]
 //!                                        # newest epoch vs merged history;
 //!                                        #   nonzero exit above threshold
-//! aptgetsim bench-gate SNAP.json --baseline BASE.json [--tolerance T] [--phases]
-//!                                        # fail on benchmark regression;
-//!                                        #   --phases gates each detected
-//!                                        #   execution phase by name
 //! aptgetsim perf-history DIR [--out FILE]
 //!                                        # perfbench ledger (BENCH_<n>.jsonl
 //!                                        #   in DIR) → self-contained HTML
@@ -96,7 +92,7 @@ use std::sync::Arc;
 
 use apt_bench::eval::{campaign_cli, run_campaign, CampaignArgs, CampaignConfig};
 use apt_bench::{fx, pct, AJ_STATIC_DISTANCE};
-use apt_metrics::{gate, BenchSnapshot, GateConfig, MetricsServer, Registry};
+use apt_metrics::{MetricsServer, Registry};
 use apt_profile::hintfile;
 use apt_serve::{
     chrome_trace, read_oplog_dir, render_dashboard, trace_hex, upload_backlog_warning, Client,
@@ -129,12 +125,6 @@ struct Args {
     pc_offset: Option<u64>,
     /// `drift`: exit nonzero when any branch drifts past this distance.
     fail_threshold: Option<f64>,
-    /// `bench-gate`: the committed baseline snapshot.
-    baseline: Option<String>,
-    /// `bench-gate`: relative regression tolerance.
-    tolerance: Option<f64>,
-    /// `bench-gate`: also gate each detected execution phase.
-    phases: bool,
     /// `serve`/`upload`/`serve-status`: bind or dial address.
     addr: Option<String>,
     /// `serve`: per-tenant shard directory.
@@ -188,9 +178,6 @@ fn parse_args() -> Result<Args, String> {
         label: None,
         pc_offset: None,
         fail_threshold: None,
-        baseline: None,
-        tolerance: None,
-        phases: false,
         addr: None,
         db_dir: None,
         hints_dir: None,
@@ -253,18 +240,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("bad --fail-threshold: {e}"))?,
                 );
             }
-            "--baseline" => {
-                out.baseline = Some(args.next().ok_or("--baseline needs a path")?);
-            }
-            "--tolerance" => {
-                out.tolerance = Some(
-                    args.next()
-                        .ok_or("--tolerance needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad --tolerance: {e}"))?,
-                );
-            }
-            "--phases" => out.phases = true,
             "--addr" => {
                 out.addr = Some(args.next().ok_or("--addr needs HOST:PORT")?);
             }
@@ -439,7 +414,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n");
-            eprintln!("usage: aptgetsim <list|run|hints|ir|export|ingest|drift|bench-gate|perf-history|serve|upload|serve-status|serve-dash|rollback|campaign> [WORKLOAD|FILE|DIR] [--scale S] [--seed N] [--optimized] [--explain] [--trace-out PATH] [--out PATH] [--db PATH] [--label STR] [--pc-offset HEX] [--fail-threshold TV] [--baseline PATH] [--tolerance T] [--phases] [--addr HOST:PORT] [--db-dir DIR] [--hints-dir DIR] [--tenant NAME] [--reopt-threshold TV] [--epoch-cap N] [--metrics-addr HOST:PORT] [--dram-scale N] [--oplog-dir DIR] [--retry N] [--metrics-file PATH] [--efficacy-window N] [--efficacy-threshold D] [--json] [--hint-gen G] [--prefetch-distance D]");
+            eprintln!("usage: aptgetsim <list|run|hints|ir|export|ingest|drift|perf-history|serve|upload|serve-status|serve-dash|rollback|campaign> [WORKLOAD|FILE|DIR] [--scale S] [--seed N] [--optimized] [--explain] [--trace-out PATH] [--out PATH] [--db PATH] [--label STR] [--pc-offset HEX] [--fail-threshold TV] [--addr HOST:PORT] [--db-dir DIR] [--hints-dir DIR] [--tenant NAME] [--reopt-threshold TV] [--epoch-cap N] [--metrics-addr HOST:PORT] [--dram-scale N] [--oplog-dir DIR] [--retry N] [--metrics-file PATH] [--efficacy-window N] [--efficacy-threshold D] [--json] [--hint-gen G] [--prefetch-distance D]");
             return ExitCode::FAILURE;
         }
     };
@@ -617,51 +592,11 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        "bench-gate" => {
-            let Some(snap_path) = args.workload.as_deref() else {
-                eprintln!("error: `bench-gate` needs a snapshot path (from `--bench-out`)");
-                return ExitCode::FAILURE;
-            };
-            let base_path = args.baseline.as_deref().unwrap_or("bench/baseline.json");
-            let read = |path: &str| -> Result<BenchSnapshot, String> {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("could not read {path}: {e}"))?;
-                BenchSnapshot::from_json(&text).map_err(|e| format!("{path}: {e}"))
-            };
-            let (baseline, current) = match (read(base_path), read(snap_path)) {
-                (Ok(b), Ok(c)) => (b, c),
-                (Err(e), _) | (_, Err(e)) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let cfg = GateConfig {
-                tolerance: args.tolerance.unwrap_or(GateConfig::default().tolerance),
-                per_phase: args.phases,
-                ..GateConfig::default()
-            };
-            let report = gate(&baseline, &current, &cfg);
-            print!("{}", report.render());
-            if report.passed() {
-                println!("bench-gate: PASS ({} vs {base_path})", snap_path);
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("bench-gate: FAIL ({} vs {base_path})", snap_path);
-                ExitCode::FAILURE
-            }
-        }
         "perf-history" => {
             let Some(dir) = args.workload.as_deref() else {
                 eprintln!("error: `perf-history` needs a ledger directory");
                 return ExitCode::FAILURE;
             };
-            if args.tolerance.is_some() {
-                eprintln!(
-                    "error: `perf-history` takes no --tolerance; its corridors are the \
-                     end-to-end bounds in BENCHMARK.json"
-                );
-                return ExitCode::FAILURE;
-            }
             let loaded = std::fs::read_to_string("BENCHMARK.json")
                 .map_err(|e| format!("could not read BENCHMARK.json: {e}"))
                 .and_then(|text| {

@@ -449,8 +449,8 @@ mod tests {
         assert!(html.contains(" 0 regression annotation(s)."));
     }
 
-    /// Cycle counts are `bench-gate`'s to guard; here `cpu_s` is the host
-    /// time the campaign's fixed simulated-cycle count takes, so a drop in
+    /// Cycle counts are the machine golden's to guard; here `cpu_s` is the
+    /// host time the campaign's fixed simulated-cycle count takes, so a drop in
     /// cycle throughput shows as its rise, and `ok_share` checks the
     /// higher-is-better direction. A regression that persists is
     /// annotated once, at the file where it began.

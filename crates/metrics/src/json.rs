@@ -1,5 +1,6 @@
-//! A minimal hand-rolled JSON subset: enough to write and read the
-//! bench snapshots and to read the perfbench ledger without serde
+//! A minimal hand-rolled JSON subset: enough to write the bench
+//! snapshots (and read them back in tests) and to read the perfbench
+//! ledger without serde
 //! (DESIGN.md §8 policy: no external serialisation crates).
 //!
 //! Supported: objects, arrays, strings (with the standard escapes),

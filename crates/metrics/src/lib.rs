@@ -10,8 +10,7 @@
 //! * [`serve`] — a std-only `GET /metrics` scrape endpoint.
 //! * [`progress`] — live campaign progress on stderr (stdout stays
 //!   byte-identical for the determinism invariants).
-//! * [`snapshot`] — deterministic `--bench-out` benchmark snapshots and
-//!   the `bench-gate` regression comparison.
+//! * [`snapshot`] — deterministic `--bench-out` benchmark snapshots.
 //! * [`json`] — the hand-rolled JSON subset backing the snapshots and
 //!   the perfbench ledger reader (the workspace is offline: no serde).
 //! * [`fnv1a`] — the workspace's one content hash.
@@ -31,8 +30,8 @@ pub use prom::{render_prometheus, Exposition, Sample};
 pub use registry::{Counter, Gauge, Histogram, MetricKind, Registry, WALL_US_BUCKETS};
 pub use serve::MetricsServer;
 pub use snapshot::{
-    gate, host_fingerprint, BenchSnapshot, GateConfig, GateReport, OutcomeMix, PhaseBench,
-    SampledBench, WorkloadBench, SNAPSHOT_SCHEMA,
+    host_fingerprint, BenchSnapshot, OutcomeMix, PhaseBench, SampledBench, WorkloadBench,
+    SNAPSHOT_SCHEMA,
 };
 
 /// 64-bit FNV-1a over `bytes`: the workspace's one content hash

@@ -3,9 +3,9 @@
 //! The renderer is deterministic: families in name order, series in
 //! canonical label order, `# HELP` / `# TYPE` emitted once per family.
 //! The parser exists for the property tests (render → parse must
-//! round-trip every value and validate the format) and for `bench-gate`
-//! style tooling that wants to diff two expositions; it covers exactly
-//! the subset the renderer emits plus whitespace tolerance.
+//! round-trip every value and validate the format) and for tooling that
+//! wants to diff two expositions; it covers exactly the subset the
+//! renderer emits plus whitespace tolerance.
 
 use std::collections::BTreeMap;
 

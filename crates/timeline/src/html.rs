@@ -36,8 +36,9 @@ pub struct Band {
     pub end: f64,
 }
 
-/// A labelled horizontal band in *value* space (e.g. a bench-gate
-/// tolerance corridor around a baseline value).
+/// A labelled horizontal band in *value* space (e.g. `perf-history`'s
+/// corridor around a metric's first value, from its `BENCHMARK.json`
+/// bound).
 #[derive(Debug, Clone)]
 pub struct HBand {
     pub label: String,

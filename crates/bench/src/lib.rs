@@ -1,10 +1,11 @@
 //! Shared machinery for the paper-reproduction bench targets.
 //!
-//! Each bench target under `benches/` regenerates one table or figure of
+//! Each bench target under `benches/` regenerates tables or figures of
 //! the paper: it prints the same rows/series the paper reports and writes
-//! a CSV copy under `target/paper/`. Run all of them with
-//! `cargo bench -p apt-bench`, or one with
-//! `cargo bench -p apt-bench --bench fig6_speedup`.
+//! a CSV copy of each under `target/paper/`. The `paper` bench prints the
+//! whole evaluation (Figs. 5–12) from one campaign ([`paper`]). Run all of
+//! them with `cargo bench -p apt-bench`, or one with
+//! `cargo bench -p apt-bench --bench paper`.
 
 use std::fs;
 use std::path::PathBuf;

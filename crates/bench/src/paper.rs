@@ -6,8 +6,9 @@
 //! compare against. The runs the matrix does not define (A&J at each
 //! swept distance, the forced injection sites and the test-seed inputs)
 //! go through [`run_modules`] on the campaign's pool. Each figure is a
-//! function of its numbers: it returns the table its bench prints and one
-//! [`Violation`] per ordering of the paper's shape that the numbers break.
+//! function of its numbers: it returns the table the `paper` bench prints
+//! and one [`Violation`] per ordering of the paper's shape that the
+//! numbers break.
 
 use std::fmt;
 use std::iter::once;
@@ -30,7 +31,7 @@ pub const DISTANCES: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 /// Each application's name with the figure's numbers for it.
 type Apps<T> = [(String, T)];
 
-/// One figure: the table its bench prints and writes to
+/// One figure: the table the `paper` bench prints and writes to
 /// `target/paper/<name>.csv`, the aggregates printed under it, and the
 /// orderings its numbers break.
 #[derive(Default)]
@@ -90,7 +91,7 @@ impl Figure {
         self.title.split(" —").next().unwrap_or(self.title)
     }
 
-    /// The table and its aggregates as the bench prints them.
+    /// The table and its aggregates as the `paper` bench prints them.
     pub fn text(&self) -> String {
         let table = format_table(&self.headers, &self.rows);
         format!("=== {} ===\n{table}{}", self.title, self.summary)
@@ -266,7 +267,7 @@ fn static_vs_lbr(apps: &Apps<(f64, [f64; 8])>) -> Figure {
 /// Fig. 10: forced inner site, forced outer site and APT-GET's choice,
 /// on the nested-loop applications with hints. Neither site dominates,
 /// so the choice must be made per load (Eq. 2), and APT-GET's choice is
-/// within 0.02 of the better site.
+/// within 0.02 of the better site. A tie is a win for neither site.
 fn injection_site(apps: &Apps<[f64; 3]>) -> Figure {
     let rows = apps
         .iter()
@@ -280,9 +281,10 @@ fn injection_site(apps: &Apps<[f64; 3]>) -> Figure {
         ..Figure::default()
     };
     let outer = apps.iter().filter(|(_, s)| s[1] > s[0]).count();
-    let inner = apps.len() - outer;
+    let inner = apps.iter().filter(|(_, s)| s[0] > s[1]).count();
+    let ties = apps.len() - outer - inner;
     fig.summary = format!(
-        "\nouter wins: {outer}, inner wins: {inner} (of {})\n",
+        "\nouter wins: {outer}, inner wins: {inner}, ties: {ties} (of {})\n",
         apps.len()
     );
     fig.above("the outer site wins somewhere", outer as f64, 0.0);
@@ -396,11 +398,11 @@ impl Paper {
         .collect()
     }
 
-    pub fn fig5(&self) -> Figure {
+    fn fig5(&self) -> Figure {
         memory_boundedness(&self.apps(&[], |cmp, _, _| Some(cmp.baseline.memory_bound_fraction())))
     }
 
-    pub fn fig6(&self) -> Figure {
+    fn fig6(&self) -> Figure {
         let apps = self.apps(&[], |cmp, cells, _| {
             let hints = &cells[2].optimized.as_ref()?.analysis.hints;
             let sites: Vec<String> = hints
@@ -415,18 +417,10 @@ impl Paper {
         speedups(&apps, &decisions)
     }
 
-    pub fn fig7(&self) -> Figure {
+    fn fig7(&self) -> Figure {
         mpki(&self.apps(&[], |_, cells, _| {
             Some([0, 1, 2].map(|i| cells[i].stats.mpki()))
         }))
-    }
-
-    pub fn fig8(&self) -> Figure {
-        lbr_vs_optimal(&self.sweep())
-    }
-
-    pub fn fig9(&self) -> Figure {
-        static_vs_lbr(&self.sweep())
     }
 
     /// Fig. 8's sweep: APT-GET's speedup and A&J's at each of
@@ -455,7 +449,7 @@ impl Paper {
 
     /// Fig. 10 forces every hint of a nested-loop workload to the inner
     /// and then to the outer site, and measures both modules.
-    pub fn fig10(&self) -> Figure {
+    fn fig10(&self) -> Figure {
         let runs = run_modules(&self.cfg, &self.report, self.cfg.seed, |w, cells| {
             let Some(opt) = nested_hints(cells) else {
                 return Vec::new();
@@ -486,7 +480,7 @@ impl Paper {
         }))
     }
 
-    pub fn fig11(&self) -> Figure {
+    fn fig11(&self) -> Figure {
         instr_overhead(&self.apps(&[], |cmp, _, _| {
             Some(vec![
                 cmp.instruction_overhead("A&J")?,
@@ -498,7 +492,7 @@ impl Paper {
     /// Fig. 12 applies each workload's training hints to the test input
     /// ([`TEST_SEED`]): the hints are positions in the structurally
     /// identical module, so they transfer directly.
-    pub fn fig12(&self) -> Figure {
+    fn fig12(&self) -> Figure {
         let runs = run_modules(&self.cfg, &self.report, TEST_SEED, |w, cells| {
             let mut m = w.module.clone();
             if let Some(opt) = &cells[2].optimized {
@@ -666,9 +660,16 @@ mod tests {
         breaks(fig, &["the outer site wins somewhere"]);
     }
 
+    /// A tie is a win for neither site.
     #[test]
     fn fig10_inner_never_wins() {
-        let fig = fig10([1.1, 1.3, 1.3], [1.0, 1.2, 1.2]);
+        let tie = [1.01, 1.01, 1.01];
+        let fig = injection_site(&apps(&[
+            ("A", [1.1, 1.3, 1.3]),
+            ("B", [1.0, 1.2, 1.2]),
+            ("C", tie),
+        ]));
+        assert!(fig.summary.contains("inner wins: 0, ties: 1 (of 3)"));
         breaks(fig, &["the inner site wins somewhere"]);
     }
 

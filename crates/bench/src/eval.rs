@@ -924,9 +924,10 @@ impl CampaignReport {
     }
 
     /// The benchmark snapshot of this campaign, ready for `--bench-out`.
-    /// Every field comes from the deterministic cells, so the snapshot's bytes do not depend on
-    /// `--jobs` or on the profile cache; the outcome mix is present when
-    /// the campaign traced outcomes ([`CampaignConfig::trace`]).
+    /// Every field comes from the deterministic cells, so the snapshot's
+    /// bytes do not depend on `--jobs` or on the profile cache; the
+    /// outcome mix is present when the campaign traced outcomes
+    /// ([`CampaignConfig::trace`]).
     pub fn bench_snapshot(&self, config: &str) -> BenchSnapshot {
         let mut snap = BenchSnapshot::new(config.to_string());
         for chunk in self.cells.chunks_exact(Variant::ALL.len()) {

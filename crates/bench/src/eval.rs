@@ -28,13 +28,11 @@
 //! attribution, steals, cache hits) and from the merged per-worker Chrome
 //! trace ([`CampaignReport::chrome_trace`]).
 
-use std::fs;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use apt_metrics::{
-    render_prometheus, BenchSnapshot, MetricsServer, OutcomeMix, PhaseBench, Progress,
-    ProgressReporter, Registry, SampledBench, WorkloadBench, WALL_US_BUCKETS,
+    BenchSnapshot, OutcomeMix, PhaseBench, Progress, Registry, SampledBench, WorkloadBench,
+    WALL_US_BUCKETS,
 };
 use apt_sample::{run_sampled, SampleConfig};
 use apt_trace::{ChromeTrace, Span, SpanRecorder, TraceConfig, TraceReport};
@@ -999,334 +997,6 @@ pub fn workload_phases(baseline: &Timeline, aptget: &Timeline) -> Vec<PhaseBench
         .collect()
 }
 
-/// Parsed command-line options of `aptgetsim campaign`.
-pub struct CampaignArgs {
-    pub scale: f64,
-    pub seed: u64,
-    pub jobs: usize,
-    /// Comma-separated `--workloads` selections, flattened.
-    pub workloads: Vec<String>,
-    pub no_cache: bool,
-    pub cache_dir: Option<String>,
-    pub stats: bool,
-    pub trace_out: Option<String>,
-    pub csv_out: Option<String>,
-    /// Serve a Prometheus scrape endpoint at this address for the
-    /// campaign's duration (also enables the registry).
-    pub metrics_addr: Option<String>,
-    /// Write the final Prometheus exposition here (also enables the
-    /// registry).
-    pub metrics_out: Option<String>,
-    /// Write a `BenchSnapshot` JSON here (also enables outcome tracing on
-    /// APT-GET cells so the snapshot carries the prefetch-outcome mix).
-    pub bench_out: Option<String>,
-    /// Render the self-contained HTML timeline report here (also enables
-    /// outcome tracing so the report carries the per-window outcome mix).
-    pub report_out: Option<String>,
-    /// Write every cell's windowed timeline as a JSON artifact here.
-    pub timeline_out: Option<String>,
-    /// Profile the simulator itself for the campaign's duration and
-    /// write a flamegraph HTML page here (plus folded stacks next to it
-    /// with a `.folded` extension). Observation only: the result table
-    /// stays byte-identical.
-    pub selfprof_out: Option<String>,
-    /// Render a live progress line on stderr.
-    pub progress: bool,
-    /// Run every cell under SMARTS sampled simulation instead of
-    /// detailed end-to-end execution.
-    pub sampled: bool,
-    /// After each sampled cell, re-run it exactly and record the
-    /// estimated-vs-exact error (implies `--sampled`).
-    pub sampled_check: bool,
-    /// Sampling period in instructions (`--sample-period`).
-    pub sample_period: Option<u64>,
-    /// Measured window length in instructions (`--sample-window`).
-    pub sample_window: Option<u64>,
-    /// Detailed warmup before each window (`--sample-warmup`).
-    pub sample_warmup: Option<u64>,
-    /// Seed for window-placement jitter (`--sample-seed`).
-    pub sample_seed: Option<u64>,
-    /// Functional-warming horizon in instructions (`--sample-horizon`).
-    pub sample_horizon: Option<u64>,
-}
-
-impl CampaignArgs {
-    /// The flag summary for usage messages.
-    pub const USAGE: &'static str = "[--jobs N] [--scale S] [--seed N] \
-        [--workloads A,B,..] [--no-cache] [--cache-dir DIR] [--stats] \
-        [--trace-out PATH] [--csv-out PATH] [--metrics-addr HOST:PORT] \
-        [--metrics-out PATH] [--bench-out PATH] [--report-out PATH] \
-        [--timeline-out PATH] [--selfprof-out PATH] [--progress] \
-        [--sampled] [--sampled-check] [--sample-period N] \
-        [--sample-window N] [--sample-warmup N] [--sample-seed N] \
-        [--sample-horizon N]";
-
-    /// Parses campaign flags. `--jobs` defaults to `$APT_JOBS`, then the
-    /// machine's available parallelism.
-    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<CampaignArgs, String> {
-        let default_jobs = std::env::var("APT_JOBS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let mut out = CampaignArgs {
-            scale: crate::scale(),
-            seed: crate::TRAIN_SEED,
-            jobs: default_jobs,
-            workloads: Vec::new(),
-            no_cache: false,
-            cache_dir: None,
-            stats: false,
-            trace_out: None,
-            csv_out: None,
-            metrics_addr: None,
-            metrics_out: None,
-            bench_out: None,
-            report_out: None,
-            timeline_out: None,
-            selfprof_out: None,
-            progress: false,
-            sampled: false,
-            sampled_check: false,
-            sample_period: None,
-            sample_window: None,
-            sample_warmup: None,
-            sample_seed: None,
-            sample_horizon: None,
-        };
-        while let Some(a) = args.next() {
-            let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
-            match a.as_str() {
-                "--jobs" => {
-                    out.jobs = value("--jobs")?
-                        .parse()
-                        .map_err(|e| format!("bad --jobs: {e}"))?;
-                }
-                "--scale" => {
-                    out.scale = value("--scale")?
-                        .parse()
-                        .map_err(|e| format!("bad --scale: {e}"))?;
-                }
-                "--seed" => {
-                    out.seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("bad --seed: {e}"))?;
-                }
-                "--workloads" => {
-                    out.workloads.extend(
-                        value("--workloads")?
-                            .split(',')
-                            .filter(|s| !s.is_empty())
-                            .map(str::to_string),
-                    );
-                }
-                "--no-cache" => out.no_cache = true,
-                "--cache-dir" => out.cache_dir = Some(value("--cache-dir")?),
-                "--stats" => out.stats = true,
-                "--trace-out" => out.trace_out = Some(value("--trace-out")?),
-                "--csv-out" => out.csv_out = Some(value("--csv-out")?),
-                "--metrics-addr" => out.metrics_addr = Some(value("--metrics-addr")?),
-                "--metrics-out" => out.metrics_out = Some(value("--metrics-out")?),
-                "--bench-out" => out.bench_out = Some(value("--bench-out")?),
-                "--report-out" => out.report_out = Some(value("--report-out")?),
-                "--timeline-out" => out.timeline_out = Some(value("--timeline-out")?),
-                "--selfprof-out" => out.selfprof_out = Some(value("--selfprof-out")?),
-                "--progress" => out.progress = true,
-                "--sampled" => out.sampled = true,
-                "--sampled-check" => out.sampled_check = true,
-                "--sample-period" => {
-                    out.sample_period = Some(
-                        value("--sample-period")?
-                            .parse()
-                            .map_err(|e| format!("bad --sample-period: {e}"))?,
-                    );
-                }
-                "--sample-window" => {
-                    out.sample_window = Some(
-                        value("--sample-window")?
-                            .parse()
-                            .map_err(|e| format!("bad --sample-window: {e}"))?,
-                    );
-                }
-                "--sample-warmup" => {
-                    out.sample_warmup = Some(
-                        value("--sample-warmup")?
-                            .parse()
-                            .map_err(|e| format!("bad --sample-warmup: {e}"))?,
-                    );
-                }
-                "--sample-seed" => {
-                    out.sample_seed = Some(
-                        value("--sample-seed")?
-                            .parse()
-                            .map_err(|e| format!("bad --sample-seed: {e}"))?,
-                    );
-                }
-                "--sample-horizon" => {
-                    out.sample_horizon = Some(
-                        value("--sample-horizon")?
-                            .parse()
-                            .map_err(|e| format!("bad --sample-horizon: {e}"))?,
-                    );
-                }
-                other => return Err(format!("unknown argument `{other}`")),
-            }
-        }
-        Ok(out)
-    }
-
-    /// The campaign configuration these arguments describe.
-    pub fn config(&self) -> CampaignConfig {
-        let cache = if self.no_cache {
-            None
-        } else {
-            let dir = self
-                .cache_dir
-                .clone()
-                .map(PathBuf::from)
-                .unwrap_or_else(ProfileCache::default_dir);
-            Some(ProfileCache::new(dir))
-        };
-        let metrics = if self.metrics_addr.is_some() || self.metrics_out.is_some() {
-            Registry::new()
-        } else {
-            Registry::disabled()
-        };
-        let progress = if self.progress {
-            Progress::new()
-        } else {
-            Progress::disabled()
-        };
-        CampaignConfig {
-            scale: self.scale,
-            seed: self.seed,
-            jobs: self.jobs,
-            workloads: self.workloads.clone(),
-            pipeline: PipelineConfig::default(),
-            cache,
-            metrics,
-            progress,
-            trace: if self.bench_out.is_some() || self.report_out.is_some() {
-                TraceConfig::outcomes()
-            } else {
-                TraceConfig::off()
-            },
-            sampling: self.sampling_spec(),
-        }
-    }
-
-    /// The sampling specification these arguments describe, or `None`
-    /// for a detailed campaign. `--sampled-check` implies `--sampled`.
-    fn sampling_spec(&self) -> Option<SamplingSpec> {
-        if !self.sampled && !self.sampled_check {
-            return None;
-        }
-        let mut sample = SampleConfig::default();
-        if let Some(p) = self.sample_period {
-            sample.period = p;
-        }
-        if let Some(w) = self.sample_window {
-            sample.window = w;
-        }
-        if let Some(w) = self.sample_warmup {
-            sample.warmup = w;
-        }
-        if let Some(s) = self.sample_seed {
-            sample.seed = s;
-        }
-        if let Some(h) = self.sample_horizon {
-            sample.warm_horizon = h;
-        }
-        Some(SamplingSpec {
-            sample,
-            check_exact: self.sampled_check,
-        })
-    }
-}
-
-/// Runs a campaign from parsed CLI arguments, prints the report and
-/// writes the requested artifacts: the body of `aptgetsim campaign`.
-pub fn campaign_cli(args: &CampaignArgs) -> Result<CampaignReport, String> {
-    let cfg = args.config();
-    // Start self-profiling before the first cell so worker threads bind
-    // to the session; it stays open across artifact rendering so report
-    // generation shows up in the flamegraph too.
-    let selfprof = args
-        .selfprof_out
-        .as_ref()
-        .map(|_| apt_selfprof::begin_monotonic());
-    let server = match &args.metrics_addr {
-        Some(addr) => {
-            let s = MetricsServer::bind(addr, cfg.metrics.clone())
-                .map_err(|e| format!("could not bind metrics endpoint {addr}: {e}"))?;
-            eprintln!("[metrics served at http://{}/metrics]", s.addr());
-            Some(s)
-        }
-        None => None,
-    };
-    let reporter = cfg
-        .progress
-        .is_enabled()
-        .then(|| ProgressReporter::spawn(cfg.progress.clone(), Duration::from_millis(200)));
-
-    let report = run_campaign(&cfg);
-    if let Some(r) = reporter {
-        r.finish();
-    }
-    let report = report?;
-
-    println!("{}", report.table_text());
-    if args.stats {
-        println!();
-        print!("{}", report.stats_text());
-    }
-    if let Some(path) = &args.csv_out {
-        let (headers, rows) = report.table();
-        fs::write(path, crate::format_csv(&headers, &rows))
-            .map_err(|e| format!("could not write {path}: {e}"))?;
-        println!("[csv written to {path}]");
-    }
-    if let Some(path) = &args.trace_out {
-        fs::write(path, report.chrome_trace())
-            .map_err(|e| format!("could not write {path}: {e}"))?;
-        println!("[trace written to {path}]");
-    }
-    if let Some(path) = &args.bench_out {
-        let config = format!("scale={} seed={}", cfg.scale, cfg.seed);
-        fs::write(path, report.bench_snapshot(&config).to_json())
-            .map_err(|e| format!("could not write {path}: {e}"))?;
-        println!("[bench snapshot written to {path}]");
-    }
-    if let Some(path) = &args.report_out {
-        fs::write(path, crate::report::render_campaign_report(&report))
-            .map_err(|e| format!("could not write {path}: {e}"))?;
-        println!("[timeline report written to {path}]");
-    }
-    if let Some(path) = &args.timeline_out {
-        fs::write(path, crate::report::timelines_json(&report))
-            .map_err(|e| format!("could not write {path}: {e}"))?;
-        println!("[timelines written to {path}]");
-    }
-    if let Some(path) = &args.metrics_out {
-        fs::write(path, render_prometheus(&cfg.metrics))
-            .map_err(|e| format!("could not write {path}: {e}"))?;
-        println!("[metrics written to {path}]");
-    }
-    if let (Some(path), Some(session)) = (&args.selfprof_out, selfprof) {
-        let profile = session.finish();
-        let folded_path = std::path::Path::new(path).with_extension("folded");
-        fs::write(&folded_path, profile.merged().folded())
-            .map_err(|e| format!("could not write {}: {e}", folded_path.display()))?;
-        fs::write(path, crate::selfprof_report::render_selfprof_html(&profile))
-            .map_err(|e| format!("could not write {path}: {e}"))?;
-        println!(
-            "[self-profile written to {path}, folded stacks to {}]",
-            folded_path.display()
-        );
-    }
-    drop(server);
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1455,44 +1125,6 @@ mod tests {
     }
 
     #[test]
-    fn cli_args_parse_and_reject() {
-        fn argv(s: &str) -> impl Iterator<Item = String> + '_ {
-            s.split_whitespace().map(str::to_string)
-        }
-        let a = CampaignArgs::parse(argv(
-            "--jobs 4 --scale 0.01 --seed 7 --workloads BFS,IS --no-cache --stats",
-        ))
-        .unwrap();
-        assert_eq!(a.jobs, 4);
-        assert_eq!(a.scale, 0.01);
-        assert_eq!(a.seed, 7);
-        assert_eq!(a.workloads, vec!["BFS", "IS"]);
-        assert!(a.no_cache && a.stats);
-        assert!(a.config().cache.is_none());
-        assert!(!a.config().metrics.is_enabled());
-        assert!(!a.config().progress.is_enabled());
-        assert!(!a.config().trace.outcomes);
-        let b = CampaignArgs::parse(argv(
-            "--metrics-out m.prom --bench-out snapshot.json --progress",
-        ))
-        .unwrap();
-        assert_eq!(b.metrics_out.as_deref(), Some("m.prom"));
-        assert_eq!(b.bench_out.as_deref(), Some("snapshot.json"));
-        assert!(b.config().metrics.is_enabled());
-        assert!(b.config().progress.is_enabled());
-        assert!(b.config().trace.outcomes);
-        let c = CampaignArgs::parse(argv("--report-out r.html --timeline-out t.json")).unwrap();
-        assert_eq!(c.report_out.as_deref(), Some("r.html"));
-        assert_eq!(c.timeline_out.as_deref(), Some("t.json"));
-        // The report embeds the outcome mix, so it implies outcome tracing.
-        assert!(c.config().trace.outcomes);
-        assert!(CampaignArgs::parse(argv("--report-out")).is_err());
-        assert!(CampaignArgs::parse(argv("--bogus")).is_err());
-        assert!(CampaignArgs::parse(argv("--jobs")).is_err());
-        assert!(CampaignArgs::parse(argv("--metrics-addr")).is_err());
-    }
-
-    #[test]
     fn chrome_trace_names_worker_rows() {
         let report = run_campaign(&tiny_config(2)).unwrap();
         let json = report.chrome_trace();
@@ -1576,34 +1208,5 @@ mod tests {
             assert!(s.cycle_err <= 0.05, "{}: {}", wb.workload, s.cycle_err);
             assert!(s.windows >= 3, "{}", wb.workload);
         }
-    }
-
-    #[test]
-    fn sampling_cli_flags_parse_into_a_spec() {
-        fn argv(s: &str) -> impl Iterator<Item = String> + '_ {
-            s.split_whitespace().map(str::to_string)
-        }
-        let a = CampaignArgs::parse(argv(
-            "--sampled-check --sample-period 8192 --sample-window 1024 \
-             --sample-warmup 256 --sample-seed 3",
-        ))
-        .unwrap();
-        let spec = a.config().sampling.expect("sampling spec");
-        assert!(spec.check_exact);
-        assert_eq!(spec.sample.period, 8192);
-        assert_eq!(spec.sample.window, 1024);
-        assert_eq!(spec.sample.warmup, 256);
-        assert_eq!(spec.sample.seed, 3);
-        let b = CampaignArgs::parse(argv("--sampled")).unwrap();
-        let spec = b.config().sampling.expect("sampling spec");
-        assert!(!spec.check_exact);
-        assert_eq!(spec.sample, SampleConfig::default());
-        assert!(CampaignArgs::parse(argv("--jobs 2"))
-            .unwrap()
-            .config()
-            .sampling
-            .is_none());
-        assert!(CampaignArgs::parse(argv("--sample-period")).is_err());
-        assert!(CampaignArgs::parse(argv("--sample-seed x")).is_err());
     }
 }

@@ -18,16 +18,43 @@ pub mod pool;
 pub mod report;
 pub mod selfprof_report;
 
-/// Workload scale for the experiment benches.
+/// Workload scale for the experiment benches and the default `--scale`
+/// of every `aptgetsim` command.
 ///
 /// 1.0 runs the full scaled-machine footprints (minutes); the default
 /// 0.25 keeps every figure reproducible in a few minutes total while
-/// staying well beyond the scaled LLC. Override with `APT_SCALE`.
+/// staying well beyond the scaled LLC. Override with `APT_SCALE`, which
+/// gets the same check as `--scale`; this panics when it fails
+/// ([`try_scale`] returns the error instead).
 pub fn scale() -> f64 {
-    std::env::var("APT_SCALE")
+    try_scale().unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`scale`], or why `APT_SCALE` is not a scale.
+pub fn try_scale() -> Result<f64, String> {
+    match std::env::var_os("APT_SCALE") {
+        Some(v) => parse_scale("APT_SCALE", &v.to_string_lossy()),
+        None => Ok(0.25),
+    }
+}
+
+/// Reads `name`'s value `text` as a workload scale: a finite number
+/// above 0.
+pub fn parse_scale(name: &str, text: &str) -> Result<f64, String> {
+    match text.parse::<f64>() {
+        Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
+        _ => Err(format!(
+            "{name} needs a finite number above 0, got `{text}`"
+        )),
+    }
+}
+
+/// Worker threads for a campaign: `APT_JOBS`, else every core.
+pub fn jobs() -> usize {
+    std::env::var("APT_JOBS")
         .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.25)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The common training seed.
@@ -122,6 +149,19 @@ mod tests {
         // Unless APT_SCALE is set in the environment, the default applies.
         if std::env::var("APT_SCALE").is_err() {
             assert_eq!(scale(), 0.25);
+        }
+    }
+
+    #[test]
+    fn a_scale_is_finite_and_above_zero() {
+        assert_eq!(parse_scale("--scale", "0.02"), Ok(0.02));
+        for bad in ["inf", "-inf", "nan", "0", "-0", "-1", "abc", ""] {
+            assert_eq!(
+                parse_scale("--scale", bad),
+                Err(format!(
+                    "--scale needs a finite number above 0, got `{bad}`"
+                ))
+            );
         }
     }
 }

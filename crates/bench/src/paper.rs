@@ -19,9 +19,7 @@ use apt_workloads::registry::by_name;
 use aptget::pipeline::Optimized;
 use aptget::{ainsworth_jones_optimize, geomean, speedup, Comparison, PerfStats, Site};
 
-use crate::eval::{
-    run_campaign, run_modules, CampaignArgs, CampaignConfig, CampaignReport, CellResult, Variant,
-};
+use crate::eval::{run_campaign, run_modules, CampaignConfig, CampaignReport, CellResult, Variant};
 use crate::{emit_table, format_table, fx, pct, AJ_STATIC_DISTANCE, TEST_SEED};
 
 /// Fig. 8's swept A&J distances. Fig. 9 reads 4, 16 and 64 of them, and
@@ -357,12 +355,10 @@ pub struct Paper {
 }
 
 impl Paper {
-    /// Runs the campaign at `scale` with the campaign's default `--jobs`
-    /// and profile cache.
+    /// Runs the campaign at `scale` with the default profile cache and
+    /// [`crate::jobs`] workers.
     pub fn run(scale: f64) -> Paper {
-        let args = CampaignArgs::parse(std::iter::empty()).expect("no flags to reject");
-        let mut cfg = args.config();
-        cfg.scale = scale;
+        let cfg = CampaignConfig::new(scale, crate::TRAIN_SEED, crate::jobs());
         let report = run_campaign(&cfg).expect("the registry's workloads run");
         Paper { cfg, report }
     }

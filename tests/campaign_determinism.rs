@@ -36,14 +36,11 @@ fn scratch_cache(tag: &str) -> ProfileCache {
     ProfileCache::new(dir)
 }
 
-/// The parallel-jobs axis of the CI matrix: `$APT_JOBS` when set (the
-/// workflow runs 1 and 4), plus a wider fixed sweep.
+/// The parallel-jobs axis of the CI matrix: the campaign's default
+/// `--jobs` (`$APT_JOBS`, which the workflow sets to 1 and 4, else every
+/// core), plus a wider fixed sweep.
 fn jobs_axis() -> Vec<usize> {
-    let mut axis = vec![2, 8];
-    if let Some(j) = std::env::var("APT_JOBS").ok().and_then(|v| v.parse().ok()) {
-        axis.push(j);
-    }
-    axis
+    vec![2, 8, apt_bench::jobs()]
 }
 
 #[test]

@@ -46,6 +46,28 @@ const CASES: &[(&str, &[&str])] = &[
     ("run NOPE", &[]),
     ("hints", &[]),
     ("perf-history bench/history --tolerance 0.05", &[]),
+    // Every value is checked once, by its flag's kind, and a flag its
+    // command does not read is an error.
+    ("ir RandAcc --scale inf", &[]),
+    ("ir RandAcc --scale nan", &[]),
+    ("ir RandAcc --scale 0", &[]),
+    ("ir RandAcc --scale -1", &[]),
+    ("APT_SCALE=abc ir RandAcc", &[]),
+    (
+        "APT_SCALE=-1 campaign --workloads BFS --no-cache --jobs 1",
+        &[],
+    ),
+    (
+        "campaign --scale -1 --workloads BFS --no-cache --jobs 1",
+        &[],
+    ),
+    (
+        "campaign --scale 0.02 --workloads , --no-cache --jobs 1",
+        &[],
+    ),
+    ("drift --db t.aptdb --fail-threshold nan", &[]),
+    ("drift --db t.aptdb --fail-threshold -1", &[]),
+    ("list --tenant x", &[]),
 ];
 
 fn check_golden(name: &str, actual: &str) {
@@ -80,15 +102,18 @@ fn run_case(dir: &Path, line: &str, files: &[&str], out: &mut String) {
     cmd.current_dir(dir)
         .env_remove("APT_SCALE")
         .env_remove("APT_JOBS");
-    for word in line.split_whitespace() {
-        match word.split_once('=') {
-            Some((name, value)) if !word.starts_with('-') => {
-                cmd.env(name, value);
-            }
-            _ => {
-                cmd.arg(word);
-            }
-        }
+    let mut words = line.split_whitespace().peekable();
+    let mut header = String::from("$ ");
+    while let Some((name, value)) = words.peek().and_then(|w| w.split_once('=')) {
+        cmd.env(name, value);
+        header += words.next().unwrap();
+        header.push(' ');
+    }
+    header += "aptgetsim";
+    for word in words {
+        cmd.arg(word);
+        header.push(' ');
+        header += word;
     }
     let output = cmd.output().expect("aptgetsim starts");
     let code = output.status.code().expect("aptgetsim exits by itself");
@@ -101,7 +126,7 @@ fn run_case(dir: &Path, line: &str, files: &[&str], out: &mut String) {
             "`{line}` failed without an `error:` line first; stderr:\n{stderr}"
         );
     }
-    let _ = writeln!(out, "{}", format!("$ aptgetsim {line}").trim_end());
+    let _ = writeln!(out, "{header}");
     let _ = writeln!(out, "exit {code}");
     out.push_str(&stdout);
     for file in files {

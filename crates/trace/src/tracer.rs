@@ -4,7 +4,7 @@
 //!
 //! * with tracing **off**, every hook must compile down to one predictable
 //!   branch on a boolean — no allocation, no indirect call — so the
-//!   `substrate_criterion` hot loop is unchanged within noise;
+//!   memory hierarchy's hot loop is unchanged within noise;
 //! * with tracing **on**, the tracer feeds a fixed-capacity
 //!   [`RingRecorder`] (events) and an [`OutcomeTracker`] (per-PC
 //!   attribution) without unbounded memory growth.

@@ -272,10 +272,7 @@ impl Kind {
             Text => Ok(Value::Str(text.to_string())),
             List if text.split(',').any(|s| !s.is_empty()) => Ok(Value::Str(text.to_string())),
             List => Err(bad("at least one name")),
-            Count => text
-                .parse()
-                .map(Value::Int)
-                .map_err(|_| bad("an unsigned integer")),
+            Count => apt_bench::parse_count(flag, text).map(Value::Int),
             Hex => u64::from_str_radix(text.strip_prefix("0x").unwrap_or(text), 16)
                 .map(Value::Int)
                 .map_err(|_| bad("a hex number")),
@@ -926,6 +923,10 @@ fn serve_dash(args: &Args) -> Result<(), String> {
 fn rollback(args: &Args) -> Result<(), String> {
     let tenant = args.need("--tenant")?;
     let dir = Path::new(args.text("--hints-dir").unwrap_or("serve-hints")).join(tenant);
+    // Opening creates the directory, which a mistyped tenant must not leave behind.
+    if !dir.is_dir() {
+        return Err(format!("{tenant} has no hint directory {}", dir.display()));
+    }
     let swapper =
         HintSwapper::open(&dir).map_err(|e| format!("could not open {}: {e}", dir.display()))?;
     let note = "operator rollback via aptgetsim";
@@ -961,7 +962,7 @@ fn rollback(args: &Args) -> Result<(), String> {
 fn campaign_config(args: &Args) -> Result<CampaignConfig, String> {
     let jobs = args
         .count("--jobs")
-        .map_or_else(apt_bench::jobs, |n| n as usize);
+        .map_or_else(apt_bench::try_jobs, |n| Ok(n as usize))?;
     let cache_dir = args.text("--cache-dir").map(PathBuf::from);
     // --sampled-check implies --sampled.
     let sampled = args.has("--sampled") || args.has("--sampled-check");

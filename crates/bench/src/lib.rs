@@ -49,12 +49,25 @@ pub fn parse_scale(name: &str, text: &str) -> Result<f64, String> {
     }
 }
 
-/// Worker threads for a campaign: `APT_JOBS`, else every core.
+/// Worker threads for a campaign: `APT_JOBS`, which gets the same check
+/// as `--jobs`, else every core. This panics when the check fails
+/// ([`try_jobs`] returns the error instead).
 pub fn jobs() -> usize {
-    std::env::var("APT_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    try_jobs().unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`jobs`], or why `APT_JOBS` is not a count.
+pub fn try_jobs() -> Result<usize, String> {
+    match std::env::var_os("APT_JOBS") {
+        Some(v) => parse_count("APT_JOBS", &v.to_string_lossy()).map(|n| n as usize),
+        None => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
+    }
+}
+
+/// Reads `name`'s value `text` as a count: an unsigned integer.
+pub fn parse_count(name: &str, text: &str) -> Result<u64, String> {
+    text.parse()
+        .map_err(|_| format!("{name} needs an unsigned integer, got `{text}`"))
 }
 
 /// The common training seed.
@@ -149,6 +162,17 @@ mod tests {
         // Unless APT_SCALE is set in the environment, the default applies.
         if std::env::var("APT_SCALE").is_err() {
             assert_eq!(scale(), 0.25);
+        }
+    }
+
+    #[test]
+    fn a_count_is_an_unsigned_integer() {
+        assert_eq!(parse_count("APT_JOBS", "4"), Ok(4));
+        for bad in ["abc", "-1", "1.5", "0x2", " 2", ""] {
+            assert_eq!(
+                parse_count("APT_JOBS", bad),
+                Err(format!("APT_JOBS needs an unsigned integer, got `{bad}`"))
+            );
         }
     }
 

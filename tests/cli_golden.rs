@@ -68,6 +68,13 @@ const CASES: &[(&str, &[&str])] = &[
     ("drift --db t.aptdb --fail-threshold nan", &[]),
     ("drift --db t.aptdb --fail-threshold -1", &[]),
     ("list --tenant x", &[]),
+    // `APT_JOBS` gets `--jobs`'s check, and a rollback of a tenant with
+    // no hint directory creates none.
+    (
+        "APT_JOBS=abc campaign --scale 0.02 --workloads BFS --no-cache",
+        &[],
+    ),
+    ("rollback --tenant NOPE --hints-dir h", &[]),
 ];
 
 fn check_golden(name: &str, actual: &str) {
@@ -150,7 +157,9 @@ fn commands_match_the_golden() {
     for (line, files) in CASES {
         run_case(&dir, line, files, &mut out);
     }
+    let stray = dir.join("h/NOPE").exists();
     let _ = std::fs::remove_dir_all(&dir);
+    assert!(!stray, "`rollback --tenant NOPE` created h/NOPE");
     assert!(
         !out.contains(dir.to_str().unwrap()),
         "a scratch path reached the output"

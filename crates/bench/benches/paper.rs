@@ -1,6 +1,6 @@
-//! Figures 5–12, the paper's evaluation: one campaign and its extra runs;
-//! rows and expected shape in `apt_bench::paper`. Exits 1 when a figure
-//! breaks that shape.
+//! Every table and figure of the paper, and the substrate ablations: one
+//! campaign and the runs it does not define; rows and expected shape in
+//! `apt_bench::paper`. Exits 1 when a figure breaks that shape.
 
 use apt_bench::paper::{emit, Paper};
 

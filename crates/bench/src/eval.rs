@@ -344,6 +344,19 @@ fn run_module(
     (run, profile)
 }
 
+/// Runs `module` once over `w` in detail under `sim` through
+/// [`run_module`], for a run outside the campaign matrix. Returns the
+/// run's stats and the profile it sampled (empty when `sim` samples
+/// nothing).
+pub(crate) fn run_checked(
+    w: &BuiltWorkload,
+    module: &Module,
+    sim: &SimConfig,
+) -> (PerfStats, ProfileData) {
+    let (run, profile) = run_module(w, "extra", module, sim, None, TraceConfig::off());
+    (run.stats, profile)
+}
+
 /// One cell from its start to [`Cell::finish`]: what it measures, its
 /// clock and spans, and the self-profile scope everything in between is
 /// charged to.
@@ -711,14 +724,8 @@ where
             move |_worker: usize| {
                 let spec = by_name(&cells[0].workload).expect("a campaign workload is registered");
                 let w = spec.build(report.scale, seed);
-                modules(&w, cells)
-                    .iter()
-                    .map(|m| {
-                        run_module(&w, "extra", m, sim, None, TraceConfig::off())
-                            .0
-                            .stats
-                    })
-                    .collect()
+                let modules = modules(&w, cells);
+                modules.iter().map(|m| run_checked(&w, m, sim).0).collect()
             }
         })
         .collect();

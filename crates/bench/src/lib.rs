@@ -1,14 +1,11 @@
-//! Shared machinery for the paper-reproduction bench targets.
+//! Shared machinery for the paper reproduction: the campaign runner
+//! ([`eval`]), its pool and profile cache, the reports, and the paper's
+//! tables and figures ([`paper`]).
 //!
-//! Each bench target under `benches/` regenerates tables or figures of
-//! the paper: it prints the same rows/series the paper reports and writes
-//! a CSV copy of each under `target/paper/`. The `paper` bench prints the
-//! whole evaluation (Figs. 5–12) from one campaign ([`paper`]). Run all of
-//! them with `cargo bench -p apt-bench`, or one with
+//! The one bench target, `paper`, prints every table and figure of the
+//! paper plus the substrate ablations, writes a CSV copy of each under
+//! `target/paper/` and exits non-zero when one breaks the paper's shape:
 //! `cargo bench -p apt-bench --bench paper`.
-
-use std::fs;
-use std::path::PathBuf;
 
 pub mod cache;
 pub mod eval;
@@ -18,8 +15,8 @@ pub mod pool;
 pub mod report;
 pub mod selfprof_report;
 
-/// Workload scale for the experiment benches and the default `--scale`
-/// of every `aptgetsim` command.
+/// Workload scale for the `paper` bench and the default `--scale` of
+/// every `aptgetsim` command.
 ///
 /// 1.0 runs the full scaled-machine footprints (minutes); the default
 /// 0.25 keeps every figure reproducible in a few minutes total while
@@ -79,8 +76,8 @@ pub const TEST_SEED: u64 = 1337;
 pub const AJ_STATIC_DISTANCE: u64 = 32;
 
 /// Renders an aligned, right-justified text table — the deterministic
-/// rendering behind both [`emit_table`] and the campaign report (whose
-/// byte-identity across `--jobs` values is asserted in tests).
+/// rendering behind both the paper's figures and the campaign report
+/// (whose byte-identity across `--jobs` values is asserted in tests).
 pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -115,26 +112,6 @@ pub fn format_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
         csv.push('\n');
     }
     csv
-}
-
-/// Prints an aligned table and mirrors it to `target/paper/<name>.csv`.
-pub fn emit_table(name: &str, title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
-    print!("{}", format_table(headers, rows));
-
-    // Benches run with the crate as CWD; anchor the output at the
-    // workspace root so every figure lands in `target/paper/`.
-    let root = std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| PathBuf::from(d).join("../.."))
-        .unwrap_or_else(|_| PathBuf::from("."));
-    let dir = root.join("target/paper");
-    let _ = fs::create_dir_all(&dir);
-    let path = dir.join(format!("{name}.csv"));
-    if let Err(e) = fs::write(&path, format_csv(headers, rows)) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("[written to {}]", path.display());
-    }
 }
 
 /// Formats a ratio like the paper ("1.30x").

@@ -1,30 +1,60 @@
-//! The paper's evaluation figures (§4, Figs. 5–12) and the shape each
-//! must show.
+//! The paper's tables and figures, and the shape each must show.
 //!
-//! One campaign ([`Paper::run`]) holds every number Figs. 5, 6, 7 and 11
+//! §2's microbenchmark studies (Figs. 1 and 2, Table 1), Fig. 4's
+//! latency peaks, the machine and dataset tables (Tables 2 and 4), the
+//! evaluation (§4, Figs. 5–12) and three substrate ablations. One
+//! campaign ([`Paper::run`]) holds every number Figs. 5, 6, 7 and 11
 //! print, and the baseline and APT-GET cells Figs. 8, 9, 10 and 12
-//! compare against. The runs the matrix does not define (A&J at each
-//! swept distance, the forced injection sites and the test-seed inputs)
-//! go through [`run_modules`] on the campaign's pool. Each figure is a
-//! function of its numbers: it returns the table the `paper` bench prints
-//! and one [`Violation`] per ordering of the paper's shape that the
-//! numbers break.
+//! compare against. Every other run (A&J at each swept distance, the
+//! forced injection sites, the test-seed inputs, the microbenchmark, PR's
+//! profile and the ablations' configurations) is checked as a matrix
+//! cell is and runs on the campaign's pool. Each figure is a function of
+//! its numbers: it returns the table the `paper` bench prints and one
+//! [`Violation`] per ordering of the paper's shape that the numbers
+//! break.
 
 use std::fmt;
+use std::fs;
 use std::iter::once;
+use std::path::PathBuf;
 use std::process::ExitCode;
 
+use apt_lir::pcmap::Location;
+use apt_mem::CacheConfig;
+use apt_passes::loops::analyze_loops;
 use apt_passes::{inject_prefetches, optimize_module};
+use apt_profile::model::{latency_distribution, PeakSummary};
+use apt_profile::rank_delinquent_loads;
+use apt_workloads::graphs::DATASETS;
+use apt_workloads::micro::{self, Complexity, MicroParams};
 use apt_workloads::registry::by_name;
 use aptget::pipeline::Optimized;
-use aptget::{ainsworth_jones_optimize, geomean, speedup, Comparison, PerfStats, Site};
+use aptget::{
+    ainsworth_jones_optimize, geomean, speedup, AptGet, Comparison, MemConfig, PerfStats,
+    PipelineConfig, SimConfig, Site,
+};
 
-use crate::eval::{run_campaign, run_modules, CampaignConfig, CampaignReport, CellResult, Variant};
-use crate::{emit_table, format_table, fx, pct, AJ_STATIC_DISTANCE, TEST_SEED};
+use crate::eval::{
+    run_campaign, run_checked, run_modules, CampaignConfig, CampaignReport, CellResult, Variant,
+};
+use crate::pool::run_indexed;
+use crate::{format_csv, format_table, fx, pct, AJ_STATIC_DISTANCE, TEST_SEED};
 
-/// Fig. 8's swept A&J distances. Fig. 9 reads 4, 16 and 64 of them, and
-/// the campaign's A&J cell is d = [`AJ_STATIC_DISTANCE`].
+/// Fig. 8's swept A&J distances, and Fig. 1's. Fig. 9 reads 4, 16 and 64
+/// of them, Fig. 2 the first six, and the campaign's A&J cell is d =
+/// [`AJ_STATIC_DISTANCE`].
 pub const DISTANCES: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
+
+/// Fig. 1's and Table 1's A&J distances: [`DISTANCES`], then Table 1's
+/// distance far past the 256-iteration inner loop.
+const MICRO_DISTANCES: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 1024];
+
+/// The MSHR ablation's fill-buffer counts.
+const MSHRS: [usize; 5] = [2, 4, 8, 16, 32];
+/// The bandwidth ablation's DRAM service intervals, cycles per line.
+const LINE_RATES: [u64; 5] = [4, 8, 16, 32, 64];
+/// The LBR ablation's sampling periods, cycles.
+const LBR_PERIODS: [u64; 4] = [5_000, 20_000, 100_000, 400_000];
 
 /// Each application's name with the figure's numbers for it.
 type Apps<T> = [(String, T)];
@@ -84,7 +114,7 @@ impl Figure {
         self.check(measured < bound, check, measured, bound);
     }
 
-    /// "Fig. N", from the title.
+    /// "Fig. N" or "Table N", from the title.
     fn label(&self) -> &'static str {
         self.title.split(" —").next().unwrap_or(self.title)
     }
@@ -96,12 +126,23 @@ impl Figure {
     }
 }
 
-/// Prints and writes each figure, then its aggregates and violations.
-/// Fails when any figure breaks the paper's shape.
+/// Prints each figure with its aggregates and violations, and writes its
+/// rows to `target/paper/<name>.csv`. Fails when any figure breaks the
+/// paper's shape.
 pub fn emit(figures: &[Figure]) -> ExitCode {
+    // Benches run with the crate as CWD; anchor the output at the
+    // workspace root so every figure lands in `target/paper/`.
+    let root = std::env::var("CARGO_MANIFEST_DIR")
+        .map_or_else(|_| PathBuf::from("."), |d| PathBuf::from(d).join("../.."));
+    let dir = root.join("target/paper");
+    let _ = fs::create_dir_all(&dir);
     for f in figures {
-        emit_table(f.name, f.title, &f.headers, &f.rows);
-        print!("{}", f.summary);
+        print!("\n{}", f.text());
+        let path = dir.join(format!("{}.csv", f.name));
+        match fs::write(&path, format_csv(&f.headers, &f.rows)) {
+            Ok(()) => println!("[written to {}]", path.display()),
+            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+        }
         for v in &f.violations {
             println!("VIOLATION {v}");
         }
@@ -123,6 +164,214 @@ fn ratio_rows(apps: &Apps<Vec<f64>>) -> (Vec<Vec<String>>, Vec<f64>) {
     let mut rows: Vec<Vec<String>> = apps.iter().map(|(n, v)| row(n, v)).collect();
     rows.push(row("GEOMEAN", &geos));
     (rows, geos)
+}
+
+/// One row per distance: the distance, then each series' value at it.
+fn sweep_rows(distances: &[u64], series: &[Vec<f64>]) -> Vec<Vec<String>> {
+    let row =
+        |(i, d): (usize, &u64)| once(d.to_string()).chain(series.iter().map(move |s| fx(s[i])));
+    distances
+        .iter()
+        .enumerate()
+        .map(|r| row(r).collect())
+        .collect()
+}
+
+/// Fig. 1: the §2 microbenchmark's speedup at each of [`DISTANCES`], with
+/// low, medium and high work per iteration (INNER = 256). The optimum
+/// distance does not grow with the work (the paper: 32, 16 and 4), and
+/// the low-work peak is substantial.
+fn distance_sweep(series: &[Vec<f64>]) -> Figure {
+    let mut fig = Figure {
+        name: "fig1_distance_sweep",
+        title: "Fig. 1 — speedup vs prefetch-distance (INNER = 256)",
+        headers: vec!["distance", "low", "medium", "high"],
+        rows: sweep_rows(&DISTANCES, series),
+        ..Figure::default()
+    };
+    // The last of equal peaks, as `Iterator::max_by` finds it.
+    let peak = |s: &Vec<f64>| {
+        s.iter()
+            .copied()
+            .zip(DISTANCES)
+            .max_by(|a, b| a.0.total_cmp(&b.0))
+    };
+    let [(low, d_low), (_, d_med), (_, d_high)] =
+        [0, 1, 2].map(|i| peak(&series[i]).expect("a swept distance"));
+    fig.summary = format!("\noptimal distances: low={d_low} medium={d_med} high={d_high}\n");
+    let (d_low, d_med, d_high) = (d_low as f64, d_med as f64, d_high as f64);
+    let check = "medium work's optimum is no longer than low work's";
+    fig.check(d_med <= d_low, check, d_med, d_low);
+    let check = "high work's optimum is no longer than medium work's";
+    fig.check(d_high <= d_med, check, d_high, d_med);
+    fig.above("the low-work peak is substantial", low, 1.5);
+    fig
+}
+
+/// Table 1: IPC, prefetch accuracy and late-prefetch ratio of the
+/// low-work microbenchmark without prefetching and at distances 1, 64 and
+/// 1024 (§2.3). Distance 1 is late, 64 timely and accurate with the best
+/// IPC, and 1024, far past the 256-iteration loop, prefetches lines it
+/// never uses and slows the program down. With blocking demand loads,
+/// late and timely hits alternate at distance 1, so its late ratio sits
+/// near 50% rather than the paper's 95%.
+fn pmu_counters(runs: &[PerfStats; 4]) -> Figure {
+    let names = ["None", "Dist-1", "Dist-64", "Dist-1024"];
+    let row = |(n, s): (&str, &PerfStats)| {
+        let (accuracy, late) = (s.mem.prefetch_accuracy(), s.mem.late_prefetch_ratio());
+        vec![
+            n.into(),
+            format!("{:.2}", s.ipc()),
+            pct(accuracy),
+            pct(late),
+        ]
+    };
+    let mut fig = Figure {
+        name: "table1_pmu_counters",
+        title: "Table 1 — prefetch accuracy and timeliness vs distance",
+        headers: vec!["Prefetch", "IPC", "Prefetch Accuracy", "Late Prefetch"],
+        rows: names.into_iter().zip(runs).map(row).collect(),
+        ..Figure::default()
+    };
+    let [none, d1, d64, d1024] = runs;
+    fig.above("distance 1 is late", d1.mem.late_prefetch_ratio(), 0.25);
+    fig.below("distance 64 is timely", d64.mem.late_prefetch_ratio(), 0.05);
+    fig.above("distance 64's IPC beats distance 1's", d64.ipc(), d1.ipc());
+    fig.above(
+        "distance 1's IPC beats no prefetching's",
+        d1.ipc(),
+        none.ipc(),
+    );
+    fig.above("distance 64 is accurate", d64.mem.prefetch_accuracy(), 0.5);
+    let accuracy = d1024.mem.prefetch_accuracy();
+    fig.below("distance 1024 wastes its prefetches", accuracy, 0.2);
+    let (slow, base) = (d1024.cycles as f64, none.cycles as f64);
+    fig.above("distance 1024 is slower than no prefetching", slow, base);
+    fig
+}
+
+/// Fig. 2: the low-work microbenchmark's speedup at the first six of
+/// [`DISTANCES`], with 4, 16 and 64 inner iterations. The best speedup
+/// grows with the trip count, and a 4-iteration loop gains little: every
+/// timely distance overshoots it.
+fn trip_counts(series: &[Vec<f64>]) -> Figure {
+    let mut fig = Figure {
+        name: "fig2_trip_counts",
+        title: "Fig. 2 — speedup vs distance for inner trip counts 4/16/64 (low work)",
+        headers: vec!["distance", "trip=4", "trip=16", "trip=64"],
+        rows: sweep_rows(&DISTANCES[..6], series),
+        ..Figure::default()
+    };
+    let best = |i: usize| series[i].iter().cloned().fold(0.0f64, f64::max);
+    let (b4, b16, b64) = (best(0), best(1), best(2));
+    fig.summary = format!("\nbest speedups: trip4={b4:.2} trip16={b16:.2} trip64={b64:.2}\n");
+    fig.above("trip 16's best beats trip 4's", b16, b4);
+    fig.above("trip 64's best beats trip 16's", b64, b16);
+    fig.below("trip 4's best is far below trip 64's", b4, 0.6 * b64);
+    fig.below(
+        "distance 8 is not timely in a 4-iteration loop",
+        series[0][3],
+        1.25,
+    );
+    fig
+}
+
+/// Fig. 4: the CWT peaks of a delinquent load's loop-latency distribution,
+/// from LBR cycle deltas. The loop's hits and its LLC and DRAM misses
+/// form separate peaks: at least two, ascending, spanning at least half
+/// the DRAM latency.
+fn latency_peaks(peaks: &[PeakSummary], dram_latency: u64) -> Figure {
+    let mut fig = Figure {
+        name: "fig4_latency_distribution",
+        title: "Fig. 4 — CWT peaks of the loop-latency distribution",
+        headers: vec!["peak latency (cycles)", "mass"],
+        rows: peaks
+            .iter()
+            .map(|p| vec![p.latency.to_string(), pct(p.mass)])
+            .collect(),
+        ..Figure::default()
+    };
+    let lats: Vec<u64> = peaks.iter().map(|p| p.latency).collect();
+    let n = lats.len() as f64;
+    fig.check(n >= 2.0, "hits and misses form separate peaks", n, 2.0);
+    let descents = lats.windows(2).filter(|w| w[0] >= w[1]).count() as f64;
+    fig.check(descents == 0.0, "the peaks ascend", descents, 0.0);
+    let span = lats
+        .first()
+        .map_or(0, |lo| lats[n as usize - 1].saturating_sub(*lo)) as f64;
+    let bound = dram_latency as f64 * 0.5;
+    let check = "the peaks span at least half the DRAM latency";
+    fig.check(span >= bound, check, span, bound);
+    fig
+}
+
+/// Table 2: the paper's Xeon Gold 5218 next to the scaled hierarchy every
+/// run here simulates (DESIGN.md gives the scaling).
+fn machine_config() -> Figure {
+    let machines = [
+        ("paper-like", MemConfig::paper_machine()),
+        ("scaled (default)", MemConfig::scaled_machine()),
+    ];
+    let mut rows = Vec::new();
+    for (name, m) in machines {
+        let cache = |c: CacheConfig| {
+            let (kib, assoc, latency) = (c.size_bytes >> 10, c.assoc, c.latency);
+            format!("{kib} KiB, {assoc}-way, {latency} cyc")
+        };
+        let (latency, interval) = (m.dram_latency, m.dram_service_interval);
+        let dram = format!("{latency} cyc latency, 1 line / {interval} cyc bandwidth");
+        let next_line = if m.next_line_prefetcher { "on" } else { "off" };
+        let lookahead = m.stride_lookahead;
+        let prefetch = format!("stride (lookahead {lookahead}), next-line {next_line}");
+        let parts = [
+            ("L1 D-cache", cache(m.l1)),
+            ("L2 cache", cache(m.l2)),
+            ("LLC", cache(m.llc)),
+            ("DRAM", dram),
+            ("Fill buffers", format!("{} MSHRs", m.mshr_entries)),
+            ("HW prefetch", prefetch),
+        ];
+        rows.extend(parts.map(|(part, p)| vec![name.into(), part.into(), p]));
+    }
+    Figure {
+        name: "table2_machine_config",
+        title: "Table 2 — machine configuration",
+        headers: vec!["machine", "component", "parameters"],
+        rows,
+        ..Figure::default()
+    }
+}
+
+/// Table 4: the SNAP datasets next to their synthetic stand-ins at
+/// `scale` (vertices, edges and mean degree), each with at least half
+/// the paper's vertices at that scale.
+fn datasets(scale: f64, stand_ins: &[(usize, usize, f64)]) -> Figure {
+    let mut fig = Figure {
+        name: "table4_datasets",
+        title: "Table 4 — datasets (synthetic stand-ins)",
+        headers: vec![
+            "dataset",
+            "paper #V",
+            "paper #E",
+            "gen #V",
+            "gen #E",
+            "gen degree",
+        ],
+        summary: format!("\nstand-ins generated at scale {scale}\n"),
+        ..Figure::default()
+    };
+    for (d, &(n, m, degree)) in DATASETS.iter().zip(stand_ins) {
+        let (paper, gen) = ([d.vertices, d.edges], [n, m]);
+        let counts = paper.into_iter().chain(gen).map(|c| c.to_string());
+        let row = once(d.name.to_string())
+            .chain(counts)
+            .chain([format!("{degree:.2}")]);
+        fig.rows.push(row.collect());
+        let (n, bound) = (n as f64, d.vertices as f64 * scale * 0.5);
+        let check = format!("{}: the stand-in keeps half the paper's vertices", d.name);
+        fig.check(n >= bound, check, n, bound);
+    }
+    fig
 }
 
 /// Fig. 5: each application's baseline share of cycles stalled on L3 or
@@ -339,6 +588,73 @@ fn train_test(apps: &Apps<Vec<f64>>) -> Figure {
     fig
 }
 
+/// A substrate ablation, one of DESIGN.md's design choices rather than a
+/// paper figure: APT-GET's speedup on the low-work microbenchmark and the
+/// distance it chose, at each setting of one machine parameter.
+fn ablation(
+    name: &'static str,
+    title: &'static str,
+    setting: &'static str,
+    settings: impl IntoIterator<Item = String>,
+    runs: &[(f64, u64)],
+) -> Figure {
+    let row = |(s, (x, d)): (String, &(f64, u64))| vec![s, fx(*x), d.to_string()];
+    Figure {
+        name,
+        title,
+        headers: vec![setting, "speedup", "chosen distance"],
+        rows: settings.into_iter().zip(runs).map(row).collect(),
+        ..Figure::default()
+    }
+}
+
+/// Too few fill buffers throttle the prefetch stream: 16 MSHRs beat 2.
+fn mshr_ablation(runs: &[(f64, u64)]) -> Figure {
+    let mut fig = ablation(
+        "ablation_mshr",
+        "Ablation — APT-GET speedup vs MSHR capacity (micro, low)",
+        "MSHRs",
+        MSHRS.map(|m| m.to_string()),
+        runs,
+    );
+    fig.above("16 MSHRs beat 2", runs[3].0, runs[0].0);
+    fig
+}
+
+/// Prefetching cannot beat a saturated DRAM channel: 1 line per 4 cycles
+/// beats 1 line per 64.
+fn bandwidth_ablation(runs: &[(f64, u64)]) -> Figure {
+    let mut fig = ablation(
+        "ablation_bandwidth",
+        "Ablation — APT-GET speedup vs DRAM bandwidth (micro, low)",
+        "line rate",
+        LINE_RATES.map(|r| format!("1/{r} cyc")),
+        runs,
+    );
+    fig.above("1 line per 4 cycles beats 1 per 64", runs[0].0, runs[4].0);
+    fig
+}
+
+/// Sparser LBR profiles find the same configuration (the paper's case
+/// for a cheap profile): every period's distance lies within `d_ref` of
+/// `d_ref`, the distance chosen at the 20,000-cycle period (at least 1).
+fn lbr_ablation(runs: &[(f64, u64)]) -> Figure {
+    let mut fig = ablation(
+        "ablation_lbr_period",
+        "Ablation — APT-GET vs LBR sampling period (micro, low)",
+        "period (cycles)",
+        LBR_PERIODS.map(|p| p.to_string()),
+        runs,
+    );
+    let d_ref = runs[1].1.max(1);
+    for (period, (_, d)) in LBR_PERIODS.iter().zip(runs) {
+        let (moved, bound) = (d.abs_diff(d_ref) as f64, d_ref as f64);
+        let check = format!("period {period}: the distance stays within {d_ref} of {d_ref}");
+        fig.check(moved <= bound, check, moved, bound);
+    }
+    fig
+}
+
 /// The optimiser output of a nested-loop workload with hints: Fig. 10's
 /// applications.
 fn nested_hints(cells: &[CellResult]) -> Option<&Optimized> {
@@ -363,10 +679,20 @@ impl Paper {
         Paper { cfg, report }
     }
 
-    /// Every figure, with one distance sweep for Figs. 8 and 9.
+    /// Every table and figure, in the paper's order, then the ablations.
+    /// One microbenchmark sweep serves Figs. 1 and 2 and Table 1, and one
+    /// distance sweep of the campaign's workloads Figs. 8 and 9.
     pub fn figures(&self) -> Vec<Figure> {
+        let [fig1, table1, fig2] = self.microbenchmark();
         let sweep = self.sweep();
+        let [mshr, bandwidth, lbr] = self.ablations();
         vec![
+            fig1,
+            table1,
+            fig2,
+            self.fig4(),
+            machine_config(),
+            self.table4(),
             self.fig5(),
             self.fig6(),
             self.fig7(),
@@ -375,6 +701,139 @@ impl Paper {
             self.fig10(),
             self.fig11(),
             self.fig12(),
+            mshr,
+            bandwidth,
+            lbr,
+        ]
+    }
+
+    /// Figs. 1 and 2 and Table 1 from one pool task per microbenchmark:
+    /// Fig. 1's three work complexities (the low one is Table 1's) at
+    /// [`MICRO_DISTANCES`] and Fig. 2's three trip counts at the first six
+    /// of [`DISTANCES`], each run without prefetching and with A&J at each
+    /// distance.
+    fn microbenchmark(&self) -> [Figure; 3] {
+        let outer = ((1600.0 * self.cfg.scale) as u64).max(50);
+        // Fig. 2 keeps the inner iterations in all constant across trip counts.
+        let total = ((400_000.0 * self.cfg.scale) as u64).max(20_000);
+        let params = |outer, inner, complexity| MicroParams {
+            outer,
+            inner,
+            complexity,
+            ..MicroParams::default()
+        };
+        let fig1 = [Complexity::Low, Complexity::Medium, Complexity::High]
+            .map(|c| (params(outer, 256, c), &MICRO_DISTANCES[..]));
+        let fig2 = [4, 16, 64].map(|inner| {
+            (
+                params(total / inner, inner, Complexity::Low),
+                &DISTANCES[..6],
+            )
+        });
+        let sim = &self.cfg.pipeline.measure_sim;
+        let tasks = fig1.into_iter().chain(fig2).map(|(p, distances)| {
+            move |_worker: usize| {
+                let w = micro::build(p);
+                let base = run_checked(&w, &w.module, sim).0;
+                let aj = distances
+                    .iter()
+                    .map(|&d| ainsworth_jones_optimize(&w.module, d).0);
+                let runs = aj.map(|m| run_checked(&w, &m, sim).0);
+                once(base).chain(runs).collect::<Vec<_>>()
+            }
+        });
+        let runs = run_indexed(self.cfg.jobs, tasks.collect()).0;
+        let speedups = |r: &Vec<PerfStats>, n| r[1..=n].iter().map(|s| speedup(&r[0], s)).collect();
+        let fig1: Vec<Vec<f64>> = runs[..3].iter().map(|r| speedups(r, 8)).collect();
+        let fig2: Vec<Vec<f64>> = runs[3..].iter().map(|r| speedups(r, 6)).collect();
+        let low = &runs[0];
+        [
+            distance_sweep(&fig1),
+            pmu_counters(&[low[0], low[1], low[7], low[9]]),
+            trip_counts(&fig2),
+        ]
+    }
+
+    /// Fig. 4 profiles PR, whose gather loop is the cleanest single-block
+    /// example, and reads its top delinquent load's loop latencies.
+    fn fig4(&self) -> Figure {
+        let (sim, analysis) = (&self.cfg.pipeline.profile_sim, &self.cfg.pipeline.analysis);
+        let w = by_name("PR")
+            .expect("registered")
+            .build(self.cfg.scale, self.cfg.seed);
+        let (_, profile) = run_checked(&w, &w.module, sim);
+        let map = w.module.assign_pcs();
+        let loads = rank_delinquent_loads(&profile.pebs, 0.02, 4);
+        let pc = loads.first().expect("PR has a delinquent load").pc;
+        let Some(Location::Inst(at)) = map.resolve(pc) else {
+            panic!("the delinquent PC {pc} resolves to no instruction")
+        };
+        let loops = analyze_loops(w.module.function(at.func));
+        let inner = loops
+            .innermost_of(at.block)
+            .expect("PR's delinquent load is in a loop");
+        let branch = map.term_pc(at.func, loops.loops[inner].latches[0]);
+        let (_, peaks) =
+            latency_distribution(&profile, branch, analysis).expect("enough LBR samples");
+        let mut fig = latency_peaks(&peaks, sim.mem.dram_latency);
+        fig.summary = format!("\nloop of PR's delinquent load at {pc}\n");
+        fig
+    }
+
+    /// Table 4 generates each stand-in at the campaign's scale on its pool.
+    fn table4(&self) -> Figure {
+        let scale = self.cfg.scale;
+        let tasks = DATASETS.iter().map(|d| {
+            move |_worker: usize| {
+                let g = d.generate(scale, crate::TRAIN_SEED);
+                (g.n, g.m(), g.mean_degree())
+            }
+        });
+        datasets(scale, &run_indexed(self.cfg.jobs, tasks.collect()).0)
+    }
+
+    /// The ablations run APT-GET on a fixed 400 × 256 low-work
+    /// microbenchmark under each configuration, one pool task each. As in
+    /// [`run_campaign`], the baseline run doubles as the profiling run.
+    fn ablations(&self) -> [Figure; 3] {
+        let (sim, scaled) = (SimConfig::default(), MemConfig::scaled_machine());
+        let mshrs = MSHRS.map(|mshr_entries| MemConfig {
+            mshr_entries,
+            ..scaled
+        });
+        let rates = LINE_RATES.map(|dram_service_interval| MemConfig {
+            dram_service_interval,
+            ..scaled
+        });
+        let mems = mshrs
+            .into_iter()
+            .chain(rates)
+            .map(|mem| SimConfig { mem, ..sim });
+        let periods = LBR_PERIODS.map(|lbr_sample_period| SimConfig {
+            lbr_sample_period,
+            ..sim
+        });
+        let tasks = mems.chain(periods).map(|sim| {
+            move |_worker: usize| {
+                let cfg = PipelineConfig::with_sim(sim);
+                let p = MicroParams {
+                    outer: 400,
+                    inner: 256,
+                    ..MicroParams::default()
+                };
+                let w = micro::build(p);
+                let (base, profile) = run_checked(&w, &w.module, &cfg.profile_sim);
+                let opt = AptGet::new(cfg).optimize_with_profile(&w.module, &profile, base);
+                let tuned = run_checked(&w, &opt.module, &cfg.measure_sim).0;
+                let distance = opt.analysis.hints.first().map_or(0, |h| h.distance);
+                (speedup(&base, &tuned), distance)
+            }
+        });
+        let runs = run_indexed(self.cfg.jobs, tasks.collect()).0;
+        [
+            mshr_ablation(&runs[..5]),
+            bandwidth_ablation(&runs[5..10]),
+            lbr_ablation(&runs[10..]),
         ]
     }
 
@@ -563,8 +1022,88 @@ mod tests {
         f(&apps(&[("A", a.to_vec()), ("B", b.to_vec())]))
     }
 
+    const LOW: [f64; 8] = [1.8, 2.7, 4.3, 4.4, 3.9, 3.2, 2.2, 1.5];
+    const MEDIUM: [f64; 8] = [1.8, 2.7, 3.7, 3.6, 3.2, 2.8, 2.1, 1.4];
+    const HIGH: [f64; 8] = [1.9, 2.44, 2.41, 2.35, 2.2, 2.0, 1.7, 1.3];
+
+    fn fig1(low: [f64; 8], medium: [f64; 8], high: [f64; 8]) -> Figure {
+        distance_sweep(&[low.to_vec(), medium.to_vec(), high.to_vec()])
+    }
+
+    /// A run with the given IPC, prefetch accuracy, late-prefetch ratio
+    /// and cycles.
+    fn pmu(ipc: f64, accuracy: f64, late: f64, cycles: u64) -> PerfStats {
+        let mut s = PerfStats {
+            instructions: (ipc * cycles as f64) as u64,
+            cycles,
+            ..PerfStats::default()
+        };
+        s.mem.sw_pf_offcore = (accuracy * 1000.0) as u64;
+        s.mem.demand_fills = 1000 - s.mem.sw_pf_offcore;
+        s.mem.sw_pf_issued = 1000;
+        s.mem.fb_hits_swpf = (late * 1000.0) as u64;
+        s
+    }
+
+    const NONE: (f64, f64, f64, u64) = (0.11, 0.0, 0.0, 1000);
+    const D1: (f64, f64, f64, u64) = (0.32, 0.996, 0.489, 1000);
+    const D64: (f64, f64, f64, u64) = (0.39, 0.75, 0.0, 1000);
+    const D1024: (f64, f64, f64, u64) = (0.16, 0.004, 0.0, 1100);
+
+    fn table1(runs: [(f64, f64, f64, u64); 4]) -> Figure {
+        pmu_counters(&runs.map(|(i, a, l, c)| pmu(i, a, l, c)))
+    }
+
+    const TRIP4: [f64; 6] = [1.63, 1.5, 1.15, 1.15, 1.15, 1.15];
+    const TRIP16: [f64; 6] = [1.78, 2.27, 2.25, 1.51, 0.98, 0.98];
+    const TRIP64: [f64; 6] = [1.82, 2.6, 3.63, 3.19, 2.33, 1.51];
+
+    fn fig2(trip4: [f64; 6], trip16: [f64; 6], trip64: [f64; 6]) -> Figure {
+        trip_counts(&[trip4.to_vec(), trip16.to_vec(), trip64.to_vec()])
+    }
+
+    fn fig4(latencies: &[u64], dram_latency: u64) -> Figure {
+        let peaks: Vec<PeakSummary> = latencies
+            .iter()
+            .map(|&latency| PeakSummary { latency, mass: 0.2 })
+            .collect();
+        latency_peaks(&peaks, dram_latency)
+    }
+
+    /// Stand-ins with `share` of the paper's vertices at scale 0.25; the
+    /// first has `first` of them.
+    fn table4(first: f64, share: f64) -> Figure {
+        let stand_ins: Vec<(usize, usize, f64)> = DATASETS
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let share = if i == 0 { first } else { share };
+                (
+                    (d.vertices as f64 * 0.25 * share) as usize,
+                    d.edges / 4,
+                    4.0,
+                )
+            })
+            .collect();
+        datasets(0.25, &stand_ins)
+    }
+
+    fn runs(speedups: [f64; 5]) -> Vec<(f64, u64)> {
+        speedups.iter().map(|&s| (s, 8)).collect()
+    }
+
+    fn lbr(distances: [u64; 4]) -> Figure {
+        lbr_ablation(&distances.map(|d| (4.4, d)))
+    }
+
     #[test]
     fn the_paper_shape_breaks_nothing() {
+        breaks(fig1(LOW, MEDIUM, HIGH), &[]);
+        breaks(table1([NONE, D1, D64, D1024]), &[]);
+        breaks(fig2(TRIP4, TRIP16, TRIP64), &[]);
+        breaks(fig4(&[33, 80, 91, 135, 193], 120), &[]);
+        breaks(machine_config(), &[]);
+        breaks(table4(0.6, 1.0), &[]);
         breaks(fig5(0.05, 0.7), &[]);
         breaks(fig6([1.2, 0.9, 0.8], [1.6, 1.5, 1.0]), &[]);
         breaks(fig7([6.0, 5.0], [2.0, 3.0]), &[]);
@@ -573,6 +1112,174 @@ mod tests {
         breaks(fig10([1.1, 1.3, 1.3], [1.2, 1.0, 1.19]), &[]);
         breaks(pairs(instr_overhead, [1.2, 1.3], [1.4, 1.3]), &[]);
         breaks(pairs(train_test, [1.5, 1.45], [1.3, 1.3]), &[]);
+        breaks(mshr_ablation(&runs([1.74, 2.89, 4.42, 4.42, 4.42])), &[]);
+        breaks(
+            bandwidth_ablation(&runs([4.44, 4.42, 4.39, 3.8, 2.05])),
+            &[],
+        );
+        breaks(lbr([8, 8, 8, 16]), &[]);
+    }
+
+    #[test]
+    fn fig1_medium_optimum_longer_than_low() {
+        let medium = [1.8, 2.7, 3.0, 3.2, 3.7, 2.8, 2.1, 1.4];
+        let fig = fig1(LOW, medium, HIGH);
+        breaks(fig, &["medium work's optimum is no longer than low work's"]);
+    }
+
+    #[test]
+    fn fig1_high_optimum_longer_than_medium() {
+        let high = [1.9, 2.0, 2.1, 2.2, 2.4, 2.0, 1.7, 1.3];
+        let fig = fig1(LOW, MEDIUM, high);
+        breaks(
+            fig,
+            &["high work's optimum is no longer than medium work's"],
+        );
+    }
+
+    /// Equal peaks resolve to the longest of their distances.
+    #[test]
+    fn fig1_a_tie_picks_the_longer_distance() {
+        let low = [1.8, 2.7, 4.4, 4.4, 3.9, 3.2, 2.2, 1.5];
+        let fig = fig1(low, MEDIUM, HIGH);
+        assert!(fig.summary.contains("low=8 medium=4 high=2"));
+        breaks(fig, &[]);
+    }
+
+    #[test]
+    fn fig1_low_peak_too_small() {
+        let low = [1.1, 1.2, 1.3, 1.4, 1.3, 1.2, 1.1, 1.0];
+        breaks(
+            fig1(low, MEDIUM, HIGH),
+            &["the low-work peak is substantial"],
+        );
+    }
+
+    #[test]
+    fn table1_distance_1_is_timely() {
+        let d1 = (0.32, 0.996, 0.2, 1000);
+        breaks(table1([NONE, d1, D64, D1024]), &["distance 1 is late"]);
+    }
+
+    #[test]
+    fn table1_distance_64_is_late() {
+        let d64 = (0.39, 0.75, 0.1, 1000);
+        breaks(table1([NONE, D1, d64, D1024]), &["distance 64 is timely"]);
+    }
+
+    #[test]
+    fn table1_distance_64_ipc_below_distance_1() {
+        let d64 = (0.30, 0.75, 0.0, 1000);
+        let fig = table1([NONE, D1, d64, D1024]);
+        breaks(fig, &["distance 64's IPC beats distance 1's"]);
+    }
+
+    #[test]
+    fn table1_distance_1_ipc_below_no_prefetching() {
+        let d1 = (0.10, 0.996, 0.489, 1000);
+        let fig = table1([NONE, d1, D64, D1024]);
+        breaks(fig, &["distance 1's IPC beats no prefetching's"]);
+    }
+
+    #[test]
+    fn table1_distance_64_inaccurate() {
+        let d64 = (0.39, 0.4, 0.0, 1000);
+        breaks(table1([NONE, D1, d64, D1024]), &["distance 64 is accurate"]);
+    }
+
+    #[test]
+    fn table1_distance_1024_accurate() {
+        let d1024 = (0.16, 0.3, 0.0, 1100);
+        let fig = table1([NONE, D1, D64, d1024]);
+        breaks(fig, &["distance 1024 wastes its prefetches"]);
+    }
+
+    #[test]
+    fn table1_distance_1024_faster_than_no_prefetching() {
+        let d1024 = (0.16, 0.004, 0.0, 900);
+        let fig = table1([NONE, D1, D64, d1024]);
+        breaks(fig, &["distance 1024 is slower than no prefetching"]);
+    }
+
+    #[test]
+    fn fig2_trip_16_no_better_than_trip_4() {
+        let trip16 = [1.5, 1.6, 1.4, 1.2, 0.98, 0.98];
+        let fig = fig2(TRIP4, trip16, TRIP64);
+        breaks(fig, &["trip 16's best beats trip 4's"]);
+    }
+
+    #[test]
+    fn fig2_trip_64_no_better_than_trip_16() {
+        let trip16 = [1.78, 2.27, 3.0, 1.51, 0.98, 0.98];
+        let trip64 = [1.82, 2.6, 2.8, 2.7, 2.33, 1.51];
+        let fig = fig2(TRIP4, trip16, trip64);
+        breaks(fig, &["trip 64's best beats trip 16's"]);
+    }
+
+    #[test]
+    fn fig2_trip_4_close_to_trip_64() {
+        let trip4 = [2.0, 1.5, 1.15, 1.15, 1.15, 1.15];
+        let trip16 = [1.78, 2.5, 2.25, 1.51, 0.98, 0.98];
+        let trip64 = [1.82, 2.6, 3.0, 2.9, 2.33, 1.51];
+        let fig = fig2(trip4, trip16, trip64);
+        breaks(fig, &["trip 4's best is far below trip 64's"]);
+    }
+
+    #[test]
+    fn fig2_distance_8_helps_a_4_iteration_loop() {
+        let trip4 = [1.63, 1.5, 1.15, 1.3, 1.15, 1.15];
+        let fig = fig2(trip4, TRIP16, TRIP64);
+        breaks(fig, &["distance 8 is not timely in a 4-iteration loop"]);
+    }
+
+    #[test]
+    fn fig4_one_peak() {
+        let fig = fig4(&[33], 0);
+        breaks(fig, &["hits and misses form separate peaks"]);
+    }
+
+    #[test]
+    fn fig4_peaks_out_of_order() {
+        breaks(fig4(&[33, 135, 91, 193], 120), &["the peaks ascend"]);
+    }
+
+    #[test]
+    fn fig4_peaks_too_close() {
+        let fig = fig4(&[33, 60], 120);
+        breaks(fig, &["the peaks span at least half the DRAM latency"]);
+    }
+
+    #[test]
+    fn table4_stand_in_too_small() {
+        let fig = table4(0.4, 1.0);
+        assert_eq!(fig.label(), "Table 4");
+        let check = "web-Google (WG): the stand-in keeps half the paper's vertices";
+        breaks(fig, &[check]);
+    }
+
+    #[test]
+    fn ablation_16_mshrs_no_better_than_2() {
+        let fig = mshr_ablation(&runs([1.74, 2.89, 4.42, 1.7, 4.42]));
+        breaks(fig, &["16 MSHRs beat 2"]);
+    }
+
+    #[test]
+    fn ablation_bandwidth_does_not_matter() {
+        let fig = bandwidth_ablation(&runs([4.44, 4.42, 4.39, 3.8, 4.5]));
+        breaks(fig, &["1 line per 4 cycles beats 1 per 64"]);
+    }
+
+    #[test]
+    fn ablation_lbr_distance_moves_more_than_the_reference() {
+        let fig = lbr([17, 8, 8, 8]);
+        breaks(fig, &["period 5000: the distance stays within 8 of 8"]);
+    }
+
+    /// A reference distance of 0 counts as 1.
+    #[test]
+    fn ablation_lbr_reference_is_at_least_1() {
+        let fig = lbr([0, 0, 2, 3]);
+        breaks(fig, &["period 400000: the distance stays within 1 of 1"]);
     }
 
     #[test]

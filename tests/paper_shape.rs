@@ -1,9 +1,10 @@
-//! The paper's shape, generated: every §4 figure at scales 0.25 and 1.0,
-//! each scale from one campaign and its extra runs (`apt_bench::paper`),
-//! against `tests/golden/paper.txt`. For each scale the golden holds each
-//! figure's table as its bench prints it, then the orderings of the
-//! paper's shape that the numbers break. At 1.0 they must break none.
-//! EXPERIMENTS.md §4 copies its tables from the golden, and a copy that
+//! The paper's shape, generated: every table and figure, and the
+//! substrate ablations, at scales 0.25 and 1.0, each scale from one
+//! campaign and the runs it does not define (`apt_bench::paper`), against
+//! `tests/golden/paper.txt`. For each scale the golden holds each table
+//! as the `paper` bench prints it, then the orderings of the paper's
+//! shape that the numbers break. At 1.0 they must break none.
+//! EXPERIMENTS.md copies its tables from the golden, and a copy that
 //! differs from it fails the second test.
 //!
 //! The evaluation takes minutes, so the first test is ignored by default
@@ -83,7 +84,7 @@ fn paper_shape_matches_the_golden() {
     assert_eq!(actual.len(), expected.len(), "golden section count");
 }
 
-/// EXPERIMENTS.md carries every figure's table at 0.25, each a copy of the
+/// EXPERIMENTS.md carries every table at 0.25, each a copy of the
 /// golden's; cheap, so it runs with the default tests.
 #[test]
 fn experiments_tables_are_copies_of_the_golden() {

@@ -207,7 +207,7 @@ pub fn latency_distribution(
 /// The §3.2 chain from a latency multiset to Eq. 1's input: bin it with
 /// the tail clipped at the 99.5th percentile, smooth it, find its CWT
 /// peaks. `None` below `cfg.min_observations`, where the distribution is
-/// not trusted (§3.6). The analysis, drift detection and the Fig. 4 bench
+/// not trusted (§3.6). The analysis, drift detection and Fig. 4
 /// all read latency distributions through here.
 pub fn sketch_distribution(
     sketch: &LatencySketch,

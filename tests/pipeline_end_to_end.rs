@@ -3,7 +3,7 @@
 //! faster where the paper says they should be.
 //!
 //! These tests run at reduced scale (debug-mode simulation); the full-size
-//! behaviour is exercised by the `apt-bench` figure benches.
+//! behaviour is exercised by the `apt-bench` `paper` bench.
 
 use apt_passes::Site;
 use apt_workloads::micro::{self, Complexity, MicroParams};
